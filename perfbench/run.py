@@ -10,7 +10,8 @@ stage and one process at a time, over and over until ``--seconds`` have
 passed (at least ``MIN_SEQUENCES`` times). Inputs are generated from ``--seed`` during an
 untimed set-up that is repeated ``SETUP_REPEATS`` times; the program only
 ever sees the generated files. Every stage's wall time, CPU time and peak
-RSS come from ``os.wait4`` on its pid.
+RSS come from ``os.wait4`` on its pid; ``posts_per_s`` and ``setup_s`` scale
+wall times to a nominal CPU speed read between stages (see ``reference``).
 
 ``--trace 0`` prints the end-to-end metrics; ``--trace 1`` additionally
 runs the stage sequence once through ``traced_stage.py`` and prints the
@@ -70,6 +71,13 @@ MIN_SEQUENCES = 3
 ORACLE_CHECKS = 16
 ORACLE_RTOL = 1e-9
 RUN_BUDGET_S = 170.0
+# the nominal CPU speed, as the time of one reference() run: a typical
+# reading on the 2-vCPU Xeon VM the benchmark was defined on, where single
+# runs take 0.026-0.050 s; timed walls are scaled to that speed
+REF_S = 0.040
+# reference() runs per speed reading; the speed flips between two levels
+# several times a second, so one reading averages a few runs
+REF_READINGS = 2
 
 STAGE_NAMES = ("synth", "ingest", "lcc", "eccentricity", "dynamics",
                "distributions", "report", "embed", "pca")
@@ -90,6 +98,29 @@ def thread_caps() -> dict[str, str]:
     n = str(len(os.sched_getaffinity(0)))
     return {k: n for k in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+
+
+_REF_DOC = json.dumps([{"id": i, "author": f"u{i % 97}", "t": 1.7e9 + i,
+                         "vec": [i * 0.5, -i * 0.25, 1.0 / (i + 1)]} for i in range(200)])
+
+
+def reference() -> float:
+    """Wall time of a fixed interpreter-bound job (JSON parsing and dict
+    updates, like the replay stages), run in this process between stages.
+
+    On a shared host each vCPU flips between two speeds about 1.7x apart
+    several times a second, and the share of time spent at the slow one
+    drifts over tens of seconds to minutes, so runs of the same code a few
+    minutes apart differ by 25 % and more. Readings taken just before and
+    after a stage say how fast the CPU ran it; the stage's time at the
+    nominal speed is its wall time x REF_S / the mean of those readings.
+    """
+    t0 = time.perf_counter()
+    for _ in range(80):
+        acc: dict[str, float] = {}
+        for row in json.loads(_REF_DOC):
+            acc[row["author"]] = acc.get(row["author"], 0.0) + sum(row["vec"]) * row["t"]
+    return time.perf_counter() - t0
 
 
 def sha256(path: Path) -> str:
@@ -114,7 +145,13 @@ class StageRun:
     peak_rss_mb: float
     spawn: float
     reap: float
+    ref_s: float
     trace: dict | None = None
+
+    @property
+    def nominal_s(self) -> float:
+        """Wall time scaled to the nominal CPU speed (see reference())."""
+        return self.wall_s * REF_S / self.ref_s
 
 
 @dataclass
@@ -127,6 +164,24 @@ class Bench:
     attempted: int = 0
     failed: int = 0
     notes: list = field(default_factory=list)
+    last_ref: float | None = None
+    ref_spent: float = 0.0
+
+    def calibrate(self) -> float:
+        """Take a CPU-speed reading: the mean time of REF_READINGS reference()
+        runs on each CPU this process may use, kept as the latest reading."""
+        cpus = os.sched_getaffinity(0)
+        times = []
+        try:
+            for cpu in sorted(cpus):
+                os.sched_setaffinity(0, {cpu})
+                times += [reference() for _ in range(REF_READINGS)]
+        finally:
+            # stage processes inherit this process's affinity
+            os.sched_setaffinity(0, cpus)
+        self.ref_spent += sum(times)
+        self.last_ref = statistics.fmean(times)
+        return self.last_ref
 
     def check(self, ok: bool, what: str) -> None:
         self.attempted += 1
@@ -148,6 +203,7 @@ class Bench:
                    (os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0),
                    (os.POSIX_SPAWN_OPEN, 2, str(log),
                     os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)]
+        before = self.last_ref or self.calibrate()
         spawn = time.monotonic()
         pid = os.posix_spawn(sys.executable, argv, self.env, file_actions=actions)
         watchdog = threading.Timer(max(self.deadline - spawn, 1.0), os.kill,
@@ -162,13 +218,15 @@ class Bench:
         finally:
             watchdog.cancel()
         reap = time.monotonic()
+        after = self.calibrate()
         code = os.waitstatus_to_exitcode(status)
         self.check(code == 0, f"{stage} exited {code}: {log.read_text()[-400:]}")
         trace = None
         if trace_to is not None and code == 0:
             trace = json.loads(trace_to.read_text())
         return StageRun(stage, code, reap - spawn, usage.ru_utime + usage.ru_stime,
-                        usage.ru_maxrss / 1024.0, spawn, reap, trace)
+                        usage.ru_maxrss / 1024.0, spawn, reap,
+                        (before + after) / 2, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +593,16 @@ def environment() -> dict:
 
 def setup(bench: Bench, wl: Workload, seed: int, repeats: int,
           trace_dir: Path | None) -> tuple[Path, list[float], list[StageRun], dict]:
-    """Generate the workload's inputs ``repeats`` times; return set-up times."""
+    """Generate the workload's inputs ``repeats`` times; return set-up times
+    scaled to the nominal CPU speed, without the reference() runs."""
     inp = bench.work / "input"
     times, synth_runs, first, info = [], [], None, {}
     for i in range(repeats):
         if inp.exists():
             shutil.rmtree(inp)
         inp.mkdir(parents=True)
+        before = bench.last_ref or bench.calibrate()
+        spent = bench.ref_spent
         t0 = time.monotonic()
         run = bench.stage("synth", synth_args(inp, seed, wl.synth_users),
                           trace_to=None if trace_dir is None else trace_dir / "synth.json")
@@ -549,7 +610,8 @@ def setup(bench: Bench, wl: Workload, seed: int, repeats: int,
             raise RuntimeError("synth failed")
         synth_runs.append(run)
         info = wl.prepare(bench, inp, seed)
-        times.append(time.monotonic() - t0)
+        elapsed = time.monotonic() - t0 - (bench.ref_spent - spent)
+        times.append(elapsed * REF_S / ((before + bench.calibrate()) / 2))
         hashes = tree_hashes(inp)
         if first is None:
             first = hashes
@@ -592,15 +654,15 @@ def measure(wl: Workload, seed: int, seconds: float, trace: bool) -> tuple[Bench
                                      "n_perm": N_PERM, "inputs": n_inputs,
                                      "generator": info}, sort_keys=True))
         out = work / "out"
-        rates, rss, walls, first = [], [], [], None
+        rates, raw_rates, rss, walls, first = [], [], [], [], None
         start = time.monotonic()
         while len(rates) < MIN_SEQUENCES or time.monotonic() - start < seconds:
             runs = run_sequence(bench, wl, inp, out)
             if runs is None:
                 break
-            wall = runs[-1].reap - runs[0].spawn
-            rates.append(n_inputs / wall)
+            rates.append(n_inputs / sum(r.nominal_s for r in runs))
             walls.append(sum(r.wall_s for r in runs))
+            raw_rates.append(n_inputs / walls[-1])
             rss.append(max(r.peak_rss_mb for r in runs))
             hashes = tree_hashes(out)
             if first is None:
@@ -616,12 +678,15 @@ def measure(wl: Workload, seed: int, seconds: float, trace: bool) -> tuple[Bench
                 metrics = layer_metrics(bench, traced, statistics.median(walls), extra)
                 write_trace(WORK / f"{wl.name}-s{seed}.trace.json", traced)
         print(f"sequences {len(rates)}; posts_per_s "
-              + " ".join(f"{r:.1f}" for r in rates), file=sys.stderr)
+              + " ".join(f"{r:.1f}" for r in rates) + "; unscaled "
+              + " ".join(f"{r:.1f}" for r in raw_rates), file=sys.stderr)
+        if raw_rates:
+            print(f"{'posts_per_s (unscaled wall time)':36s} "
+                  f"{statistics.harmonic_mean(raw_rates):.6g} posts/s")
         metrics.update({
-            # inputs over the whole timed wall time, not a median of
-            # sequences: on a shared 2-vCPU VM the CPU speed switches between
-            # two levels ~1.45x apart every few seconds, and a median of 4-5
-            # sequences jumps between them while the total averages them
+            # inputs over the whole timed window (a harmonic mean of the
+            # sequences' rates), each stage's wall time scaled to the nominal
+            # CPU speed by the reference() readings around it
             "posts_per_s": (statistics.harmonic_mean(rates) if rates else 0.0, "posts/s"),
             "peak_rss_mb": (statistics.median(rss) if rss else 0.0, "MB"),
             "setup_s": (statistics.median(setup_times), "s"),
