@@ -435,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="default dim/min-count/bins bundle (default: social-media)")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap; results are identical at any value")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--log-level", default="INFO")
     sub = parser.add_subparsers(dest="stage", required=True)
 

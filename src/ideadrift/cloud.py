@@ -1,26 +1,25 @@
 """Windowed idea clouds: replay the post log, emit per-post eccentricities.
 
-Every user owns a knowledge base holding the vectors of posts made by their
-ego neighborhood (themselves plus followees) within the trailing window
-(default 5 days). A post's eccentricity is the L2 distance of its vector from
-the centroid of the author's knowledge base as it stood strictly before the
-post; self-eccentricity uses only the author's own posts in the same window.
-A post whose cloud is empty gets an undefined (None) value rather than 0.
+A post's idea cloud holds the vectors of posts made by its author's ego
+neighborhood (the author plus followees) within the trailing window (default
+5 days) strictly before the post. Its eccentricity is the L2 distance of its
+vector from the cloud's centroid; self-eccentricity uses only the author's own
+posts in the same window. A post whose cloud is empty gets an undefined (None)
+value rather than 0.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import Corpus, ego_neighborhood
-from .errors import DataFormatError, EmptyCloudError
+from .corpus import Corpus, Post, ego_neighborhood
+from .errors import DataFormatError
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
 
@@ -40,109 +39,148 @@ class EccentricityRecord:
     self_cloud_size: int
 
 
-class KnowledgeBase:
-    """Time-ordered window of (post_id, created_at, vector) with a running sum.
-
-    Entries expire once they are strictly older than the window relative to
-    the clock passed to :meth:`expire`. The running sum is reset exactly when
-    the base empties, so incremental float error cannot outlive a window.
-    """
-
-    __slots__ = ("owner", "window_seconds", "entries", "running_sum", "count")
-
-    def __init__(self, owner: str, window_seconds: int, dim: int):
-        self.owner = owner
-        self.window_seconds = window_seconds
-        self.entries: deque[tuple[str, int, np.ndarray]] = deque()
-        self.running_sum = np.zeros(dim)
-        self.count = 0
-
-    def expire(self, now: int) -> None:
-        cutoff = now - self.window_seconds
-        while self.entries and self.entries[0][1] < cutoff:
-            _, _, vec = self.entries.popleft()
-            self.running_sum -= vec
-            self.count -= 1
-        if self.count == 0:
-            self.running_sum[:] = 0.0
-
-    def add(self, post_id: str, created_at: int, vec: np.ndarray) -> None:
-        self.entries.append((post_id, created_at, vec))
-        self.running_sum += vec
-        self.count += 1
+# Float64 values allowed in one temporary of the replay kernel. Work is split
+# into chunks of this size, so peak memory does not grow with the corpus.
+_CHUNK_VALUES = 1 << 17
 
 
-def centroid(kb: KnowledgeBase) -> np.ndarray:
-    """Mean vector of the knowledge base; raises EmptyCloudError when empty."""
-    if kb.count == 0:
-        raise EmptyCloudError(f"knowledge base of {kb.owner!r} is empty")
-    return kb.running_sum / kb.count
-
-
-def _distance_or_none(vec: np.ndarray, kb: KnowledgeBase) -> float | None:
-    if kb.count == 0:
-        return None
-    return float(np.linalg.norm(vec - centroid(kb)))
-
-
-def replay_with_state(
-    corpus: Corpus,
-    vectors: dict[str, np.ndarray],
-    window_seconds: int = DEFAULT_WINDOW_SECONDS,
-) -> tuple[list[EccentricityRecord], dict[str, KnowledgeBase], dict[str, KnowledgeBase]]:
-    """Replay the corpus; also return the final neighborhood and self bases."""
-    if window_seconds <= 0:
-        raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
-    dim: int | None = None
-    for post in corpus.posts:
+def _post_matrix(posts: tuple[Post, ...], vectors: dict[str, np.ndarray]) -> np.ndarray:
+    """Stack the posts' vectors in post order; every post needs one, all of one dimension."""
+    rows = []
+    for post in posts:
         vec = vectors.get(post.id)
         if vec is None:
             raise DataFormatError(f"no vector for post {post.id!r}")
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
+        if rows and vec.shape[0] != rows[0].shape[0]:
             raise DataFormatError(
-                f"vector for post {post.id!r} has dimension {vec.shape[0]}, expected {dim}"
+                f"vector for post {post.id!r} has dimension {vec.shape[0]}, "
+                f"expected {rows[0].shape[0]}"
             )
-    if dim is None:
-        return [], {}, {}
+        rows.append(vec)
+    return np.array(rows, dtype=float)
 
+
+def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
+    """Per post: the index range [lo, hi) of the time-sorted log that falls in
+    its window [t - window, t), and the dense rank of its block
+    ``(t - t0) // window``. No window spans more than two blocks."""
+    times = [p.created_at for p in posts]
+    # any window longer than the log's span selects the same posts; clamping
+    # keeps t - window inside int64 whenever the times themselves are
+    window = min(window_seconds, max(times[-1] - times[0], 1))
+    try:
+        t = np.array(times, dtype=np.int64)
+    except OverflowError:  # exact Python ints: slower, same result
+        t = np.array(times, dtype=object)
+    lo = np.searchsorted(t, t - window, side="left")
+    hi = np.searchsorted(t, t, side="left")
+    block = (t - t[0]) // window
+    new_block = np.ones(len(times), dtype=bool)
+    new_block[1:] = block[1:] != block[:-1]
+    return lo, hi, np.cumsum(new_block)
+
+
+def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray,
+                         seg_len: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums of ``x - ref`` within each segment of ``order``.
+
+    ``ref`` is the segment's first row. Segment s owns rows ``seg_first[s] + s``
+    through ``seg_first[s] + s + seg_len[s]`` of the result: a zero row, then
+    the running sums, so a sum over sorted positions [a, b) of segment s is
+    ``out[b + s] - out[a + s]``. Sums restart at every segment, so their
+    rounding error is bounded by one segment, not by the whole history.
+    """
+    n_seg = len(seg_first)
+    out = np.empty((len(order) + n_seg, x.shape[1]))
+    out[seg_first + np.arange(n_seg)] = 0.0
+    for length in np.unique(seg_len).tolist():
+        segs = np.flatnonzero(seg_len == length)
+        step = max(1, _CHUNK_VALUES // max(length * x.shape[1], 1))
+        for i in range(0, len(segs), step):
+            part = segs[i:i + step]
+            pos = seg_first[part, None] + np.arange(length)
+            dev = x[order[pos]]
+            dev -= dev[:, :1].copy()
+            np.cumsum(dev, axis=1, out=dev)
+            out[pos + part[:, None] + 1] = dev
+    return out
+
+
+def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
+    """``|total / count|`` per row, None where the count is zero."""
+    norms = np.linalg.norm(total / np.maximum(count, 1)[:, None], axis=1)
+    return [d if c else None for d, c in zip(norms.tolist(), count.tolist())]
+
+
+def _part_sums(x, prefix, ref, v, seg, a, b):
+    """``sum(v - x)`` over sorted positions [a, b) of segment ``seg``, row-wise."""
+    return (b - a)[:, None] * (v - x[ref[seg]]) - (prefix[b + seg] - prefix[a + seg])
+
+
+def _clouds(corpus: Corpus, vectors: dict[str, np.ndarray], window_seconds: int):
+    """Per post, in log order: eccentricity, self-eccentricity, cloud size and
+    self-cloud size, as four lists (see ``replay``)."""
+    posts = corpus.posts
+    x = _post_matrix(posts, vectors)
+    n = len(posts)
+    if n == 0:
+        return [], [], [], []
+    lo, hi, block = _window_bounds(posts, window_seconds)
+
+    # ego neighborhoods by user code (codes follow sorted ids), flattened
     graph = corpus.graph
-    # receivers[u]: owners whose knowledge base ingests u's posts
-    receivers = {u: (u, *sorted(graph.in_neighbors(u))) for u in graph.users}
-    bases = {u: KnowledgeBase(u, window_seconds, dim) for u in graph.users}
-    self_bases = {u: KnowledgeBase(u, window_seconds, dim) for u in graph.users}
+    users = sorted(graph.users)
+    code = {u: i for i, u in enumerate(users)}
+    ego = [[code[u], *sorted(code[v] for v in graph.out_neighbors(u))] for u in users]
+    ego_len = np.array([len(e) for e in ego])
+    ego_start = np.cumsum(ego_len) - ego_len
+    ego_flat = np.fromiter(itertools.chain.from_iterable(ego), np.int64, int(ego_len.sum()))
+    author = np.fromiter((code[p.author] for p in posts), np.int64, n)
 
-    records: list[EccentricityRecord] = []
-    for now, group_iter in itertools.groupby(corpus.posts, key=lambda p: p.created_at):
-        group = list(group_iter)
-        # measure first: a post sees only strictly older posts
-        for post in group:
-            vec = vectors[post.id]
-            kb = bases[post.author]
-            kb.expire(now)
-            own = self_bases[post.author]
-            own.expire(now)
-            records.append(EccentricityRecord(
-                post_id=post.id,
-                author=post.author,
-                created_at=post.created_at,
-                likes=post.likes,
-                eccentricity=_distance_or_none(vec, kb),
-                self_eccentricity=_distance_or_none(vec, own),
-                cloud_size=kb.count,
-                self_cloud_size=own.count,
-            ))
-        for post in group:
-            vec = vectors[post.id]
-            for owner in receivers[post.author]:
-                kb = bases[owner]
-                kb.expire(now)
-                kb.add(post.id, now, vec)
-            own = self_bases[post.author]
-            own.expire(now)
-            own.add(post.id, now, vec)
-    return records, bases, self_bases
+    # sorted positions: by author, then log index; key = author * n + log index
+    order = np.argsort(author, kind="stable")
+    sorted_author, sorted_block = author[order], block[order]
+    keys = sorted_author * n + order
+    new_seg = np.ones(n, dtype=bool)
+    new_seg[1:] = ((sorted_author[1:] != sorted_author[:-1])
+                   | (sorted_block[1:] != sorted_block[:-1]))
+    seg_first = np.flatnonzero(new_seg)
+    seg_of = np.cumsum(new_seg) - 1
+    prefix = _segment_prefix_sums(x, order, seg_first, np.diff(seg_first, append=n))
+    ref = order[seg_first]
+
+    # (post, ego member) pairs, a chunk of posts at a time
+    pairs_before = np.cumsum(ego_len[author]) - ego_len[author]
+    budget = max(1, _CHUNK_VALUES // max(x.shape[1], 1))
+    ecc: list[float | None] = []
+    self_ecc: list[float | None] = []
+    sizes: list[int] = []
+    self_sizes: list[int] = []
+    start = 0
+    while start < n:
+        stop = max(start + 1, int(np.searchsorted(pairs_before, pairs_before[start] + budget)))
+        count = ego_len[author[start:stop]]
+        first = np.cumsum(count) - count  # each post's self pair
+        post = np.repeat(np.arange(start, stop), count)
+        member = ego_flat[np.repeat(ego_start[author[start:stop]] - first, count)
+                          + np.arange(len(post))]
+        lo_pos = np.searchsorted(keys, member * n + lo[post])
+        hi_pos = np.searchsorted(keys, member * n + hi[post])
+        # [lo_pos, hi_pos) spans at most two segments, split at mid
+        late = seg_of[np.maximum(hi_pos - 1, 0)]
+        mid = np.clip(seg_first[late], lo_pos, hi_pos)
+        early = seg_of[np.minimum(lo_pos, n - 1)]
+        v = x[post]
+        total = (_part_sums(x, prefix, ref, v, early, lo_pos, mid)
+                 + _part_sums(x, prefix, ref, v, late, mid, hi_pos))
+        size = hi_pos - lo_pos
+        cloud_size = np.add.reduceat(size, first)
+        ecc += _distances(np.add.reduceat(total, first), cloud_size)
+        self_ecc += _distances(total[first], size[first])
+        sizes += cloud_size.tolist()
+        self_sizes += size[first].tolist()
+        start = stop
+    return ecc, self_ecc, sizes, self_sizes
 
 
 def replay(
@@ -150,9 +188,26 @@ def replay(
     vectors: dict[str, np.ndarray],
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
 ) -> list[EccentricityRecord]:
-    """Emit one EccentricityRecord per post, in (created_at, id) order."""
-    records, _, _ = replay_with_state(corpus, vectors, window_seconds)
-    return records
+    """Emit one EccentricityRecord per post, in (created_at, id) order.
+
+    Fan-in: each post reads the windowed sums of its ego members (itself first,
+    then followees by id) from per-author prefix sums, instead of every post
+    being pushed into every follower's cloud. Posts are sorted by (author,
+    time) and cut into segments at block edges (see ``_window_bounds``); a
+    window then covers at most two segments of one author, and each part
+    adds ``n * (v - ref) - sum(x - ref)`` to ``sum(v - x)`` over the cloud,
+    whose mean is the offset of ``v`` from the cloud's centroid.
+    """
+    if window_seconds <= 0:
+        raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
+    # the kernel's arrays are freed before the records are built
+    columns = _clouds(corpus, vectors, window_seconds)
+    return [
+        EccentricityRecord(post_id=p.id, author=p.author, created_at=p.created_at,
+                           likes=p.likes, eccentricity=e, self_eccentricity=se,
+                           cloud_size=c, self_cloud_size=sc)
+        for p, e, se, c, sc in zip(corpus.posts, *columns)
+    ]
 
 
 def eccentricity_oracle(

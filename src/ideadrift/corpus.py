@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import DataFormatError
@@ -213,12 +212,22 @@ def largest_connected_component(g: SocialGraph) -> SocialGraph:
     """
     if not g.users:
         return SocialGraph((), ())
-    undirected = nx.Graph()
-    undirected.add_nodes_from(g.users)
-    undirected.add_edges_from(g.edges)
-    components = list(nx.connected_components(undirected))
-    best_size = max(len(c) for c in components)
-    best = min((c for c in components if len(c) == best_size), key=min)
+    # union-find whose root is always the smallest id in its component
+    root = {u: u for u in g.users}
+
+    def find(u: str) -> str:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        return u
+
+    for a, b in g.edges:
+        ra, rb = sorted((find(a), find(b)))
+        root[rb] = ra
+    components: dict[str, list[str]] = {}
+    for u in g.users:
+        components.setdefault(find(u), []).append(u)
+    _, best = min(components.items(), key=lambda kv: (-len(kv[1]), kv[0]))
     return g.induced(best)
 
 

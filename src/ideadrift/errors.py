@@ -7,7 +7,3 @@ class DataFormatError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal self-check failed (CLI exit code 3)."""
-
-
-class EmptyCloudError(ValueError):
-    """A centroid was requested for an empty idea cloud (eccentricity undefined)."""

@@ -1,13 +1,12 @@
+import bisect
+import math
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
-from ideadrift.cloud import (
-    KnowledgeBase, centroid, eccentricity_oracle, read_records_csv, replay,
-    replay_with_state, write_records_csv,
-)
+from ideadrift.cloud import eccentricity_oracle, read_records_csv, replay, write_records_csv
 from ideadrift.corpus import Post, SocialGraph, build_corpus, ego_neighborhood
-from ideadrift.errors import DataFormatError, EmptyCloudError
+from ideadrift.errors import DataFormatError
 from ideadrift.synth import SynthConfig, gen_corpus
 
 DAY = 86400
@@ -28,30 +27,6 @@ def three_user_example():
     ]
     vectors = {"p1": np.array([0.0]), "p2": np.array([2.0]), "p3": np.array([4.0])}
     return corpus_of(posts, users, edges), vectors
-
-
-class TestCentroid:
-    def test_two_entries(self):
-        kb = KnowledgeBase("u", WINDOW, 2)
-        kb.add("p1", 0, np.array([0.0, 0.0]))
-        kb.add("p2", 0, np.array([2.0, 0.0]))
-        assert_allclose(centroid(kb), [1.0, 0.0])
-
-    def test_single_entry(self):
-        kb = KnowledgeBase("u", WINDOW, 2)
-        kb.add("p1", 0, np.array([3.0, -1.0]))
-        assert_allclose(centroid(kb), [3.0, -1.0])
-
-    def test_arithmetic_mean(self):
-        kb = KnowledgeBase("u", WINDOW, 2)
-        for i, vec in enumerate(([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])):
-            kb.add(f"p{i}", 0, np.array(vec))
-        assert_allclose(centroid(kb), [3.0, 4.0])
-
-    def test_empty_cloud_raises(self):
-        kb = KnowledgeBase("u", WINDOW, 2)
-        with pytest.raises(EmptyCloudError):
-            centroid(kb)
 
 
 class TestReplayWorkedExamples:
@@ -116,6 +91,17 @@ class TestReplayWorkedExamples:
         with pytest.raises(DataFormatError, match="p9"):
             replay(corpus, {}, WINDOW)
 
+    def test_dimension_mismatch_fatal_with_id(self):
+        corpus = corpus_of([Post("p1", "a", 0, "", 0), Post("p2", "a", 1, "", 0)], ["a"], [])
+        with pytest.raises(DataFormatError, match="p2"):
+            replay(corpus, {"p1": np.zeros(2), "p2": np.zeros(3)}, WINDOW)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_non_positive_window_fatal(self, window):
+        corpus, vectors = three_user_example()
+        with pytest.raises(DataFormatError, match="window"):
+            replay(corpus, vectors, window)
+
 
 class TestOracle:
     def test_agrees_on_worked_example(self):
@@ -157,18 +143,6 @@ class TestReplayInvariants:
                           effect="null")
         return gen_corpus(cfg)
 
-    def test_running_sums_match_fresh_sums_after_replay(self):
-        corpus, vectors = self._random_case(101)
-        _, bases, self_bases = replay_with_state(corpus, vectors, WINDOW)
-        for group in (bases, self_bases):
-            for kb in group.values():
-                fresh = np.zeros_like(kb.running_sum)
-                for _, _, vec in kb.entries:
-                    fresh += vec
-                scale = 1 + np.linalg.norm(fresh)
-                assert np.linalg.norm(kb.running_sum - fresh) <= 1e-9 * scale
-                assert kb.count == len(kb.entries)
-
     def test_translation_invariance(self):
         corpus, vectors = self._random_case(7)
         shift = np.array([13.0, -4.0, 0.5])
@@ -201,6 +175,65 @@ class TestReplayInvariants:
         corpus, vectors = self._random_case(3)
         records = replay(corpus, vectors, WINDOW)
         assert [r.post_id for r in records] == [p.id for p in corpus.posts]
+
+
+class TestLongHorizon:
+    """A year of hourly posts at a large vector offset, against exact sums."""
+
+    USERS = ("a", "b", "c")
+    EDGES = (("a", "b"), ("a", "c"), ("b", "c"))
+
+    @classmethod
+    def _case(cls):
+        rng = np.random.default_rng(2023)
+        posts = [Post(f"{u}{h}", u, h * 3600 + k * 1200, "", 0)
+                 for k, u in enumerate(cls.USERS) for h in range(365 * 24)]
+        vectors = {p.id: 1e6 + rng.standard_normal(4) for p in posts}
+        return corpus_of(posts, cls.USERS, cls.EDGES), vectors
+
+    @staticmethod
+    def _exact(vec, cloud):
+        # deviations v - x are exact here (Sterbenz); fsum rounds each sum once
+        if not cloud:
+            return None
+        mean = [math.fsum(d) / len(cloud) for d in zip(*(vec - x for x in cloud))]
+        return math.sqrt(math.fsum(m * m for m in mean))
+
+    def test_matches_exact_sums_over_a_year(self):
+        corpus, vectors = self._case()
+        records = replay(corpus, vectors, WINDOW)
+        by_author = {u: [p for p in corpus.posts if p.author == u] for u in self.USERS}
+        times = {u: [p.created_at for p in ps] for u, ps in by_author.items()}
+
+        def window_of(u, t):
+            lo = bisect.bisect_left(times[u], t - WINDOW)
+            return [vectors[p.id] for p in by_author[u][lo:bisect.bisect_left(times[u], t)]]
+
+        picks = np.random.default_rng(7).choice(len(records), size=80, replace=False)
+        for i in sorted(picks.tolist()) + [len(records) - 1]:
+            r = records[i]
+            vec = vectors[r.post_id]
+            own = window_of(r.author, r.created_at)
+            cloud = [x for u in ego_neighborhood(corpus.graph, r.author)
+                     for x in window_of(u, r.created_at)]
+            assert r.cloud_size == len(cloud) and r.self_cloud_size == len(own)
+            for got, want in ((r.eccentricity, self._exact(vec, cloud)),
+                              (r.self_eccentricity, self._exact(vec, own))):
+                assert (got is None) == (want is None)
+                if want is not None:
+                    assert abs(got - want) <= 1e-12 * want
+
+    def test_times_beyond_int64_replay_the_same(self):
+        corpus, vectors = TestReplayInvariants._random_case(11)
+        shift = 10 ** 20
+        moved = corpus_of([Post(p.id, p.author, p.created_at + shift, p.text, p.likes)
+                           for p in corpus.posts],
+                          corpus.graph.users, corpus.graph.edges)
+        for r1, r2 in zip(replay(corpus, vectors, WINDOW), replay(moved, vectors, WINDOW)):
+            assert r2.created_at == r1.created_at + shift
+            assert ((r1.eccentricity, r1.self_eccentricity, r1.cloud_size, r1.self_cloud_size)
+                    == (r2.eccentricity, r2.self_eccentricity, r2.cloud_size,
+                        r2.self_cloud_size))
 
 
 class TestRecordsCsv:
