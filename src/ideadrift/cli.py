@@ -13,12 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import logging
 import shutil
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +37,7 @@ PRESETS = {
 }
 
 DEFAULTS = {
+    "preset": "social-media",
     "window_days": 5.0,
     "variance": 0.9,
     "bandwidth": 5.0,
@@ -52,39 +55,42 @@ DEFAULTS = {
     "synth_dim": 16,
     "effect": "null",
     "strength": 0.0,
+    "user_spread": 4.0,
+    "post_noise": 0.25,
 }
 
 
 class _Settings:
-    """Layered parameter lookup: CLI flag > config file > preset > default."""
+    """Layered parameter lookup: CLI flag > config file > preset > default.
+
+    Every input file a stage resolves through ``require_path`` is recorded in
+    ``inputs``, which the stage's manifest then hashes.
+    """
 
     def __init__(self, args: argparse.Namespace):
-        self.cli = {k: v for k, v in vars(args).items() if v is not None}
-        self.file: dict = {}
-        config_path = self.cli.get("config")
+        cli = {k: v for k, v in vars(args).items() if v is not None}
+        file: dict = {}
+        config_path = cli.get("config")
         if config_path:
             try:
                 with open(config_path, encoding="utf-8") as fh:
-                    self.file = json.load(fh)
+                    file = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise DataFormatError(f"{config_path}: invalid config JSON ({exc})") from exc
-            if not isinstance(self.file, dict):
+            if not isinstance(file, dict):
                 raise DataFormatError(f"{config_path}: config must be a JSON object")
-        preset_name = self.get("preset", "social-media")
+        self.layers = [cli, file, DEFAULTS]
+        preset_name = self.get("preset")
         if preset_name not in PRESETS:
             raise DataFormatError(f"unknown preset {preset_name!r}")
-        self.preset = PRESETS[preset_name]
+        self.layers.insert(2, PRESETS[preset_name])
+        self.inputs: dict[str, Path] = {}
 
-    def get(self, key: str, default=None):
-        if key in self.cli:
-            return self.cli[key]
-        if key in self.file:
-            return self.file[key]
-        if hasattr(self, "preset") and key in self.preset:
-            return self.preset[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return default
+    def get(self, key: str):
+        for layer in self.layers:
+            if key in layer:
+                return layer[key]
+        return None
 
     def require_path(self, key: str) -> Path:
         value = self.get(key)
@@ -93,6 +99,7 @@ class _Settings:
         path = Path(value)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
+        self.inputs[key] = path
         return path
 
     def out_path(self, key: str) -> Path:
@@ -112,19 +119,22 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(primary_output: Path, stage: str, inputs: dict[str, Path],
+def _write_json(path: Path, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
                     config: dict) -> None:
-    manifest = {
+    """Write ``<primary_output>.manifest.json`` over the inputs the stage read."""
+    _write_json(Path(str(primary_output) + ".manifest.json"), {
         "stage": stage,
         "version": __version__,
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in inputs.items()},
+                   for name, p in settings.inputs.items()},
         "config": config,
-    }
-    path = Path(str(primary_output) + ".manifest.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    })
 
 
 def _parse_bins(raw) -> tuple[int, ...]:
@@ -148,67 +158,41 @@ def _load_corpus(settings: _Settings) -> corpus.Corpus:
 # stages
 # ---------------------------------------------------------------------------
 
-def stage_ingest(settings: _Settings) -> None:
+def _corpus_stage(settings: _Settings, stage: str,
+                  select: Callable[[corpus.SocialGraph], corpus.SocialGraph],
+                  config: dict) -> None:
+    """Keep the users ``select`` picks from the corpus graph, with their posts."""
     c = _load_corpus(settings)
+    graph = select(c.graph)
+    keep = graph.users
+    posts = [p for p in c.posts if p.author in keep]
     out_posts = settings.out_path("out_posts")
     out_edges = settings.out_path("out_edges")
-    corpus.write_posts_jsonl(c.posts, out_posts)
-    corpus.write_edges_jsonl(c.graph, out_edges)
-    logger.info("ingest: %d posts, %d users, %d edges",
-                len(c.posts), len(c.graph.users), len(c.graph.edges))
-    _write_manifest(out_posts, "ingest",
-                    {"posts": settings.require_path("posts"),
-                     "edges": settings.require_path("edges")},
-                    {})
+    corpus.write_posts_jsonl(posts, out_posts)
+    corpus.write_edges_jsonl(graph, out_edges)
+    logger.info("%s: kept %d/%d users, %d/%d posts, %d edges", stage,
+                len(keep), len(c.graph.users), len(posts), len(c.posts),
+                len(graph.edges))
+    _write_manifest(out_posts, stage, settings, config)
 
 
-def _filter_to_users(c: corpus.Corpus, keep: frozenset[str],
-                     subgraph: corpus.SocialGraph) -> corpus.Corpus:
-    posts = [p for p in c.posts if p.author in keep]
-    return corpus.Corpus(posts=tuple(posts), graph=subgraph)
+def stage_ingest(settings: _Settings) -> None:
+    _corpus_stage(settings, "ingest", lambda graph: graph, {})
 
 
 def stage_lcc(settings: _Settings) -> None:
-    c = _load_corpus(settings)
-    component = corpus.largest_connected_component(c.graph)
-    filtered = _filter_to_users(c, component.users, component)
-    out_posts = settings.out_path("out_posts")
-    out_edges = settings.out_path("out_edges")
-    corpus.write_posts_jsonl(filtered.posts, out_posts)
-    corpus.write_edges_jsonl(filtered.graph, out_edges)
-    logger.info("lcc: kept %d/%d users, %d/%d posts",
-                len(component.users), len(c.graph.users),
-                len(filtered.posts), len(c.posts))
-    _write_manifest(out_posts, "lcc",
-                    {"posts": settings.require_path("posts"),
-                     "edges": settings.require_path("edges")},
-                    {})
+    _corpus_stage(settings, "lcc", corpus.largest_connected_component, {})
 
 
 def stage_sample(settings: _Settings) -> None:
-    c = _load_corpus(settings)
-    fraction = float(settings.get("fraction"))
-    seed = int(settings.get("seed"))
-    subgraph = corpus.sample_users(c.graph, fraction, seed)
-    filtered = _filter_to_users(c, subgraph.users, subgraph)
-    out_posts = settings.out_path("out_posts")
-    out_edges = settings.out_path("out_edges")
-    corpus.write_posts_jsonl(filtered.posts, out_posts)
-    corpus.write_edges_jsonl(filtered.graph, out_edges)
-    logger.info("sample: kept %d/%d users, %d/%d posts",
-                len(subgraph.users), len(c.graph.users),
-                len(filtered.posts), len(c.posts))
-    _write_manifest(out_posts, "sample",
-                    {"posts": settings.require_path("posts"),
-                     "edges": settings.require_path("edges")},
-                    {"fraction": fraction, "seed": seed})
+    config = {"fraction": float(settings.get("fraction")), "seed": int(settings.get("seed"))}
+    _corpus_stage(settings, "sample",
+                  lambda graph: corpus.sample_users(graph, **config), config)
 
 
 def stage_embed(settings: _Settings) -> None:
-    posts_path = settings.require_path("posts")
-    posts = corpus.load_posts(posts_path)
-    stopwords_value = settings.get("stopwords")
-    if stopwords_value:
+    posts = corpus.load_posts(settings.require_path("posts"))
+    if settings.get("stopwords"):
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
@@ -223,16 +207,12 @@ def stage_embed(settings: _Settings) -> None:
     embed.write_vectors(out, vectors)
     logger.info("embed: %d posts, vocabulary %d, dim %d",
                 len(posts), len(model.vocabulary), dim)
-    inputs = {"posts": posts_path}
-    if stopwords_value:
-        inputs["stopwords"] = settings.require_path("stopwords")
-    _write_manifest(out, "embed", inputs,
+    _write_manifest(out, "embed", settings,
                     {"dim": dim, "min_count": min_count, "hash_seed": hash_seed})
 
 
 def stage_pca(settings: _Settings) -> None:
-    vectors_path = settings.require_path("vectors")
-    vectors = embed.load_external_vectors(vectors_path)
+    vectors = embed.load_external_vectors(settings.require_path("vectors"))
     if len(vectors) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
     variance = float(settings.get("variance"))
@@ -248,13 +228,12 @@ def stage_pca(settings: _Settings) -> None:
                 model.dim, model.k,
                 100 * float(model.explained_variance.sum())
                 / max(float(np.var(matrix, axis=0, ddof=1).sum()), 1e-300))
-    _write_manifest(out, "pca", {"vectors": vectors_path}, {"variance": variance})
+    _write_manifest(out, "pca", settings, {"variance": variance})
 
 
 def stage_eccentricity(settings: _Settings) -> None:
     c = _load_corpus(settings)
-    vectors_path = settings.require_path("vectors")
-    vectors = embed.load_external_vectors(vectors_path)
+    vectors = embed.load_external_vectors(settings.require_path("vectors"))
     window_days = float(settings.get("window_days"))
     window_seconds = int(round(window_days * 86400))
     records = cloud.replay(c, vectors, window_seconds)
@@ -263,16 +242,11 @@ def stage_eccentricity(settings: _Settings) -> None:
     defined = sum(1 for r in records if r.eccentricity is not None)
     logger.info("eccentricity: %d records, %d with defined eccentricity",
                 len(records), defined)
-    _write_manifest(out, "eccentricity",
-                    {"posts": settings.require_path("posts"),
-                     "edges": settings.require_path("edges"),
-                     "vectors": vectors_path},
-                    {"window_days": window_days})
+    _write_manifest(out, "eccentricity", settings, {"window_days": window_days})
 
 
 def stage_dynamics(settings: _Settings) -> None:
-    records_path = settings.require_path("records")
-    records = cloud.read_records_csv(records_path)
+    records = cloud.read_records_csv(settings.require_path("records"))
     weighting = str(settings.get("fg_weighting"))
     min_gap = float(settings.get("min_gap"))
     rows = dynamics.user_dynamics(records, min_gap=min_gap, weighting=weighting)
@@ -280,13 +254,12 @@ def stage_dynamics(settings: _Settings) -> None:
     dynamics.write_dynamics_csv(rows, out)
     logger.info("dynamics: %d users, %d with defined neighborhood scores",
                 len(rows), sum(1 for r in rows if r.f_ecc is not None))
-    _write_manifest(out, "dynamics", {"records": records_path},
+    _write_manifest(out, "dynamics", settings,
                     {"fg_weighting": weighting, "min_gap": min_gap})
 
 
 def stage_distributions(settings: _Settings) -> None:
-    records_path = settings.require_path("records")
-    records = cloud.read_records_csv(records_path)
+    records = cloud.read_records_csv(settings.require_path("records"))
     thresholds = _parse_bins(settings.get("bins"))
     bandwidth = float(settings.get("bandwidth"))
     p_method = str(settings.get("p_method"))
@@ -316,14 +289,12 @@ def stage_distributions(settings: _Settings) -> None:
                   for t in summary.tests],
         "notices": summary.notices,
     }
-    with open(out_summary, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out_summary, payload)
     for notice in summary.notices:
         logger.warning("distributions: %s", notice)
     logger.info("distributions: %d bins, %d pairwise tests",
                 len(summary.bins), len(summary.tests))
-    _write_manifest(out_csv, "distributions", {"records": records_path},
+    _write_manifest(out_csv, "distributions", settings,
                     {"bins": list(thresholds), "bandwidth": bandwidth,
                      "p_method": p_method, "n_perm": n_perm, "seed": seed})
 
@@ -338,8 +309,8 @@ def stage_synth(settings: _Settings) -> None:
         seed=int(settings.get("seed")),
         effect=str(settings.get("effect")),
         effect_strength=float(settings.get("strength")),
-        user_spread=float(settings.get("user_spread", 4.0)),
-        post_noise=float(settings.get("post_noise", 0.25)),
+        user_spread=float(settings.get("user_spread")),
+        post_noise=float(settings.get("post_noise")),
     )
     c, vectors = synth.gen_corpus(cfg)
     out_posts = settings.out_path("out_posts")
@@ -348,12 +319,7 @@ def stage_synth(settings: _Settings) -> None:
     synth.write_corpus_files(c, vectors, out_posts, out_edges, out_vectors)
     logger.info("synth: %d users, %d posts, effect=%s strength=%s",
                 cfg.n_users, len(c.posts), cfg.effect, cfg.effect_strength)
-    _write_manifest(out_posts, "synth", {}, {
-        "n_users": cfg.n_users, "follow_prob": cfg.follow_prob,
-        "n_days": cfg.n_days, "posts_per_user_per_day": cfg.posts_per_user_per_day,
-        "dim": cfg.dim, "seed": cfg.seed, "effect": cfg.effect,
-        "effect_strength": cfg.effect_strength,
-    })
+    _write_manifest(out_posts, "synth", settings, dataclasses.asdict(cfg))
 
 
 def stage_report(settings: _Settings) -> None:
@@ -399,16 +365,10 @@ def stage_report(settings: _Settings) -> None:
         }
     report = {"popularity": popularity, "gscore_comparison": comparison}
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(report_path, report)
     logger.info("report: wrote %s, %s, %s, %s", report_path, scatter_path,
                 densities_path, means_path)
-    _write_manifest(report_path, "report",
-                    {"summary": summary_path,
-                     "distributions": distributions_path,
-                     "dynamics": dynamics_path},
-                    {})
+    _write_manifest(report_path, "report", settings, {})
 
 
 STAGES = {
@@ -439,21 +399,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="INFO")
     sub = parser.add_subparsers(dest="stage", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text)
+    def add(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help_text, parents=list(parents))
 
-    p = add("ingest", "validate and canonicalize posts/edges files")
-    p.add_argument("--posts"), p.add_argument("--edges")
-    p.add_argument("--out-posts"), p.add_argument("--out-edges")
+    corpus_io = argparse.ArgumentParser(add_help=False)
+    corpus_io.add_argument("--posts"), corpus_io.add_argument("--edges")
+    corpus_io.add_argument("--out-posts"), corpus_io.add_argument("--out-edges")
 
-    p = add("lcc", "restrict to the largest weakly connected component")
-    p.add_argument("--posts"), p.add_argument("--edges")
-    p.add_argument("--out-posts"), p.add_argument("--out-edges")
-
-    p = add("sample", "seeded user sampling with induced subgraph")
-    p.add_argument("--posts"), p.add_argument("--edges")
+    add("ingest", "validate and canonicalize posts/edges files", corpus_io)
+    add("lcc", "restrict to the largest weakly connected component", corpus_io)
+    p = add("sample", "seeded user sampling with induced subgraph", corpus_io)
     p.add_argument("--fraction", type=float), p.add_argument("--seed", type=int)
-    p.add_argument("--out-posts"), p.add_argument("--out-edges")
 
     p = add("embed", "clean text and compute hashed TF-IDF vectors")
     p.add_argument("--posts"), p.add_argument("--stopwords")

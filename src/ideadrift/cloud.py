@@ -258,15 +258,19 @@ def read_records_csv(path: str | Path) -> list[EccentricityRecord]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_FIELDS:
             raise DataFormatError(f"{path}: unexpected CSV header {reader.fieldnames}")
         for row in reader:
-            records.append(EccentricityRecord(
-                post_id=row["post_id"],
-                author=row["author"],
-                created_at=int(row["created_at"]),
-                likes=int(row["likes"]),
-                eccentricity=float(row["eccentricity"]) if row["eccentricity"] else None,
-                self_eccentricity=(float(row["self_eccentricity"])
-                                   if row["self_eccentricity"] else None),
-                cloud_size=int(row["cloud_size"]),
-                self_cloud_size=int(row["self_cloud_size"]),
-            ))
+            try:
+                records.append(EccentricityRecord(
+                    post_id=row["post_id"],
+                    author=row["author"],
+                    created_at=int(row["created_at"]),
+                    likes=int(row["likes"]),
+                    eccentricity=float(row["eccentricity"]) if row["eccentricity"] else None,
+                    self_eccentricity=(float(row["self_eccentricity"])
+                                       if row["self_eccentricity"] else None),
+                    cloud_size=int(row["cloud_size"]),
+                    self_cloud_size=int(row["self_cloud_size"]),
+                ))
+            except (ValueError, TypeError) as exc:
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: bad record row ({exc})") from exc
     return records

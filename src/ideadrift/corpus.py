@@ -38,7 +38,7 @@ class SocialGraph:
     are never stored. Users with no edges are legal (isolated nodes).
     """
 
-    __slots__ = ("_users", "_edges", "_out", "_in")
+    __slots__ = ("_users", "_edges", "_out")
 
     def __init__(self, users: Iterable[str], edges: Iterable[tuple[str, str]]):
         self._users = frozenset(users)
@@ -51,12 +51,9 @@ class SocialGraph:
             edge_set.add((a, b))
         self._edges = frozenset(edge_set)
         out: dict[str, set[str]] = {u: set() for u in self._users}
-        inn: dict[str, set[str]] = {u: set() for u in self._users}
         for a, b in self._edges:
             out[a].add(b)
-            inn[b].add(a)
         self._out = {u: frozenset(v) for u, v in out.items()}
-        self._in = {u: frozenset(v) for u, v in inn.items()}
 
     @property
     def users(self) -> frozenset[str]:
@@ -69,10 +66,6 @@ class SocialGraph:
     def out_neighbors(self, u: str) -> frozenset[str]:
         """Users that u follows."""
         return self._out[u]
-
-    def in_neighbors(self, u: str) -> frozenset[str]:
-        """Users that follow u."""
-        return self._in[u]
 
     def with_users(self, extra: Iterable[str]) -> "SocialGraph":
         """Copy of the graph with additional isolated users added."""

@@ -140,14 +140,18 @@ def read_dynamics_csv(path: str | Path) -> list[UserDynamics]:
         if reader.fieldnames is None or tuple(reader.fieldnames) != DYNAMICS_FIELDS:
             raise DataFormatError(f"{path}: unexpected CSV header {reader.fieldnames}")
         for row in reader:
-            rows.append(UserDynamics(
-                user=row["user"],
-                n=int(row["n"]),
-                f_ecc=float(row["f_ecc"]) if row["f_ecc"] else None,
-                g_ecc=float(row["g_ecc"]) if row["g_ecc"] else None,
-                f_self=float(row["f_self"]) if row["f_self"] else None,
-                g_self=float(row["g_self"]) if row["g_self"] else None,
-                mean_gap_seconds=(float(row["mean_gap_seconds"])
-                                  if row["mean_gap_seconds"] else None),
-            ))
+            try:
+                rows.append(UserDynamics(
+                    user=row["user"],
+                    n=int(row["n"]),
+                    f_ecc=float(row["f_ecc"]) if row["f_ecc"] else None,
+                    g_ecc=float(row["g_ecc"]) if row["g_ecc"] else None,
+                    f_self=float(row["f_self"]) if row["f_self"] else None,
+                    g_self=float(row["g_self"]) if row["g_self"] else None,
+                    mean_gap_seconds=(float(row["mean_gap_seconds"])
+                                      if row["mean_gap_seconds"] else None),
+                ))
+            except (ValueError, TypeError) as exc:
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: bad dynamics row ({exc})") from exc
     return rows

@@ -309,3 +309,133 @@ class TestConfigFile:
         assert set(manifest["inputs"]) == {"posts", "edges", "vectors"}
         for entry in manifest["inputs"].values():
             assert len(entry["sha256"]) == 64
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A small synthetic pipeline run: every file a stage can take as input."""
+    root = tmp_path_factory.mktemp("small_run")
+    steps = [
+        ["synth", "--n-users", "12", "--follow-prob", "0.3", "--n-days", "4",
+         "--posts-per-day", "2", "--synth-dim", "4", "--seed", "3",
+         "--out-posts", str(root / "posts.jsonl"),
+         "--out-edges", str(root / "edges.jsonl"),
+         "--out-vectors", str(root / "vectors.jsonl")],
+        ["eccentricity", "--posts", str(root / "posts.jsonl"),
+         "--edges", str(root / "edges.jsonl"),
+         "--vectors", str(root / "vectors.jsonl"),
+         "--out", str(root / "records.csv")],
+        ["dynamics", "--records", str(root / "records.csv"),
+         "--out", str(root / "dynamics.csv")],
+        ["distributions", "--records", str(root / "records.csv"),
+         "--out-csv", str(root / "distributions.csv"),
+         "--out-summary", str(root / "summary.json")],
+    ]
+    for step in steps:
+        assert main(step) == 0, step
+    (root / "stops.txt").write_text("the\n")
+    return root
+
+
+def manifest_of(path):
+    return json.loads(Path(str(path) + ".manifest.json").read_text())
+
+
+class TestManifestInputs:
+    CORPUS = ["--posts", "{run}/posts.jsonl", "--edges", "{run}/edges.jsonl",
+              "--out-posts", "{out}/posts.jsonl", "--out-edges", "{out}/edges.jsonl"]
+    CASES = {
+        "ingest": (["ingest", *CORPUS], "posts.jsonl", {"posts", "edges"}),
+        "lcc": (["lcc", *CORPUS], "posts.jsonl", {"posts", "edges"}),
+        "sample": (["sample", *CORPUS, "--fraction", "0.5"], "posts.jsonl",
+                   {"posts", "edges"}),
+        "embed": (["embed", "--posts", "{run}/posts.jsonl", "--dim", "8",
+                   "--out", "{out}/vec.jsonl"], "vec.jsonl", {"posts"}),
+        "embed-stopwords": (["embed", "--posts", "{run}/posts.jsonl",
+                             "--stopwords", "{run}/stops.txt", "--dim", "8",
+                             "--out", "{out}/vec.jsonl"], "vec.jsonl",
+                            {"posts", "stopwords"}),
+        "pca": (["pca", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/pca.jsonl",
+                 "--model-out", "{out}/model.json"], "pca.jsonl", {"vectors"}),
+        "dynamics": (["dynamics", "--records", "{run}/records.csv",
+                      "--out", "{out}/dyn.csv"], "dyn.csv", {"records"}),
+        "distributions": (["distributions", "--records", "{run}/records.csv",
+                           "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+                          "d.csv", {"records"}),
+        "report": (["report", "--summary", "{run}/summary.json",
+                    "--distributions", "{run}/distributions.csv",
+                    "--dynamics", "{run}/dynamics.csv", "--out-dir", "{out}"],
+                   "report.json", {"summary", "distributions", "dynamics"}),
+        "synth": (["synth", "--n-users", "3", "--out-posts", "{out}/posts.jsonl",
+                   "--out-edges", "{out}/edges.jsonl",
+                   "--out-vectors", "{out}/vectors.jsonl"], "posts.jsonl", set()),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_inputs_are_the_files_the_stage_read(self, small_run, tmp_path, case):
+        template, primary, expected = self.CASES[case]
+        args = [a.format(run=small_run, out=tmp_path) for a in template]
+        assert main(args) == 0
+        manifest = manifest_of(tmp_path / primary)
+        assert set(manifest["inputs"]) == expected
+        for name, entry in manifest["inputs"].items():
+            assert entry["path"] == args[args.index(f"--{name}") + 1]
+            assert len(entry["sha256"]) == 64
+
+
+class TestSynthManifest:
+    def test_post_noise_recorded_in_config(self, tmp_path):
+        configs = []
+        for noise in ("0.25", "0.5"):
+            out = tmp_path / noise
+            assert main(["synth", "--n-users", "3", "--post-noise", noise,
+                         "--out-posts", str(out / "posts.jsonl"),
+                         "--out-edges", str(out / "edges.jsonl"),
+                         "--out-vectors", str(out / "vectors.jsonl")]) == 0
+            configs.append(manifest_of(out / "posts.jsonl")["config"])
+        assert [c["post_noise"] for c in configs] == [0.25, 0.5]
+        assert configs[0] != configs[1]
+
+
+class TestBadRecordRows:
+    @pytest.mark.parametrize("stage", ["dynamics", "distributions"])
+    def test_malformed_row_exit_2(self, tmp_path, caplog, stage):
+        records = tmp_path / "records.csv"
+        records.write_text(
+            "post_id,author,created_at,likes,eccentricity,self_eccentricity,"
+            "cloud_size,self_cloud_size\n"
+            "p1,a,0,0,,,0,0\n"
+            "p2,a,notanint,0,,,0,0\n")
+        args = (["dynamics", "--out", str(tmp_path / "dyn.csv")]
+                if stage == "dynamics" else
+                ["distributions", "--out-csv", str(tmp_path / "d.csv"),
+                 "--out-summary", str(tmp_path / "s.json")])
+        assert main([*args, "--records", str(records)]) == 2
+        assert f"{records}:3:" in caplog.text
+
+
+class TestPresets:
+    def embed(self, run, out, *prefix):
+        assert main([*prefix, "embed", "--posts", str(run / "posts.jsonl"),
+                     "--out", str(out)]) == 0
+        dims = {len(json.loads(line)["vec"]) for line in out.read_text().splitlines()}
+        return dims, manifest_of(out)["config"]
+
+    def test_experiment_preset_flag(self, small_run, tmp_path):
+        dims, config = self.embed(small_run, tmp_path / "v.jsonl",
+                                  "--preset", "experiment")
+        assert dims == {90}
+        assert config["min_count"] == 7
+
+    def test_experiment_preset_from_config_file(self, small_run, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps({"preset": "experiment"}))
+        dims, config = self.embed(small_run, tmp_path / "v.jsonl",
+                                  "--config", str(tmp_path / "config.json"))
+        assert dims == {90}
+        assert config["min_count"] == 7
+
+    def test_unknown_preset_in_config_exit_2(self, small_run, tmp_path):
+        (tmp_path / "config.json").write_text(json.dumps({"preset": "nope"}))
+        assert main(["--config", str(tmp_path / "config.json"), "embed",
+                     "--posts", str(small_run / "posts.jsonl"),
+                     "--out", str(tmp_path / "v.jsonl")]) == 2

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ideadrift.cloud import eccentricity_oracle, read_records_csv, replay, write_records_csv
+from ideadrift.cloud import (
+    RECORD_FIELDS, eccentricity_oracle, read_records_csv, replay, write_records_csv,
+)
 from ideadrift.corpus import Post, SocialGraph, build_corpus, ego_neighborhood
 from ideadrift.errors import DataFormatError
 from ideadrift.synth import SynthConfig, gen_corpus
@@ -256,4 +258,15 @@ class TestRecordsCsv:
         path = tmp_path / "records.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(DataFormatError):
+            read_records_csv(path)
+
+    @pytest.mark.parametrize("row", [
+        "p2,a,notanint,0,,,0,0",     # bad int
+        "p2,a,5,0,notafloat,,1,0",   # bad float
+        "p2,a,5,0",                  # short row
+    ], ids=["bad-int", "bad-float", "short-row"])
+    def test_bad_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "records.csv"
+        path.write_text(",".join(RECORD_FIELDS) + "\np1,a,0,0,,,0,0\n" + row + "\n")
+        with pytest.raises(DataFormatError, match=f"{path}:3:"):
             read_records_csv(path)

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from ideadrift.cloud import EccentricityRecord
 from ideadrift.dynamics import (
-    fg_scores, read_dynamics_csv, user_dynamics, write_dynamics_csv,
+    DYNAMICS_FIELDS, fg_scores, read_dynamics_csv, user_dynamics, write_dynamics_csv,
 )
 from ideadrift.errors import DataFormatError
 
@@ -158,3 +158,14 @@ class TestUserDynamics:
         path = tmp_path / "dynamics.csv"
         write_dynamics_csv(rows, path)
         assert read_dynamics_csv(path) == rows
+
+    @pytest.mark.parametrize("row", [
+        "v,notanint,,,,,",         # bad int
+        "v,2,notafloat,,,,86400",  # bad float
+        "v",                       # short row
+    ], ids=["bad-int", "bad-float", "short-row"])
+    def test_bad_csv_row_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "dynamics.csv"
+        path.write_text(",".join(DYNAMICS_FIELDS) + "\nu,1,,,,,\n" + row + "\n")
+        with pytest.raises(DataFormatError, match=f"{path}:3:"):
+            read_dynamics_csv(path)
