@@ -92,6 +92,14 @@ class _Settings:
                 return layer[key]
         return None
 
+    def value(self, key: str, kind: Callable):
+        """The setting ``key`` converted by ``kind`` (``int``, ``float``)."""
+        raw = self.get(key)
+        try:
+            return kind(raw)
+        except (TypeError, ValueError) as exc:
+            raise DataFormatError(f"bad {key} value {raw!r}: expected {kind.__name__}") from exc
+
     def require_path(self, key: str) -> Path:
         value = self.get(key)
         if value is None:
@@ -185,7 +193,7 @@ def stage_lcc(settings: _Settings) -> None:
 
 
 def stage_sample(settings: _Settings) -> None:
-    config = {"fraction": float(settings.get("fraction")), "seed": int(settings.get("seed"))}
+    config = {"fraction": settings.value("fraction", float), "seed": settings.value("seed", int)}
     _corpus_stage(settings, "sample",
                   lambda graph: corpus.sample_users(graph, **config), config)
 
@@ -196,9 +204,9 @@ def stage_embed(settings: _Settings) -> None:
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
-    dim = int(settings.get("dim"))
-    min_count = int(settings.get("min_count"))
-    hash_seed = int(settings.get("hash_seed"))
+    dim = settings.value("dim", int)
+    min_count = settings.value("min_count", int)
+    hash_seed = settings.value("hash_seed", int)
     tokens = {p.id: textprep.clean(p.text, stopwords) for p in posts}
     model = embed.fit_vectorizer([tokens[p.id] for p in posts], dim=dim,
                                  min_count=min_count, hash_seed=hash_seed)
@@ -215,7 +223,7 @@ def stage_pca(settings: _Settings) -> None:
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
     if len(vectors) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
-    variance = float(settings.get("variance"))
+    variance = settings.value("variance", float)
     ids = sorted(vectors)
     matrix = np.asarray([vectors[i] for i in ids])
     model = pca.fit_pca(matrix, variance)
@@ -234,7 +242,7 @@ def stage_pca(settings: _Settings) -> None:
 def stage_eccentricity(settings: _Settings) -> None:
     c = _load_corpus(settings)
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
-    window_days = float(settings.get("window_days"))
+    window_days = settings.value("window_days", float)
     window_seconds = int(round(window_days * 86400))
     records = cloud.replay(c, vectors, window_seconds)
     out = settings.out_path("out")
@@ -248,7 +256,7 @@ def stage_eccentricity(settings: _Settings) -> None:
 def stage_dynamics(settings: _Settings) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
     weighting = str(settings.get("fg_weighting"))
-    min_gap = float(settings.get("min_gap"))
+    min_gap = settings.value("min_gap", float)
     rows = dynamics.user_dynamics(records, min_gap=min_gap, weighting=weighting)
     out = settings.out_path("out")
     dynamics.write_dynamics_csv(rows, out)
@@ -261,10 +269,10 @@ def stage_dynamics(settings: _Settings) -> None:
 def stage_distributions(settings: _Settings) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
     thresholds = _parse_bins(settings.get("bins"))
-    bandwidth = float(settings.get("bandwidth"))
+    bandwidth = settings.value("bandwidth", float)
     p_method = str(settings.get("p_method"))
-    n_perm = int(settings.get("n_perm"))
-    seed = int(settings.get("seed"))
+    n_perm = settings.value("n_perm", int)
+    seed = settings.value("seed", int)
     binning = stats.PopularityBinning.from_thresholds(thresholds)
     bins = stats.bin_by_popularity(records, binning)
     summary = stats.bin_summary(bins, bandwidth=bandwidth, p_method=p_method,
@@ -276,8 +284,8 @@ def stage_distributions(settings: _Settings) -> None:
         for row in summary.bins:
             if row.curve is None:
                 continue
-            for x, d in zip(row.curve.grid, row.curve.density):
-                writer.writerow([row.label, repr(float(x)), repr(float(d))])
+            writer.writerows((row.label, x, d) for x, d in
+                             zip(row.curve.grid.tolist(), row.curve.density.tolist()))
     out_summary = settings.out_path("out_summary")
     payload = {
         "bandwidth": bandwidth,
@@ -301,16 +309,16 @@ def stage_distributions(settings: _Settings) -> None:
 
 def stage_synth(settings: _Settings) -> None:
     cfg = synth.SynthConfig(
-        n_users=int(settings.get("n_users")),
-        follow_prob=float(settings.get("follow_prob")),
-        n_days=float(settings.get("n_days")),
-        posts_per_user_per_day=float(settings.get("posts_per_day")),
-        dim=int(settings.get("synth_dim")),
-        seed=int(settings.get("seed")),
+        n_users=settings.value("n_users", int),
+        follow_prob=settings.value("follow_prob", float),
+        n_days=settings.value("n_days", float),
+        posts_per_user_per_day=settings.value("posts_per_day", float),
+        dim=settings.value("synth_dim", int),
+        seed=settings.value("seed", int),
         effect=str(settings.get("effect")),
-        effect_strength=float(settings.get("strength")),
-        user_spread=float(settings.get("user_spread")),
-        post_noise=float(settings.get("post_noise")),
+        effect_strength=settings.value("strength", float),
+        user_spread=settings.value("user_spread", float),
+        post_noise=settings.value("post_noise", float),
     )
     c, vectors = synth.gen_corpus(cfg)
     out_posts = settings.out_path("out_posts")
@@ -333,13 +341,10 @@ def stage_report(settings: _Settings) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scatter_path = out_dir / "fg_scatter.csv"
-    fmt = lambda v: "" if v is None else repr(v)
     with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["user", "f_ecc", "g_ecc", "f_self", "g_self"])
-        for d in rows:
-            writer.writerow([d.user, fmt(d.f_ecc), fmt(d.g_ecc),
-                             fmt(d.f_self), fmt(d.g_self)])
+        writer.writerows((d.user, d.f_ecc, d.g_ecc, d.f_self, d.g_self) for d in rows)
 
     densities_path = out_dir / "densities.csv"
     shutil.copyfile(distributions_path, densities_path)
@@ -348,9 +353,7 @@ def stage_report(settings: _Settings) -> None:
     with open(means_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["bin", "n", "mean_eccentricity"])
-        for entry in popularity.get("bins", []):
-            writer.writerow([entry["label"], entry["n"],
-                             "" if entry["mean"] is None else repr(entry["mean"])])
+        writer.writerows((b["label"], b["n"], b["mean"]) for b in popularity.get("bins", []))
 
     g_ecc = [d.g_ecc for d in rows if d.g_ecc is not None]
     g_self = [d.g_self for d in rows if d.g_self is not None]

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,12 +22,8 @@ from .errors import DataFormatError
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
 
-RECORD_FIELDS = ("post_id", "author", "created_at", "likes", "eccentricity",
-                 "self_eccentricity", "cloud_size", "self_cloud_size")
 
-
-@dataclass(frozen=True, slots=True)
-class EccentricityRecord:
+class EccentricityRecord(NamedTuple):
     post_id: str
     author: str
     created_at: int
@@ -37,6 +32,9 @@ class EccentricityRecord:
     self_eccentricity: float | None
     cloud_size: int
     self_cloud_size: int
+
+
+RECORD_FIELDS = EccentricityRecord._fields
 
 
 # Float64 values allowed in one temporary of the replay kernel. Work is split
@@ -202,12 +200,8 @@ def replay(
         raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
     # the kernel's arrays are freed before the records are built
     columns = _clouds(corpus, vectors, window_seconds)
-    return [
-        EccentricityRecord(post_id=p.id, author=p.author, created_at=p.created_at,
-                           likes=p.likes, eccentricity=e, self_eccentricity=se,
-                           cloud_size=c, self_cloud_size=sc)
-        for p, e, se, c, sc in zip(corpus.posts, *columns)
-    ]
+    return [EccentricityRecord(p.id, p.author, p.created_at, p.likes, e, se, c, sc)
+            for p, e, se, c, sc in zip(corpus.posts, *columns)]
 
 
 def eccentricity_oracle(
@@ -242,35 +236,38 @@ def write_records_csv(records: Iterable[EccentricityRecord], path: str | Path) -
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RECORD_FIELDS)
-        for r in records:
-            writer.writerow([
-                r.post_id, r.author, r.created_at, r.likes,
-                "" if r.eccentricity is None else repr(r.eccentricity),
-                "" if r.self_eccentricity is None else repr(r.self_eccentricity),
-                r.cloud_size, r.self_cloud_size,
-            ])
+        writer.writerows(records)
+
+
+def optional_float(text: str) -> float | None:
+    """An empty CSV field is an undefined value."""
+    return float(text) if text else None
+
+
+def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:
+    """Rows of a CSV file headed ``row_type._fields``, each field parsed by the
+    matching entry of ``parsers``; blank lines are skipped. A row with the wrong
+    field count or an unparsable field raises DataFormatError with file:line."""
+    fields = row_type._fields
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or tuple(header) != fields:
+            raise DataFormatError(f"{path}: unexpected CSV header {header}")
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != len(fields):
+                    raise ValueError(f"{len(row)} fields, expected {len(fields)}")
+                rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
+            except ValueError as exc:
+                raise DataFormatError(
+                    f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
+    return rows
 
 
 def read_records_csv(path: str | Path) -> list[EccentricityRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != RECORD_FIELDS:
-            raise DataFormatError(f"{path}: unexpected CSV header {reader.fieldnames}")
-        for row in reader:
-            try:
-                records.append(EccentricityRecord(
-                    post_id=row["post_id"],
-                    author=row["author"],
-                    created_at=int(row["created_at"]),
-                    likes=int(row["likes"]),
-                    eccentricity=float(row["eccentricity"]) if row["eccentricity"] else None,
-                    self_eccentricity=(float(row["self_eccentricity"])
-                                       if row["self_eccentricity"] else None),
-                    cloud_size=int(row["cloud_size"]),
-                    self_cloud_size=int(row["self_cloud_size"]),
-                ))
-            except (ValueError, TypeError) as exc:
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: bad record row ({exc})") from exc
-    return records
+    return read_rows(path, EccentricityRecord, (str, str, int, int, optional_float,
+                                                optional_float, int, int))

@@ -9,13 +9,12 @@ changes that arrive quickly count for more; alternatives are pluggable.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cloud import EccentricityRecord
+from .cloud import EccentricityRecord, optional_float, read_rows
 from .errors import DataFormatError
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
@@ -28,12 +27,8 @@ WEIGHTINGS: dict[str, WeightFn] = {
     "uniform": lambda gaps, mean_gap: np.ones_like(gaps),
 }
 
-DYNAMICS_FIELDS = ("user", "n", "f_ecc", "g_ecc", "f_self", "g_self",
-                   "mean_gap_seconds")
 
-
-@dataclass(frozen=True, slots=True)
-class UserDynamics:
+class UserDynamics(NamedTuple):
     user: str
     n: int
     f_ecc: float | None
@@ -41,6 +36,9 @@ class UserDynamics:
     f_self: float | None
     g_self: float | None
     mean_gap_seconds: float | None
+
+
+DYNAMICS_FIELDS = UserDynamics._fields
 
 
 def fg_scores(
@@ -119,39 +117,12 @@ def user_dynamics(
     return out
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else repr(value)
-
-
 def write_dynamics_csv(rows: Iterable[UserDynamics], path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(DYNAMICS_FIELDS)
-        for d in rows:
-            writer.writerow([d.user, d.n, _fmt(d.f_ecc), _fmt(d.g_ecc),
-                             _fmt(d.f_self), _fmt(d.g_self),
-                             _fmt(d.mean_gap_seconds)])
+        writer.writerows(rows)
 
 
 def read_dynamics_csv(path: str | Path) -> list[UserDynamics]:
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != DYNAMICS_FIELDS:
-            raise DataFormatError(f"{path}: unexpected CSV header {reader.fieldnames}")
-        for row in reader:
-            try:
-                rows.append(UserDynamics(
-                    user=row["user"],
-                    n=int(row["n"]),
-                    f_ecc=float(row["f_ecc"]) if row["f_ecc"] else None,
-                    g_ecc=float(row["g_ecc"]) if row["g_ecc"] else None,
-                    f_self=float(row["f_self"]) if row["f_self"] else None,
-                    g_self=float(row["g_self"]) if row["g_self"] else None,
-                    mean_gap_seconds=(float(row["mean_gap_seconds"])
-                                      if row["mean_gap_seconds"] else None),
-                ))
-            except (ValueError, TypeError) as exc:
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: bad dynamics row ({exc})") from exc
-    return rows
+    return read_rows(path, UserDynamics, (str, int, *[optional_float] * 5))

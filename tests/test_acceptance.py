@@ -309,7 +309,8 @@ def test_acceptance_8_determinism_and_scale(tmp_path):
     only_one = sorted(files1 ^ files2)
     differing = sorted(rel for rel in files1 & files2
                        if (run1 / rel).read_bytes() != (run2 / rel).read_bytes())
-    n_posts = sum(1 for _ in open(run1 / "posts.jsonl"))
+    with open(run1 / "posts.jsonl", encoding="utf-8") as fh:
+        n_posts = sum(1 for _ in fh)
     _verdict(8, f"pipeline on {n_posts} posts / 3000 users ran in {elapsed:.0f}s; "
                 f"{len(files1)} outputs compared at thread counts 1 and 4",
              {f"same output files in both runs (only in one: {only_one})":

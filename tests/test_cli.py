@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ideadrift import cloud, dynamics
 from ideadrift.cli import main
 
 DAY = 86400
@@ -296,6 +297,21 @@ class TestConfigFile:
                      "--out-vectors", str(tmp_path / "v.jsonl")])
         assert code == 2
 
+    @pytest.mark.parametrize(("config", "args"), [
+        ({"seed": "abc"}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
+                           "--out-vectors", "v.jsonl"]),
+        ({"window_days": "five"}, ["eccentricity", "--posts", "posts.jsonl",
+                                   "--edges", "edges.jsonl", "--vectors", "vectors.jsonl",
+                                   "--out", "records.csv"]),
+    ], ids=["synth-seed", "eccentricity-window-days"])
+    def test_bad_config_value_exit_2(self, worked_example, monkeypatch, caplog,
+                                     config, args):
+        monkeypatch.chdir(worked_example)
+        Path("config.json").write_text(json.dumps(config))
+        assert main(["--config", "config.json", *args]) == 2
+        [key] = config
+        assert key in caplog.text
+
     def test_manifest_contains_hashes_and_config(self, worked_example):
         out = worked_example / "records.csv"
         assert main(["eccentricity",
@@ -398,20 +414,66 @@ class TestSynthManifest:
 
 
 class TestBadRecordRows:
-    @pytest.mark.parametrize("stage", ["dynamics", "distributions"])
-    def test_malformed_row_exit_2(self, tmp_path, caplog, stage):
+    @pytest.mark.parametrize(("stage", "row"), [
+        ("dynamics", "p2,a,notanint,0,,,0,0"),
+        ("distributions", "p2,a,notanint,0,,,0,0"),
+        ("dynamics", "p2,a,5,0,,,1,0,x,y"),
+        ("distributions", "p2,a,5,0,,,1,0,x,y"),
+    ], ids=["dynamics", "distributions", "dynamics-extra-fields",
+            "distributions-extra-fields"])
+    def test_malformed_row_exit_2(self, tmp_path, caplog, stage, row):
         records = tmp_path / "records.csv"
         records.write_text(
             "post_id,author,created_at,likes,eccentricity,self_eccentricity,"
             "cloud_size,self_cloud_size\n"
             "p1,a,0,0,,,0,0\n"
-            "p2,a,notanint,0,,,0,0\n")
+            f"{row}\n")
         args = (["dynamics", "--out", str(tmp_path / "dyn.csv")]
                 if stage == "dynamics" else
                 ["distributions", "--out-csv", str(tmp_path / "d.csv"),
                  "--out-summary", str(tmp_path / "s.json")])
         assert main([*args, "--records", str(records)]) == 2
         assert f"{records}:3:" in caplog.text
+
+
+class TestCsvBytes:
+    def test_rows_written_as_exact_csv_text(self, tmp_path):
+        cloud.write_records_csv([
+            cloud.EccentricityRecord("p1", "a", 0, 0, None, None, 0, 0),
+            cloud.EccentricityRecord("p2", "b", 12345678901234567890, 3, 0.1 + 0.2, 1.5, 2, 1),
+        ], tmp_path / "records.csv")
+        assert (tmp_path / "records.csv").read_bytes() == (
+            b"post_id,author,created_at,likes,eccentricity,self_eccentricity,"
+            b"cloud_size,self_cloud_size\r\n"
+            b"p1,a,0,0,,,0,0\r\n"
+            b"p2,b,12345678901234567890,3,0.30000000000000004,1.5,2,1\r\n")
+
+        dynamics.write_dynamics_csv([
+            dynamics.UserDynamics("u", 1, None, None, None, None, None),
+            dynamics.UserDynamics("v", 2, 0.1 + 0.2, -0.5, 1e-20, 2.0, 86400.0),
+        ], tmp_path / "dynamics.csv")
+        assert (tmp_path / "dynamics.csv").read_bytes() == (
+            b"user,n,f_ecc,g_ecc,f_self,g_self,mean_gap_seconds\r\n"
+            b"u,1,,,,,\r\n"
+            b"v,2,0.30000000000000004,-0.5,1e-20,2.0,86400.0\r\n")
+
+        (tmp_path / "summary.json").write_text(json.dumps({
+            "bins": [{"label": "0-9", "n": 2, "mean": 0.1 + 0.2},
+                     {"label": "10+", "n": 0, "mean": None}],
+            "tests": []}))
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        assert main(["report", "--summary", str(tmp_path / "summary.json"),
+                     "--distributions", str(tmp_path / "distributions.csv"),
+                     "--dynamics", str(tmp_path / "dynamics.csv"),
+                     "--out-dir", str(tmp_path / "report")]) == 0
+        assert (tmp_path / "report" / "fg_scatter.csv").read_bytes() == (
+            b"user,f_ecc,g_ecc,f_self,g_self\r\n"
+            b"u,,,,\r\n"
+            b"v,0.30000000000000004,-0.5,1e-20,2.0\r\n")
+        assert (tmp_path / "report" / "bin_means.csv").read_bytes() == (
+            b"bin,n,mean_eccentricity\r\n"
+            b"0-9,2,0.30000000000000004\r\n"
+            b"10+,0,\r\n")
 
 
 class TestPresets:

@@ -264,7 +264,8 @@ class TestRecordsCsv:
         "p2,a,notanint,0,,,0,0",     # bad int
         "p2,a,5,0,notafloat,,1,0",   # bad float
         "p2,a,5,0",                  # short row
-    ], ids=["bad-int", "bad-float", "short-row"])
+        "p2,a,5,0,,,1,0,x,y",        # extra fields
+    ], ids=["bad-int", "bad-float", "short-row", "extra-fields"])
     def test_bad_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "records.csv"
         path.write_text(",".join(RECORD_FIELDS) + "\np1,a,0,0,,,0,0\n" + row + "\n")
