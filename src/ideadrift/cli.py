@@ -17,15 +17,21 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import shutil
 import sys
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
+# One BLAS thread, whatever the caller set: a multithreaded SVD changes the
+# last bits of pca output with the thread count. Set before numpy loads BLAS.
+os.environ.update(dict.fromkeys(
+    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep
-from .errors import DataFormatError, InvariantError
+import numpy as np  # noqa: E402
+
+from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
+from .errors import DataFormatError, InvariantError  # noqa: E402
 
 logger = logging.getLogger("ideadrift")
 

@@ -32,22 +32,27 @@ def _hash64(token: str, seed: int, person: bytes) -> int:
 
 @dataclass(frozen=True)
 class VectorizerModel:
-    """Fitted vocabulary with IDF weights and hashing parameters."""
+    """Fitted vocabulary with IDF weights and hashing parameters.
+
+    ``terms`` maps each vocabulary term to its hash bucket and its signed
+    weight ``idf * sign``, hashed once when the model is built.
+    """
 
     dim: int
     min_count: int
     hash_seed: int
     idf: dict[str, float]
     vocabulary: frozenset[str] = field(init=False)
+    terms: dict[str, tuple[int, float]] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "vocabulary", frozenset(self.idf))
-
-    def bucket(self, token: str) -> int:
-        return _hash64(token, self.hash_seed, b"bucket") % self.dim
-
-    def sign(self, token: str) -> float:
-        return 1.0 if _hash64(token, self.hash_seed, b"sign") & 1 else -1.0
+        terms = {}
+        for token, idf in self.idf.items():
+            bucket = _hash64(token, self.hash_seed, b"bucket") % self.dim
+            sign = 1.0 if _hash64(token, self.hash_seed, b"sign") & 1 else -1.0
+            terms[token] = (bucket, idf * sign)
+        object.__setattr__(self, "terms", terms)
 
 
 def fit_vectorizer(corpus_tokens: Sequence[Sequence[str]], dim: int,
@@ -83,11 +88,15 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     Each in-vocabulary token contributes tf * idf * sign to its hash bucket;
     tokens are accumulated in sorted order so the float sum is reproducible.
     """
-    vec = np.zeros(model.dim)
+    acc = [0.0] * model.dim
     tf = Counter(tokens)
     for token in sorted(tf):
-        if token in model.vocabulary:
-            vec[model.bucket(token)] += tf[token] * model.idf[token] * model.sign(token)
+        term = model.terms.get(token)
+        if term is not None:
+            bucket, weight = term
+            # weight is idf * (+-1), so this is bitwise tf * idf * sign
+            acc[bucket] += tf[token] * weight
+    vec = np.array(acc)
     norm = float(np.linalg.norm(vec))
     if norm > 0.0:
         vec /= norm
@@ -102,8 +111,9 @@ def embed_all(model: VectorizerModel, docs: Iterable[tuple[str, Sequence[str]]])
 def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines.
 
-    All lines must share one dimension; duplicate ids and non-finite values
-    are fatal.
+    Each vec must be a non-empty list of JSON numbers (not strings or
+    booleans), and all lines must share one dimension; duplicate ids and
+    non-finite values are fatal.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -117,11 +127,12 @@ def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 raw = obj["vec"]
                 if not isinstance(post_id, str) or not isinstance(raw, list):
                     raise ValueError("id must be a string and vec a list")
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+                # type() rather than isinstance(): bool is a subclass of int
+                if not raw or not set(map(type, raw)) <= {int, float}:
+                    raise ValueError("vec must be a non-empty list of numbers")
+                vec = np.asarray(raw, dtype=float)
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
-            vec = np.asarray(raw, dtype=float)
-            if vec.ndim != 1:
-                raise DataFormatError(f"{path}:{lineno}: vec must be a flat list")
             if dim is None:
                 dim = vec.size
             elif vec.size != dim:
@@ -137,8 +148,15 @@ def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_vectors(path: str | Path, vectors: dict[str, np.ndarray]) -> None:
-    """Write an id -> vector map as vectors.jsonl (ids in sorted order)."""
+    """Write an id -> vector map as vectors.jsonl (ids in sorted order).
+
+    The bytes are those of ``json.dumps`` with compact separators: JSON
+    writes a finite float by its ``repr``, so the components are joined
+    directly. A non-finite component is written as ``nan``/``inf``, which
+    ``load_external_vectors`` rejects.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for post_id in sorted(vectors):
-            fh.write(json.dumps({"id": post_id, "vec": [float(x) for x in vectors[post_id]]},
-                                separators=(",", ":")) + "\n")
+            values = np.asarray(vectors[post_id], dtype=float).tolist()
+            fh.write('{"id":' + json.dumps(post_id) + ',"vec":['
+                     + ",".join(map(repr, values)) + "]}\n")

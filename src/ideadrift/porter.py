@@ -2,10 +2,13 @@
 
 Self-contained so that stemming needs no runtime downloads and behaves
 identically on every platform. Words of length <= 2 are returned unchanged.
-Expects lowercase alphabetic input.
+Expects lowercase alphabetic input. ``stem`` is memoized with a fixed bound,
+so a corpus pays for each distinct word once.
 """
 
 from __future__ import annotations
+
+import functools
 
 _VOWELS = frozenset("aeiou")
 
@@ -161,6 +164,7 @@ def _step5b(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def stem(word: str) -> str:
     """Stem one lowercase word."""
     if len(word) <= 2:

@@ -36,6 +36,8 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def _fold_ascii(text: str) -> str:
     # é -> e etc.; characters with no ASCII letter mapping are dropped later
+    if text.isascii():
+        return text
     decomposed = unicodedata.normalize("NFKD", text)
     return "".join(ch for ch in decomposed if not unicodedata.combining(ch))
 

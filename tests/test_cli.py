@@ -1,11 +1,15 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ideadrift import cloud, dynamics
+import ideadrift
+from ideadrift import cloud, dynamics, embed
 from ideadrift.cli import main
 
 DAY = 86400
@@ -264,6 +268,51 @@ class TestFullPipeline:
                     "report/fg_scatter.csv"):
             assert ((tmp_path / "t1" / rel).read_bytes()
                     == (tmp_path / "t4" / rel).read_bytes()), rel
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_env(threads):
+    """The test's environment with BLAS set to ``threads`` threads and the
+    imported package's directory first on PYTHONPATH."""
+    env = dict(os.environ)
+    env.update({var: str(threads) for var in BLAS_VARS})
+    package_root = str(Path(ideadrift.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [package_root, env.get("PYTHONPATH")]))
+    return env
+
+
+class TestBlasThreads:
+    def test_pca_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # a multithreaded SVD changes the last bits at 2000 x 300, not at 2000 x 100
+        matrix = np.random.default_rng(11).standard_normal((2000, 300))
+        embed.write_vectors(tmp_path / "vectors.jsonl",
+                            {f"p{i:04d}": row for i, row in enumerate(matrix)})
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            out.mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-m", "ideadrift.cli", "pca",
+                 "--vectors", str(tmp_path / "vectors.jsonl"), "--variance", "0.9",
+                 "--out", str(out / "reduced.jsonl"), "--model-out", str(out / "pca.json")],
+                env=blas_env(threads), capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            outputs.append([(out / name).read_bytes() for name in ("reduced.jsonl", "pca.json")])
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+    def test_cli_import_starts_no_blas_thread(self):
+        script = ("import ideadrift.cli\n"
+                  "for line in open('/proc/self/status'):\n"
+                  "    if line.startswith('Threads:'):\n"
+                  "        print(line.split()[1])\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=blas_env(2),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "1"
 
 
 class TestConfigFile:

@@ -1,12 +1,13 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from ideadrift.embed import (
-    embed, embed_all, fit_vectorizer, load_external_vectors, write_vectors,
+    _hash64, embed, embed_all, fit_vectorizer, load_external_vectors, write_vectors,
 )
 from ideadrift.errors import DataFormatError
 
@@ -79,6 +80,27 @@ class TestEmbed:
         assert not np.array_equal(embed(m1, docs[0]), embed(m2, docs[0]))
         assert np.linalg.norm(embed(m2, docs[0])) == pytest.approx(1.0, abs=1e-12)
 
+    def test_term_table_gives_bitwise_direct_hash_result(self):
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(40)]
+        docs = [list(rng.choice(words, size=rng.integers(1, 30))) for _ in range(25)]
+        # dim 5 makes many terms share a bucket, so the summation order matters
+        model = fit_vectorizer(docs, dim=5, min_count=2, hash_seed=123)
+        for doc in docs + [["unseen", "w1", "w1"]]:
+            expected = np.zeros(model.dim)
+            tf = Counter(doc)
+            for token in sorted(tf):
+                if token in model.idf:
+                    bucket = _hash64(token, model.hash_seed, b"bucket") % model.dim
+                    sign = 1.0 if _hash64(token, model.hash_seed, b"sign") & 1 else -1.0
+                    expected[bucket] += tf[token] * model.idf[token] * sign
+            norm = float(np.linalg.norm(expected))
+            if norm > 0.0:
+                expected /= norm
+            got = embed(model, doc)
+            assert np.array_equal(np.frombuffer(got.tobytes(), dtype=np.uint8),
+                                  np.frombuffer(expected.tobytes(), dtype=np.uint8))
+
     def test_embed_all(self):
         model = fit_vectorizer([["a"], ["b"]], dim=8, min_count=1)
         out = embed_all(model, [("d1", ["a"]), ("d2", ["b"])])
@@ -111,6 +133,17 @@ class TestExternalVectors:
         with pytest.raises(DataFormatError):
             load_external_vectors(path)
 
+    @pytest.mark.parametrize("vec", [
+        '["1.5","2"]', "[true,false]", "[]", "[true,1.5]",
+    ], ids=["strings", "booleans", "empty", "mixed-bool"])
+    def test_non_number_or_empty_vec_fatal(self, tmp_path, vec):
+        path = tmp_path / "vectors.jsonl"
+        # alone in the file, so no dimension check can catch it; the blank
+        # first line is skipped but still counted
+        path.write_text('\n{"id":"p1","vec":' + vec + "}\n")
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: "):
+            load_external_vectors(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text("")
@@ -126,3 +159,24 @@ class TestExternalVectors:
         # ids are emitted sorted
         ids = [json.loads(line)["id"] for line in path.read_text().splitlines()]
         assert ids == sorted(ids)
+
+
+class TestVectorBytes:
+    def test_exact_jsonl_bytes(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, {
+            'x"\\é': np.array([1e16, 1e22, 1.0]),
+            "b": np.array([0.1 + 0.2, -0.0, 5e-324]),
+            "a": np.array([0.25, -1.5, 3.0]),
+        })
+        assert path.read_bytes() == (
+            b'{"id":"a","vec":[0.25,-1.5,3.0]}\n'
+            b'{"id":"b","vec":[0.30000000000000004,-0.0,5e-324]}\n'
+            rb'{"id":"x\"\\\u00e9","vec":[1e+16,1e+22,1.0]}' b"\n"
+        )
+
+    def test_nan_row_is_rejected_on_read(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, {"m": np.array([1.0, 2.0]), "n": np.array([1.0, np.nan])})
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: "):
+            load_external_vectors(path)

@@ -93,6 +93,11 @@ def test_stopword_drop_happens_before_stemming(words):
     assert clean(" ".join(words), stops) == [stem(w) for w in survivors]
 
 
+@given(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=16))
+def test_cached_stem_equals_uncached(word):
+    assert stem(word) == stem.__wrapped__(word)
+
+
 @pytest.mark.xfail(reason="Porter stemming is not idempotent in general: "
                           "'agreed' -> 'agre' -> 'agr'", strict=True)
 def test_restemming_is_identity():
