@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -213,7 +214,9 @@ def eccentricity_oracle(
     """Recompute (eccentricity, self_eccentricity) for one post by direct scan.
 
     Holds no incremental state: filters the whole post log by neighborhood
-    membership and the half-open window [t - window, t).
+    membership and the half-open window [t - window, t). Each offset component
+    is a ``math.fsum`` of the deviations v - x over the cloud size, so a large
+    common vector offset costs no accuracy.
     """
     target = next((p for p in corpus.posts if p.id == post_id), None)
     if target is None:
@@ -226,9 +229,14 @@ def eccentricity_oracle(
     own = [vectors[p.id] for p in corpus.posts
            if lo <= p.created_at < t and p.author == target.author]
     vec = vectors[target.id]
-    ecc = float(np.linalg.norm(vec - np.mean(cloud, axis=0))) if cloud else None
-    self_ecc = float(np.linalg.norm(vec - np.mean(own, axis=0))) if own else None
-    return ecc, self_ecc
+
+    def distance(members: list[np.ndarray]) -> float | None:
+        if not members:
+            return None
+        mean = [math.fsum(d) / len(members) for d in zip(*(vec - x for x in members))]
+        return math.sqrt(math.fsum(m * m for m in mean))
+
+    return distance(cloud), distance(own)
 
 
 def write_records_csv(records: Iterable[EccentricityRecord], path: str | Path) -> None:

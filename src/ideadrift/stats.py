@@ -141,8 +141,8 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> Density
 class _PooledSplits:
     """Precomputation over a pooled sample for repeated split statistics.
 
-    The distinct values, their multiplicities, and the per-value denominators
-    of the midrank statistic depend only on the pooled sample, so they are
+    The distinct values, their multiplicities, and the per-value weights of
+    the midrank statistic depend only on the pooled sample, so they are
     shared across all splits during permutation.
     """
 
@@ -154,27 +154,26 @@ class _PooledSplits:
         self.multiplicity = counts.astype(float)
         less = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
         self.pooled_midcount = less + self.multiplicity / 2.0  # B_j
-        n = float(self.n_total)
-        self.denominator = (self.pooled_midcount * (n - self.pooled_midcount)
-                            - n * self.multiplicity / 4.0)
         self.degenerate = self.values.size < 2
+        if not self.degenerate:  # one distinct value has a zero denominator
+            n = float(self.n_total)
+            denominator = (self.pooled_midcount * (n - self.pooled_midcount)
+                           - n * self.multiplicity / 4.0)
+            self.weight = self.multiplicity / (n * denominator)
 
-    def statistic(self, x_index: np.ndarray) -> float:
-        """Midrank two-sample statistic for the split whose first sample is
-        the pooled elements at positions ``x_index``."""
+    def statistic(self, side: np.ndarray) -> float:
+        """Midrank two-sample statistic for the split in which the pooled
+        elements at positions ``side`` form one sample.
+
+        The other sample's midcounts are B_j - M_j, so its squared deviations
+        (n M_j - size B_j)^2 equal this side's and one pass scores both.
+        """
         n = float(self.n_total)
-        nx = float(x_index.size)
-        ny = n - nx
-        counts_x = np.bincount(self.value_index[x_index],
-                               minlength=self.values.size).astype(float)
-        counts_y = self.multiplicity - counts_x
-        total = 0.0
-        for counts, size in ((counts_x, nx), (counts_y, ny)):
-            less = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
-            mid = less + counts / 2.0  # M_ij
-            term = (self.multiplicity / n) * (n * mid - size * self.pooled_midcount)**2
-            total += float(np.sum(term / self.denominator)) / size
-        return (n - 1.0) / n * total
+        size = float(side.size)
+        counts = np.bincount(self.value_index[side], minlength=self.values.size)
+        mid = np.cumsum(counts) - counts / 2.0  # M_j
+        total = float(np.sum(self.weight * (n * mid - size * self.pooled_midcount)**2))
+        return (n - 1.0) / n * total * (1.0 / size + 1.0 / (n - size))
 
 
 def ad_2sample_statistic(x: Sequence[float], y: Sequence[float]) -> float:
@@ -243,10 +242,10 @@ def ad_test_2sample(
 
     p_method "table" interpolates Scholz-Stephens critical values (p clipped
     to [0.001, 0.25]); "permutation" enumerates all pooled splits when there
-    are at most EXACT_SPLIT_LIMIT of them, otherwise draws n_perm seeded
-    shuffles. Splits count as more extreme only when their statistic exceeds
-    the observed one by more than SPLIT_TIE_RTOL relative, so equal-valued
-    splits are ties regardless of rounding. A pooled sample with a single
+    are at most EXACT_SPLIT_LIMIT of them, otherwise draws n_perm (at least 1)
+    seeded shuffles. Splits count as more extreme only when their statistic
+    exceeds the observed one by more than SPLIT_TIE_RTOL relative, so
+    equal-valued splits are ties regardless of rounding. A pooled sample with a single
     distinct value is degenerate and reports p = 1.
     """
     x = np.asarray(x, dtype=float)
@@ -255,6 +254,8 @@ def ad_test_2sample(
         raise DataFormatError("each sample needs at least 2 observations")
     if p_method not in ("table", "permutation"):
         raise DataFormatError(f"unknown p_method {p_method!r}")
+    if p_method == "permutation" and n_perm < 1:
+        raise DataFormatError(f"n_perm must be at least 1, got {n_perm}")
     pooled = _PooledSplits(np.concatenate([x, y]))
     if pooled.degenerate:
         return 0.0, 1.0
@@ -272,11 +273,11 @@ def ad_test_2sample(
         )
         return observed, (greater + 1) / n_splits
     rng = np.random.default_rng(seed)
+    # each shuffle's first x.size positions form x; score the smaller side
+    smaller = slice(x.size, None) if y.size < x.size else slice(x.size)
     greater = 0
-    positions = np.arange(n_total)
     for _ in range(n_perm):
-        chosen = rng.permutation(positions)[:x.size]
-        if pooled.statistic(chosen) > threshold:
+        if pooled.statistic(rng.permutation(n_total)[smaller]) > threshold:
             greater += 1
     return observed, (greater + 1) / (n_perm + 1)
 

@@ -485,6 +485,21 @@ class TestBadRecordRows:
         assert f"{records}:3:" in caplog.text
 
 
+class TestPermutationCount:
+    @pytest.mark.parametrize("n_perm", ["0", "-1"])
+    def test_no_draw_exit_2(self, tmp_path, caplog, n_perm):
+        records = tmp_path / "records.csv"
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i}", "a", i, 200 * (i % 2), float(i), None, 1, 0)
+             for i in range(24)], records)
+        out = tmp_path / "d.csv"
+        assert main(["distributions", "--records", str(records), "--bins", "10",
+                     "--p-method", "permutation", "--n-perm", n_perm,
+                     "--out-csv", str(out), "--out-summary", str(tmp_path / "s.json")]) == 2
+        assert f"n_perm must be at least 1, got {n_perm}" in caplog.text
+        assert not out.exists()
+
+
 class TestCsvBytes:
     def test_rows_written_as_exact_csv_text(self, tmp_path):
         cloud.write_records_csv([

@@ -225,6 +225,19 @@ class TestLongHorizon:
                 if want is not None:
                     assert abs(got - want) <= 1e-12 * want
 
+    def test_oracle_matches_exact_sums(self):
+        corpus, vectors = self._case()
+        for post in corpus.posts[-3::-2000]:
+            vec = vectors[post.id]
+            lo = post.created_at - WINDOW
+            neighborhood = ego_neighborhood(corpus.graph, post.author)
+            window = [p for p in corpus.posts if lo <= p.created_at < post.created_at]
+            cloud = [vectors[p.id] for p in window if p.author in neighborhood]
+            own = [vectors[p.id] for p in window if p.author == post.author]
+            got = eccentricity_oracle(corpus, vectors, WINDOW, post.id)
+            for g, want in zip(got, (self._exact(vec, cloud), self._exact(vec, own))):
+                assert abs(g - want) <= 1e-15 * want
+
     def test_times_beyond_int64_replay_the_same(self):
         corpus, vectors = TestReplayInvariants._random_case(11)
         shift = 10 ** 20

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from ideadrift.cloud import EccentricityRecord
 from ideadrift.errors import DataFormatError
 from ideadrift.stats import (
-    PopularityBinning, ad_2sample_statistic, ad_test_2sample, bin_by_popularity,
+    EXACT_SPLIT_LIMIT, PopularityBinning, _PooledSplits, ad_2sample_statistic, ad_test_2sample, bin_by_popularity,
     bin_summary, bonferroni, default_grid, kde, mann_whitney,
 )
 
@@ -52,6 +52,24 @@ def exhaustive_ad_p(x, y):
             greater += 1
         total += 1
     return (greater + 1) / total
+
+
+def monte_carlo_ad_p(x, y, n_perm, seed):
+    """Replay the seeded draws: the first len(x) positions of each shuffle of
+    the pooled sample form x; score every split with the naive statistic and
+    the same 1e-9 tie band."""
+    pooled = list(x) + list(y)
+    observed = naive_ad_statistic(x, y)
+    threshold = observed + 1e-9 * (1.0 + abs(observed))
+    rng = np.random.default_rng(seed)
+    greater = 0
+    for _ in range(n_perm):
+        chosen = set(rng.permutation(len(pooled))[:len(x)].tolist())
+        xs = [v for i, v in enumerate(pooled) if i in chosen]
+        ys = [v for i, v in enumerate(pooled) if i not in chosen]
+        if naive_ad_statistic(xs, ys) > threshold:
+            greater += 1
+    return (greater + 1) / (n_perm + 1)
 
 
 def pairwise_u(x, y):
@@ -197,6 +215,21 @@ class TestAdStatistic:
             t = ad_standardized(ad_2sample_statistic(x, y), x.size, y.size)
             assert t == pytest.approx(reference, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_either_side_gives_the_statistic(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 8, rng.integers(2, 30)).astype(float)
+        y = rng.integers(0, 8, rng.integers(2, 30)).astype(float)
+        if np.unique(np.concatenate([x, y])).size < 2:
+            pytest.skip("degenerate draw")
+        splits = _PooledSplits(np.concatenate([x, y]))
+        from_x = splits.statistic(np.arange(x.size))
+        from_y = splits.statistic(np.arange(x.size, x.size + y.size))
+        assert from_x == pytest.approx(from_y, rel=1e-12)
+        want = naive_ad_statistic(x, y)
+        assert from_x == pytest.approx(want, rel=1e-12)
+        assert from_y == pytest.approx(want, rel=1e-12)
+
 
 class TestAdTest:
     def test_identical_multisets_high_p(self):
@@ -233,7 +266,21 @@ class TestAdTest:
         r3 = ad_test_2sample(x, y, p_method="permutation", n_perm=500, seed=10)
         assert r1 == r2
         assert 0 < r1[1] <= 1
-        assert r1 != r3 or True  # different seeds may still agree by chance
+        assert r1[0] == r3[0]
+
+    @pytest.mark.parametrize("nx,ny,ties", [(5, 20, False), (20, 5, False),
+                                            (8, 12, True), (13, 7, True)])
+    def test_monte_carlo_matches_replayed_draws(self, nx, ny, ties):
+        rng = np.random.default_rng(nx * 100 + ny)
+        if ties:
+            x = rng.integers(0, 6, nx).astype(float)
+            y = rng.integers(1, 7, ny).astype(float)
+        else:
+            x = rng.normal(0, 1, nx)
+            y = rng.normal(0.5, 1, ny)
+        assert math.comb(nx + ny, nx) > EXACT_SPLIT_LIMIT
+        _, p = ad_test_2sample(x, y, p_method="permutation", n_perm=300, seed=4)
+        assert p == monte_carlo_ad_p(x, y, 300, 4)
 
     def test_table_p_detects_strong_separation(self):
         x = np.arange(50.0)
