@@ -5,14 +5,12 @@ with identical inputs produces byte-identical outputs, and each stage writes a
 manifest (input hashes, effective config, package version) next to its primary
 output. Logs go to stderr; data only to the declared output files.
 
-Exit codes: 0 success, 2 missing input or invalid configuration, 3 internal
-invariant failure.
+Exit codes: 0 success, 2 missing input or invalid configuration or data.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -31,7 +29,7 @@ os.environ.update(dict.fromkeys(
 import numpy as np  # noqa: E402
 
 from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
-from .errors import DataFormatError, InvariantError  # noqa: E402
+from .errors import DataFormatError  # noqa: E402
 
 logger = logging.getLogger("ideadrift")
 
@@ -75,16 +73,7 @@ class _Settings:
 
     def __init__(self, args: argparse.Namespace):
         cli = {k: v for k, v in vars(args).items() if v is not None}
-        file: dict = {}
-        config_path = cli.get("config")
-        if config_path:
-            try:
-                with open(config_path, encoding="utf-8") as fh:
-                    file = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise DataFormatError(f"{config_path}: invalid config JSON ({exc})") from exc
-            if not isinstance(file, dict):
-                raise DataFormatError(f"{config_path}: config must be a JSON object")
+        file = _read_json_object(cli["config"]) if cli.get("config") else {}
         self.layers = [cli, file, DEFAULTS]
         preset_name = self.get("preset")
         if preset_name not in PRESETS:
@@ -99,12 +88,16 @@ class _Settings:
         return None
 
     def value(self, key: str, kind: Callable):
-        """The setting ``key`` converted by ``kind`` (``int``, ``float``)."""
+        """The setting ``key`` converted by ``kind`` (``int``, ``float``, ``int_list``)."""
         raw = self.get(key)
         try:
             return kind(raw)
         except (TypeError, ValueError) as exc:
             raise DataFormatError(f"bad {key} value {raw!r}: expected {kind.__name__}") from exc
+
+    def values(self, **kinds: Callable) -> dict:
+        """``{key: value(key, kind)}``: the config a stage runs with and records."""
+        return {key: self.value(key, kind) for key, kind in kinds.items()}
 
     def require_path(self, key: str) -> Path:
         value = self.get(key)
@@ -139,6 +132,18 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _read_json_object(path) -> dict:
+    """The JSON object in ``path``; anything else raises DataFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object")
+    return payload
+
+
 def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
                     config: dict) -> None:
     """Write ``<primary_output>.manifest.json`` over the inputs the stage read."""
@@ -151,13 +156,10 @@ def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
     })
 
 
-def _parse_bins(raw) -> tuple[int, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(int(v) for v in raw)
-    try:
-        return tuple(int(part) for part in str(raw).split(",") if part.strip())
-    except ValueError as exc:
-        raise DataFormatError(f"bad --bins value {raw!r}") from exc
+def int_list(raw) -> tuple[int, ...]:
+    """Integers from a comma-separated string or a list, each item parsed alike."""
+    parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
+    return tuple(int(str(part)) for part in parts if str(part).strip())
 
 
 def _load_corpus(settings: _Settings) -> corpus.Corpus:
@@ -199,7 +201,7 @@ def stage_lcc(settings: _Settings) -> None:
 
 
 def stage_sample(settings: _Settings) -> None:
-    config = {"fraction": settings.value("fraction", float), "seed": settings.value("seed", int)}
+    config = settings.values(fraction=float, seed=int)
     _corpus_stage(settings, "sample",
                   lambda graph: corpus.sample_users(graph, **config), config)
 
@@ -210,29 +212,25 @@ def stage_embed(settings: _Settings) -> None:
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
-    dim = settings.value("dim", int)
-    min_count = settings.value("min_count", int)
-    hash_seed = settings.value("hash_seed", int)
+    config = settings.values(dim=int, min_count=int, hash_seed=int)
     tokens = {p.id: textprep.clean(p.text, stopwords) for p in posts}
-    model = embed.fit_vectorizer([tokens[p.id] for p in posts], dim=dim,
-                                 min_count=min_count, hash_seed=hash_seed)
+    model = embed.fit_vectorizer([tokens[p.id] for p in posts], **config)
     vectors = embed.embed_all(model, ((p.id, tokens[p.id]) for p in posts))
     out = settings.out_path("out")
     embed.write_vectors(out, vectors)
     logger.info("embed: %d posts, vocabulary %d, dim %d",
-                len(posts), len(model.vocabulary), dim)
-    _write_manifest(out, "embed", settings,
-                    {"dim": dim, "min_count": min_count, "hash_seed": hash_seed})
+                len(posts), len(model.vocabulary), config["dim"])
+    _write_manifest(out, "embed", settings, config)
 
 
 def stage_pca(settings: _Settings) -> None:
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
     if len(vectors) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
-    variance = settings.value("variance", float)
+    config = settings.values(variance=float)
     ids = sorted(vectors)
     matrix = np.asarray([vectors[i] for i in ids])
-    model = pca.fit_pca(matrix, variance)
+    model = pca.fit_pca(matrix, config["variance"])
     reduced = pca.transform(model, matrix)
     out = settings.out_path("out")
     embed.write_vectors(out, {i: reduced[row] for row, i in enumerate(ids)})
@@ -242,60 +240,49 @@ def stage_pca(settings: _Settings) -> None:
                 model.dim, model.k,
                 100 * float(model.explained_variance.sum())
                 / max(float(np.var(matrix, axis=0, ddof=1).sum()), 1e-300))
-    _write_manifest(out, "pca", settings, {"variance": variance})
+    _write_manifest(out, "pca", settings, config)
 
 
 def stage_eccentricity(settings: _Settings) -> None:
     c = _load_corpus(settings)
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
-    window_days = settings.value("window_days", float)
-    window_seconds = int(round(window_days * 86400))
-    records = cloud.replay(c, vectors, window_seconds)
+    config = settings.values(window_days=float)
+    records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
     out = settings.out_path("out")
     cloud.write_records_csv(records, out)
     defined = sum(1 for r in records if r.eccentricity is not None)
     logger.info("eccentricity: %d records, %d with defined eccentricity",
                 len(records), defined)
-    _write_manifest(out, "eccentricity", settings, {"window_days": window_days})
+    _write_manifest(out, "eccentricity", settings, config)
 
 
 def stage_dynamics(settings: _Settings) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
-    weighting = str(settings.get("fg_weighting"))
-    min_gap = settings.value("min_gap", float)
-    rows = dynamics.user_dynamics(records, min_gap=min_gap, weighting=weighting)
+    config = settings.values(fg_weighting=str, min_gap=float)
+    rows = dynamics.user_dynamics(records, min_gap=config["min_gap"],
+                                  weighting=config["fg_weighting"])
     out = settings.out_path("out")
     dynamics.write_dynamics_csv(rows, out)
     logger.info("dynamics: %d users, %d with defined neighborhood scores",
                 len(rows), sum(1 for r in rows if r.f_ecc is not None))
-    _write_manifest(out, "dynamics", settings,
-                    {"fg_weighting": weighting, "min_gap": min_gap})
+    _write_manifest(out, "dynamics", settings, config)
 
 
 def stage_distributions(settings: _Settings) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
-    thresholds = _parse_bins(settings.get("bins"))
-    bandwidth = settings.value("bandwidth", float)
-    p_method = str(settings.get("p_method"))
-    n_perm = settings.value("n_perm", int)
-    seed = settings.value("seed", int)
-    binning = stats.PopularityBinning.from_thresholds(thresholds)
+    config = settings.values(bins=int_list, bandwidth=float, p_method=str,
+                             n_perm=int, seed=int)
+    binning = stats.PopularityBinning.from_thresholds(config["bins"])
     bins = stats.bin_by_popularity(records, binning)
-    summary = stats.bin_summary(bins, bandwidth=bandwidth, p_method=p_method,
-                                n_perm=n_perm, seed=seed)
+    summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"})
     out_csv = settings.out_path("out_csv")
-    with open(out_csv, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "grid_x", "density"])
-        for row in summary.bins:
-            if row.curve is None:
-                continue
-            writer.writerows((row.label, x, d) for x, d in
-                             zip(row.curve.grid.tolist(), row.curve.density.tolist()))
+    cloud.write_rows(out_csv, ("bin", "grid_x", "density"),
+                     ((row.label, x, d) for row in summary.bins if row.curve is not None
+                      for x, d in zip(row.curve.grid.tolist(), row.curve.density.tolist())))
     out_summary = settings.out_path("out_summary")
     payload = {
-        "bandwidth": bandwidth,
-        "thresholds": list(thresholds),
+        "bandwidth": config["bandwidth"],
+        "thresholds": config["bins"],
         "bins": [{"label": b.label, "n": b.n, "mean": b.mean}
                  for b in summary.bins],
         "tests": [{"pair": [t.label_a, t.label_b], "A2": t.a2,
@@ -308,9 +295,7 @@ def stage_distributions(settings: _Settings) -> None:
         logger.warning("distributions: %s", notice)
     logger.info("distributions: %d bins, %d pairwise tests",
                 len(summary.bins), len(summary.tests))
-    _write_manifest(out_csv, "distributions", settings,
-                    {"bins": list(thresholds), "bandwidth": bandwidth,
-                     "p_method": p_method, "n_perm": n_perm, "seed": seed})
+    _write_manifest(out_csv, "distributions", settings, config)
 
 
 def stage_synth(settings: _Settings) -> None:
@@ -340,26 +325,25 @@ def stage_report(settings: _Settings) -> None:
     summary_path = settings.require_path("summary")
     distributions_path = settings.require_path("distributions")
     dynamics_path = settings.require_path("dynamics")
-    with open(summary_path, encoding="utf-8") as fh:
-        popularity = json.load(fh)
+    popularity = _read_json_object(summary_path)
+    try:
+        bin_means = [(b["label"], b["n"], b["mean"]) for b in popularity.get("bins", [])]
+    except (KeyError, TypeError) as exc:
+        raise DataFormatError(f"{summary_path}: bins entries need label, n and mean "
+                              f"({exc!r})") from exc
     rows = dynamics.read_dynamics_csv(dynamics_path)
     out_dir = Path(settings.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scatter_path = out_dir / "fg_scatter.csv"
-    with open(scatter_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["user", "f_ecc", "g_ecc", "f_self", "g_self"])
-        writer.writerows((d.user, d.f_ecc, d.g_ecc, d.f_self, d.g_self) for d in rows)
+    cloud.write_rows(scatter_path, ("user", "f_ecc", "g_ecc", "f_self", "g_self"),
+                     ((d.user, d.f_ecc, d.g_ecc, d.f_self, d.g_self) for d in rows))
 
     densities_path = out_dir / "densities.csv"
     shutil.copyfile(distributions_path, densities_path)
 
     means_path = out_dir / "bin_means.csv"
-    with open(means_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin", "n", "mean_eccentricity"])
-        writer.writerows((b["label"], b["n"], b["mean"]) for b in popularity.get("bins", []))
+    cloud.write_rows(means_path, ("bin", "n", "mean_eccentricity"), bin_means)
 
     g_ecc = [d.g_ecc for d in rows if d.g_ecc is not None]
     g_self = [d.g_self for d in rows if d.g_self is not None]
@@ -473,15 +457,9 @@ def main(argv=None) -> int:
     try:
         settings = _Settings(args)
         STAGES[args.stage](settings)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, DataFormatError) as exc:
         logger.error("%s", exc)
         return 2
-    except DataFormatError as exc:
-        logger.error("%s", exc)
-        return 2
-    except InvariantError as exc:
-        logger.error("invariant failure: %s", exc)
-        return 3
     return 0
 
 

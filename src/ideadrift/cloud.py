@@ -241,15 +241,20 @@ def eccentricity_oracle(
 
 def write_records_csv(records: Iterable[EccentricityRecord], path: str | Path) -> None:
     """Write records as CSV; undefined eccentricities become empty fields."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RECORD_FIELDS)
-        writer.writerows(records)
+    write_rows(path, RECORD_FIELDS, records)
 
 
 def optional_float(text: str) -> float | None:
     """An empty CSV field is an undefined value."""
     return float(text) if text else None
+
+
+def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV; a None field becomes an empty one."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:

@@ -8,13 +8,12 @@ changes that arrive quickly count for more; alternatives are pluggable.
 
 from __future__ import annotations
 
-import csv
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cloud import EccentricityRecord, optional_float, read_rows
+from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
 from .errors import DataFormatError
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
@@ -118,10 +117,7 @@ def user_dynamics(
 
 
 def write_dynamics_csv(rows: Iterable[UserDynamics], path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(DYNAMICS_FIELDS)
-        writer.writerows(rows)
+    write_rows(path, DYNAMICS_FIELDS, rows)
 
 
 def read_dynamics_csv(path: str | Path) -> list[UserDynamics]:

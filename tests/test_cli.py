@@ -352,10 +352,17 @@ class TestConfigFile:
         ({"window_days": "five"}, ["eccentricity", "--posts", "posts.jsonl",
                                    "--edges", "edges.jsonl", "--vectors", "vectors.jsonl",
                                    "--out", "records.csv"]),
-    ], ids=["synth-seed", "eccentricity-window-days"])
+        ({"bins": ["a"]}, ["distributions", "--records", "records.csv",
+                           "--out-csv", "d.csv", "--out-summary", "s.json"]),
+        ({"bins": [1.5]}, ["distributions", "--records", "records.csv",
+                           "--out-csv", "d.csv", "--out-summary", "s.json"]),
+    ], ids=["synth-seed", "eccentricity-window-days", "distributions-bins-word",
+            "distributions-bins-fraction"])
     def test_bad_config_value_exit_2(self, worked_example, monkeypatch, caplog,
                                      config, args):
         monkeypatch.chdir(worked_example)
+        cloud.write_records_csv([cloud.EccentricityRecord("p1", "a", 0, 3, 1.0, None, 1, 0)],
+                                "records.csv")
         Path("config.json").write_text(json.dumps(config))
         assert main(["--config", "config.json", *args]) == 2
         [key] = config
@@ -409,36 +416,48 @@ def manifest_of(path):
 class TestManifestInputs:
     CORPUS = ["--posts", "{run}/posts.jsonl", "--edges", "{run}/edges.jsonl",
               "--out-posts", "{out}/posts.jsonl", "--out-edges", "{out}/edges.jsonl"]
+    SYNTH_CONFIG = {"n_users": 3, "follow_prob": 0.05, "n_days": 10.0,
+                    "posts_per_user_per_day": 3.0, "dim": 16, "seed": 0,
+                    "effect": "null", "effect_strength": 0.0, "user_spread": 4.0,
+                    "post_noise": 0.25, "like_max": 500}
+    # case -> (arguments, primary output, recorded inputs, recorded config)
     CASES = {
-        "ingest": (["ingest", *CORPUS], "posts.jsonl", {"posts", "edges"}),
-        "lcc": (["lcc", *CORPUS], "posts.jsonl", {"posts", "edges"}),
+        "ingest": (["ingest", *CORPUS], "posts.jsonl", {"posts", "edges"}, {}),
+        "lcc": (["lcc", *CORPUS], "posts.jsonl", {"posts", "edges"}, {}),
         "sample": (["sample", *CORPUS, "--fraction", "0.5"], "posts.jsonl",
-                   {"posts", "edges"}),
+                   {"posts", "edges"}, {"fraction": 0.5, "seed": 0}),
         "embed": (["embed", "--posts", "{run}/posts.jsonl", "--dim", "8",
-                   "--out", "{out}/vec.jsonl"], "vec.jsonl", {"posts"}),
+                   "--out", "{out}/vec.jsonl"], "vec.jsonl", {"posts"},
+                  {"dim": 8, "min_count": 10, "hash_seed": 9172023}),
         "embed-stopwords": (["embed", "--posts", "{run}/posts.jsonl",
                              "--stopwords", "{run}/stops.txt", "--dim", "8",
                              "--out", "{out}/vec.jsonl"], "vec.jsonl",
-                            {"posts", "stopwords"}),
+                            {"posts", "stopwords"},
+                            {"dim": 8, "min_count": 10, "hash_seed": 9172023}),
         "pca": (["pca", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/pca.jsonl",
-                 "--model-out", "{out}/model.json"], "pca.jsonl", {"vectors"}),
+                 "--model-out", "{out}/model.json"], "pca.jsonl", {"vectors"},
+                {"variance": 0.9}),
         "dynamics": (["dynamics", "--records", "{run}/records.csv",
-                      "--out", "{out}/dyn.csv"], "dyn.csv", {"records"}),
+                      "--out", "{out}/dyn.csv"], "dyn.csv", {"records"},
+                     {"fg_weighting": "inverse-gap", "min_gap": 1.0}),
         "distributions": (["distributions", "--records", "{run}/records.csv",
                            "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
-                          "d.csv", {"records"}),
+                          "d.csv", {"records"},
+                          {"bins": [10, 100], "bandwidth": 5.0, "p_method": "table",
+                           "n_perm": 9999, "seed": 0}),
         "report": (["report", "--summary", "{run}/summary.json",
                     "--distributions", "{run}/distributions.csv",
                     "--dynamics", "{run}/dynamics.csv", "--out-dir", "{out}"],
-                   "report.json", {"summary", "distributions", "dynamics"}),
+                   "report.json", {"summary", "distributions", "dynamics"}, {}),
         "synth": (["synth", "--n-users", "3", "--out-posts", "{out}/posts.jsonl",
                    "--out-edges", "{out}/edges.jsonl",
-                   "--out-vectors", "{out}/vectors.jsonl"], "posts.jsonl", set()),
+                   "--out-vectors", "{out}/vectors.jsonl"], "posts.jsonl", set(),
+                  SYNTH_CONFIG),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_inputs_are_the_files_the_stage_read(self, small_run, tmp_path, case):
-        template, primary, expected = self.CASES[case]
+        template, primary, expected, config = self.CASES[case]
         args = [a.format(run=small_run, out=tmp_path) for a in template]
         assert main(args) == 0
         manifest = manifest_of(tmp_path / primary)
@@ -446,6 +465,7 @@ class TestManifestInputs:
         for name, entry in manifest["inputs"].items():
             assert entry["path"] == args[args.index(f"--{name}") + 1]
             assert len(entry["sha256"]) == 64
+        assert manifest["config"] == config
 
 
 class TestSynthManifest:
@@ -538,6 +558,42 @@ class TestCsvBytes:
             b"bin,n,mean_eccentricity\r\n"
             b"0-9,2,0.30000000000000004\r\n"
             b"10+,0,\r\n")
+
+    def test_distributions_csv_skips_empty_bin(self, tmp_path):
+        records = tmp_path / "records.csv"
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i}", "a", i, 200 * (i % 2), 0.1 * i + 1 / 3, None, 1, 0)
+             for i in range(6)], records)
+        out = tmp_path / "d.csv"
+        assert main(["distributions", "--records", str(records), "--bins", "10,100",
+                     "--out-csv", str(out), "--out-summary", str(tmp_path / "s.json")]) == 0
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert [(b["label"], b["n"]) for b in summary["bins"]] == [
+            ("low", 3), ("medium", 0), ("high", 3)]
+
+        header, *lines, end = out.read_bytes().split(b"\r\n")
+        assert header == b"bin,grid_x,density"
+        assert end == b""
+        rows = [line.decode().split(",") for line in lines]
+        assert {label for label, _, _ in rows} == {"low", "high"}
+        assert len(rows) == 2 * 512
+        for _, x, d in rows:
+            assert x == repr(float(x)) and d == repr(float(d))
+
+
+class TestReportSummary:
+    @pytest.mark.parametrize("text", ['{"bins": [', '{"bins": [{"n": 1}]}'],
+                             ids=["truncated", "bin-without-label"])
+    def test_bad_summary_exit_2(self, tmp_path, caplog, text):
+        summary = tmp_path / "summary.json"
+        summary.write_text(text)
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        dynamics.write_dynamics_csv([], tmp_path / "dynamics.csv")
+        assert main(["report", "--summary", str(summary),
+                     "--distributions", str(tmp_path / "distributions.csv"),
+                     "--dynamics", str(tmp_path / "dynamics.csv"),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        assert str(summary) in caplog.text
 
 
 class TestPresets:

@@ -134,7 +134,7 @@ class TestOracle:
             for got, want in ((r.eccentricity, ecc), (r.self_eccentricity, self_ecc)):
                 assert (got is None) == (want is None)
                 if want is not None:
-                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 class TestReplayInvariants:
