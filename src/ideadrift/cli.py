@@ -15,6 +15,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import shutil
 import sys
@@ -42,11 +43,11 @@ PRESETS = {
 
 DEFAULTS = {
     "preset": "social-media",
-    "window_days": 5.0,
+    "window_days": cloud.DEFAULT_WINDOW_SECONDS / 86400,
     "variance": 0.9,
-    "bandwidth": 5.0,
+    "bandwidth": stats.DEFAULT_BANDWIDTH,
     "fg_weighting": "inverse-gap",
-    "min_gap": 1.0,
+    "min_gap": dynamics.DEFAULT_MIN_GAP_SECONDS,
     "p_method": "table",
     "n_perm": stats.DEFAULT_N_PERM,
     "seed": 0,
@@ -68,12 +69,18 @@ class _Settings:
     """Layered parameter lookup: CLI flag > config file > preset > default.
 
     Every input file a stage resolves through ``require_path`` is recorded in
-    ``inputs``, which the stage's manifest then hashes.
+    ``inputs``, which the stage's manifest then hashes. A config file may hold
+    any key some stage declares in ``STAGES``, plus ``preset`` and ``threads``.
     """
 
     def __init__(self, args: argparse.Namespace):
         cli = {k: v for k, v in vars(args).items() if v is not None}
         file = _read_json_object(cli["config"]) if cli.get("config") else {}
+        known = {"preset", "threads"}.union(
+            *((*files, *kinds) for _, _, files, kinds in STAGES.values()))
+        unknown = sorted(set(file) - known)
+        if unknown:
+            raise DataFormatError(f"{cli['config']}: unknown keys {', '.join(unknown)}")
         self.layers = [cli, file, DEFAULTS]
         preset_name = self.get("preset")
         if preset_name not in PRESETS:
@@ -87,17 +94,17 @@ class _Settings:
                 return layer[key]
         return None
 
-    def value(self, key: str, kind: Callable):
-        """The setting ``key`` converted by ``kind`` (``int``, ``float``, ``int_list``)."""
-        raw = self.get(key)
-        try:
-            return kind(raw)
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"bad {key} value {raw!r}: expected {kind.__name__}") from exc
-
     def values(self, **kinds: Callable) -> dict:
-        """``{key: value(key, kind)}``: the config a stage runs with and records."""
-        return {key: self.value(key, kind) for key, kind in kinds.items()}
+        """``{key: kind(setting)}``: the config a stage runs with and records."""
+        config = {}
+        for key, kind in kinds.items():
+            raw = self.get(key)
+            try:
+                config[key] = kind(raw)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise DataFormatError(
+                    f"bad {key} value {raw!r}: expected {kind.__name__}") from exc
+        return config
 
     def require_path(self, key: str) -> Path:
         value = self.get(key)
@@ -162,6 +169,24 @@ def int_list(raw) -> tuple[int, ...]:
     return tuple(int(str(part)) for part in parts if str(part).strip())
 
 
+def finite(raw) -> float:
+    """A float that is neither NaN nor +-inf."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def one_of(*names: str) -> Callable[[object], str]:
+    """A converter that accepts exactly one of ``names``."""
+    def check(raw) -> str:
+        if raw not in names:
+            raise ValueError(f"{raw!r} is not one of {names}")
+        return raw
+    check.__name__ = f"one of {', '.join(names)}"
+    return check
+
+
 def _load_corpus(settings: _Settings) -> corpus.Corpus:
     posts_path = settings.require_path("posts")
     edges_path = settings.require_path("edges")
@@ -192,27 +217,25 @@ def _corpus_stage(settings: _Settings, stage: str,
     _write_manifest(out_posts, stage, settings, config)
 
 
-def stage_ingest(settings: _Settings) -> None:
-    _corpus_stage(settings, "ingest", lambda graph: graph, {})
+def stage_ingest(settings: _Settings, config: dict) -> None:
+    _corpus_stage(settings, "ingest", lambda graph: graph, config)
 
 
-def stage_lcc(settings: _Settings) -> None:
-    _corpus_stage(settings, "lcc", corpus.largest_connected_component, {})
+def stage_lcc(settings: _Settings, config: dict) -> None:
+    _corpus_stage(settings, "lcc", corpus.largest_connected_component, config)
 
 
-def stage_sample(settings: _Settings) -> None:
-    config = settings.values(fraction=float, seed=int)
+def stage_sample(settings: _Settings, config: dict) -> None:
     _corpus_stage(settings, "sample",
                   lambda graph: corpus.sample_users(graph, **config), config)
 
 
-def stage_embed(settings: _Settings) -> None:
+def stage_embed(settings: _Settings, config: dict) -> None:
     posts = corpus.load_posts(settings.require_path("posts"))
     if settings.get("stopwords"):
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
-    config = settings.values(dim=int, min_count=int, hash_seed=int)
     tokens = {p.id: textprep.clean(p.text, stopwords) for p in posts}
     model = embed.fit_vectorizer([tokens[p.id] for p in posts], **config)
     vectors = embed.embed_all(model, ((p.id, tokens[p.id]) for p in posts))
@@ -223,11 +246,10 @@ def stage_embed(settings: _Settings) -> None:
     _write_manifest(out, "embed", settings, config)
 
 
-def stage_pca(settings: _Settings) -> None:
+def stage_pca(settings: _Settings, config: dict) -> None:
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
     if len(vectors) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
-    config = settings.values(variance=float)
     ids = sorted(vectors)
     matrix = np.asarray([vectors[i] for i in ids])
     model = pca.fit_pca(matrix, config["variance"])
@@ -243,10 +265,9 @@ def stage_pca(settings: _Settings) -> None:
     _write_manifest(out, "pca", settings, config)
 
 
-def stage_eccentricity(settings: _Settings) -> None:
+def stage_eccentricity(settings: _Settings, config: dict) -> None:
     c = _load_corpus(settings)
     vectors = embed.load_external_vectors(settings.require_path("vectors"))
-    config = settings.values(window_days=float)
     records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
     out = settings.out_path("out")
     cloud.write_records_csv(records, out)
@@ -256,9 +277,8 @@ def stage_eccentricity(settings: _Settings) -> None:
     _write_manifest(out, "eccentricity", settings, config)
 
 
-def stage_dynamics(settings: _Settings) -> None:
+def stage_dynamics(settings: _Settings, config: dict) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
-    config = settings.values(fg_weighting=str, min_gap=float)
     rows = dynamics.user_dynamics(records, min_gap=config["min_gap"],
                                   weighting=config["fg_weighting"])
     out = settings.out_path("out")
@@ -268,10 +288,8 @@ def stage_dynamics(settings: _Settings) -> None:
     _write_manifest(out, "dynamics", settings, config)
 
 
-def stage_distributions(settings: _Settings) -> None:
+def stage_distributions(settings: _Settings, config: dict) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
-    config = settings.values(bins=int_list, bandwidth=float, p_method=str,
-                             n_perm=int, seed=int)
     binning = stats.PopularityBinning.from_thresholds(config["bins"])
     bins = stats.bin_by_popularity(records, binning)
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"})
@@ -298,19 +316,11 @@ def stage_distributions(settings: _Settings) -> None:
     _write_manifest(out_csv, "distributions", settings, config)
 
 
-def stage_synth(settings: _Settings) -> None:
-    cfg = synth.SynthConfig(
-        n_users=settings.value("n_users", int),
-        follow_prob=settings.value("follow_prob", float),
-        n_days=settings.value("n_days", float),
-        posts_per_user_per_day=settings.value("posts_per_day", float),
-        dim=settings.value("synth_dim", int),
-        seed=settings.value("seed", int),
-        effect=str(settings.get("effect")),
-        effect_strength=settings.value("strength", float),
-        user_spread=settings.value("user_spread", float),
-        post_noise=settings.value("post_noise", float),
-    )
+def stage_synth(settings: _Settings, config: dict) -> None:
+    # the settings whose flag names differ from their SynthConfig fields
+    fields = {"posts_per_day": "posts_per_user_per_day", "synth_dim": "dim",
+              "strength": "effect_strength"}
+    cfg = synth.SynthConfig(**{fields.get(key, key): value for key, value in config.items()})
     c, vectors = synth.gen_corpus(cfg)
     out_posts = settings.out_path("out_posts")
     out_edges = settings.out_path("out_edges")
@@ -321,7 +331,7 @@ def stage_synth(settings: _Settings) -> None:
     _write_manifest(out_posts, "synth", settings, dataclasses.asdict(cfg))
 
 
-def stage_report(settings: _Settings) -> None:
+def stage_report(settings: _Settings, config: dict) -> None:
     summary_path = settings.require_path("summary")
     distributions_path = settings.require_path("distributions")
     dynamics_path = settings.require_path("dynamics")
@@ -361,20 +371,45 @@ def stage_report(settings: _Settings) -> None:
     _write_json(report_path, report)
     logger.info("report: wrote %s, %s, %s, %s", report_path, scatter_path,
                 densities_path, means_path)
-    _write_manifest(report_path, "report", settings, {})
+    _write_manifest(report_path, "report", settings, config)
 
 
+CORPUS_FILES = ("posts", "edges", "out_posts", "out_edges")
+
+# stage -> (function, help, file keys, {setting: converter}). Each key is a
+# flag of the stage's subcommand and a key --config accepts; the converters
+# are the only check on a setting's value, wherever it comes from, and the
+# converted settings are the config the stage runs with and records.
 STAGES = {
-    "ingest": stage_ingest,
-    "lcc": stage_lcc,
-    "sample": stage_sample,
-    "embed": stage_embed,
-    "pca": stage_pca,
-    "eccentricity": stage_eccentricity,
-    "dynamics": stage_dynamics,
-    "distributions": stage_distributions,
-    "synth": stage_synth,
-    "report": stage_report,
+    "ingest": (stage_ingest, "validate and canonicalize posts/edges files",
+               CORPUS_FILES, {}),
+    "lcc": (stage_lcc, "restrict to the largest weakly connected component",
+            CORPUS_FILES, {}),
+    "sample": (stage_sample, "seeded user sampling with induced subgraph",
+               CORPUS_FILES, {"fraction": finite, "seed": int}),
+    "embed": (stage_embed, "clean text and compute hashed TF-IDF vectors",
+              ("posts", "stopwords", "out"),
+              {"dim": int, "min_count": int, "hash_seed": int}),
+    "pca": (stage_pca, "reduce vectors to a target variance fraction",
+            ("vectors", "out", "model_out"), {"variance": finite}),
+    "eccentricity": (stage_eccentricity, "replay the log and emit per-post eccentricities",
+                     ("posts", "edges", "vectors", "out"), {"window_days": finite}),
+    "dynamics": (stage_dynamics, "per-user F/G-scores from an eccentricity CSV",
+                 ("records", "out"),
+                 {"fg_weighting": one_of(*sorted(dynamics.WEIGHTINGS)), "min_gap": finite}),
+    "distributions": (stage_distributions, "popularity bins, KDE curves, pairwise AD tests",
+                      ("records", "out_csv", "out_summary"),
+                      {"bins": int_list, "bandwidth": finite,
+                       "p_method": one_of("table", "permutation"), "n_perm": int,
+                       "seed": int}),
+    "synth": (stage_synth, "generate a seeded synthetic corpus with planted effects",
+              ("out_posts", "out_edges", "out_vectors"),
+              {"n_users": int, "follow_prob": finite, "n_days": finite,
+               "posts_per_day": finite, "synth_dim": int, "seed": int,
+               "effect": one_of(*synth.EFFECTS), "strength": finite,
+               "user_spread": finite, "post_noise": finite}),
+    "report": (stage_report, "aggregate distributions and dynamics into one report",
+               ("summary", "distributions", "dynamics", "out_dir"), {}),
 }
 
 
@@ -389,74 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
                         help="default dim/min-count/bins bundle (default: social-media)")
     parser.add_argument("--threads", type=int, default=None,
                         help="accepted for compatibility; has no effect")
-    parser.add_argument("--log-level", default="INFO")
+    parser.add_argument("--log-level", default="INFO", type=str.upper,
+                        choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="stage", required=True)
-
-    def add(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=list(parents))
-
-    corpus_io = argparse.ArgumentParser(add_help=False)
-    corpus_io.add_argument("--posts"), corpus_io.add_argument("--edges")
-    corpus_io.add_argument("--out-posts"), corpus_io.add_argument("--out-edges")
-
-    add("ingest", "validate and canonicalize posts/edges files", corpus_io)
-    add("lcc", "restrict to the largest weakly connected component", corpus_io)
-    p = add("sample", "seeded user sampling with induced subgraph", corpus_io)
-    p.add_argument("--fraction", type=float), p.add_argument("--seed", type=int)
-
-    p = add("embed", "clean text and compute hashed TF-IDF vectors")
-    p.add_argument("--posts"), p.add_argument("--stopwords")
-    p.add_argument("--dim", type=int), p.add_argument("--min-count", type=int)
-    p.add_argument("--hash-seed", type=int)
-    p.add_argument("--out")
-
-    p = add("pca", "reduce vectors to a target variance fraction")
-    p.add_argument("--vectors"), p.add_argument("--variance", type=float)
-    p.add_argument("--out"), p.add_argument("--model-out")
-
-    p = add("eccentricity", "replay the log and emit per-post eccentricities")
-    p.add_argument("--posts"), p.add_argument("--edges"), p.add_argument("--vectors")
-    p.add_argument("--window-days", type=float)
-    p.add_argument("--out")
-
-    p = add("dynamics", "per-user F/G-scores from an eccentricity CSV")
-    p.add_argument("--records")
-    p.add_argument("--fg-weighting", choices=sorted(dynamics.WEIGHTINGS))
-    p.add_argument("--min-gap", type=float)
-    p.add_argument("--out")
-
-    p = add("distributions", "popularity bins, KDE curves, pairwise AD tests")
-    p.add_argument("--records"), p.add_argument("--bins")
-    p.add_argument("--bandwidth", type=float)
-    p.add_argument("--p-method", choices=["table", "permutation"])
-    p.add_argument("--n-perm", type=int), p.add_argument("--seed", type=int)
-    p.add_argument("--out-csv"), p.add_argument("--out-summary")
-
-    p = add("synth", "generate a seeded synthetic corpus with planted effects")
-    p.add_argument("--n-users", type=int), p.add_argument("--follow-prob", type=float)
-    p.add_argument("--n-days", type=float), p.add_argument("--posts-per-day", type=float)
-    p.add_argument("--synth-dim", type=int), p.add_argument("--seed", type=int)
-    p.add_argument("--effect", choices=sorted(synth.EFFECTS))
-    p.add_argument("--strength", type=float)
-    p.add_argument("--user-spread", type=float), p.add_argument("--post-noise", type=float)
-    p.add_argument("--out-posts"), p.add_argument("--out-edges")
-    p.add_argument("--out-vectors")
-
-    p = add("report", "aggregate distributions and dynamics into one report")
-    p.add_argument("--summary"), p.add_argument("--distributions")
-    p.add_argument("--dynamics"), p.add_argument("--out-dir")
-
+    for name, (_, help_text, files, kinds) in STAGES.items():
+        stage = sub.add_parser(name, help=help_text)
+        for key in (*files, *kinds):
+            stage.add_argument("--" + key.replace("_", "-"))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(stream=sys.stderr, level=args.log_level.upper(),
+    args = build_parser().parse_args(argv)
+    logging.basicConfig(stream=sys.stderr, level=args.log_level,
                         format="%(levelname)s %(name)s: %(message)s")
+    stage, _, _, kinds = STAGES[args.stage]
     try:
         settings = _Settings(args)
-        STAGES[args.stage](settings)
+        stage(settings, settings.values(**kinds))
     except (FileNotFoundError, DataFormatError) as exc:
         logger.error("%s", exc)
         return 2

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import ideadrift
 from ideadrift import cloud, dynamics, embed
-from ideadrift.cli import main
+from ideadrift.cli import build_parser, main
 
 DAY = 86400
 
@@ -356,17 +357,40 @@ class TestConfigFile:
                            "--out-csv", "d.csv", "--out-summary", "s.json"]),
         ({"bins": [1.5]}, ["distributions", "--records", "records.csv",
                            "--out-csv", "d.csv", "--out-summary", "s.json"]),
+        ({"window-days": 3}, ["eccentricity", "--posts", "posts.jsonl",
+                              "--edges", "edges.jsonl", "--vectors", "vectors.jsonl",
+                              "--out", "records.csv"]),
+        # one bin, so no pair is tested and no test method runs
+        ({"p_method": "tabel"}, ["distributions", "--records", "records.csv", "--bins", "",
+                                 "--out-csv", "d.csv", "--out-summary", "s.json"]),
+        # no user, so no score is weighted
+        ({"fg_weighting": "nope"}, ["dynamics", "--records", "empty.csv", "--out", "dyn.csv"]),
     ], ids=["synth-seed", "eccentricity-window-days", "distributions-bins-word",
-            "distributions-bins-fraction"])
+            "distributions-bins-fraction", "unknown-key", "p-method-choice",
+            "fg-weighting-choice"])
     def test_bad_config_value_exit_2(self, worked_example, monkeypatch, caplog,
                                      config, args):
         monkeypatch.chdir(worked_example)
         cloud.write_records_csv([cloud.EccentricityRecord("p1", "a", 0, 3, 1.0, None, 1, 0)],
                                 "records.csv")
+        cloud.write_records_csv([], "empty.csv")
         Path("config.json").write_text(json.dumps(config))
         assert main(["--config", "config.json", *args]) == 2
         [key] = config
         assert key in caplog.text
+
+    def test_config_shared_across_stages(self, worked_example):
+        config = worked_example / "config.json"
+        config.write_text(json.dumps({"window_days": 2, "p_method": "permutation",
+                                      "dim": 8, "threads": 2, "preset": "experiment"}))
+        out = worked_example / "records.csv"
+        assert main(["--config", str(config), "eccentricity",
+                     "--posts", str(worked_example / "posts.jsonl"),
+                     "--edges", str(worked_example / "edges.jsonl"),
+                     "--vectors", str(worked_example / "vectors.jsonl"),
+                     "--out", str(out)]) == 0
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["config"] == {
+            "window_days": 2.0}
 
     def test_manifest_contains_hashes_and_config(self, worked_example):
         out = worked_example / "records.csv"
@@ -621,3 +645,69 @@ class TestPresets:
         assert main(["--config", str(tmp_path / "config.json"), "embed",
                      "--posts", str(small_run / "posts.jsonl"),
                      "--out", str(tmp_path / "v.jsonl")]) == 2
+
+
+class TestNonFiniteSettings:
+    SYNTH = ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
+             "--out-vectors", "v.jsonl"]
+    ECCENTRICITY = ["eccentricity", "--posts", "posts.jsonl", "--edges", "edges.jsonl",
+                    "--vectors", "vectors.jsonl", "--out", "out.csv"]
+    DISTRIBUTIONS = ["distributions", "--records", "records.csv",
+                     "--out-csv", "d.csv", "--out-summary", "s.json"]
+
+    @pytest.mark.parametrize(("args", "key"), [
+        ([*ECCENTRICITY, "--window-days", "nan"], "window_days"),
+        ([*ECCENTRICITY, "--window-days", "inf"], "window_days"),
+        ([*SYNTH, "--n-days", "inf"], "n_days"),
+        ([*DISTRIBUTIONS, "--bandwidth", "nan"], "bandwidth"),
+        ([*DISTRIBUTIONS, "--bandwidth", "inf"], "bandwidth"),
+        (["dynamics", "--records", "records.csv", "--min-gap", "nan", "--out", "dyn.csv"],
+         "min_gap"),
+        ([*SYNTH, "--strength", "nan", "--effect", "attention-coupling"], "strength"),
+        ([*SYNTH, "--user-spread", "inf"], "user_spread"),
+    ], ids=["window-days-nan", "window-days-inf", "n-days-inf", "bandwidth-nan",
+            "bandwidth-inf", "min-gap-nan", "strength-nan", "user-spread-inf"])
+    def test_non_finite_exit_2(self, worked_example, monkeypatch, caplog, args, key):
+        monkeypatch.chdir(worked_example)
+        cloud.write_records_csv([cloud.EccentricityRecord("p1", "a", 0, 3, 1.0, None, 1, 0),
+                                 cloud.EccentricityRecord("p2", "a", 9, 3, 2.0, None, 1, 0)],
+                                "records.csv")
+        assert main(args) == 2
+        assert f"bad {key} value" in caplog.text
+
+
+class TestParser:
+    # each subcommand's long options, written out so that a flag the stage
+    # table drops or renames fails here
+    FLAGS = {
+        None: {"--config", "--preset", "--threads", "--log-level"},
+        "ingest": {"--posts", "--edges", "--out-posts", "--out-edges"},
+        "lcc": {"--posts", "--edges", "--out-posts", "--out-edges"},
+        "sample": {"--posts", "--edges", "--out-posts", "--out-edges", "--fraction", "--seed"},
+        "embed": {"--posts", "--stopwords", "--dim", "--min-count", "--hash-seed", "--out"},
+        "pca": {"--vectors", "--variance", "--out", "--model-out"},
+        "eccentricity": {"--posts", "--edges", "--vectors", "--window-days", "--out"},
+        "dynamics": {"--records", "--fg-weighting", "--min-gap", "--out"},
+        "distributions": {"--records", "--bins", "--bandwidth", "--p-method", "--n-perm",
+                          "--seed", "--out-csv", "--out-summary"},
+        "synth": {"--n-users", "--follow-prob", "--n-days", "--posts-per-day", "--synth-dim",
+                  "--seed", "--effect", "--strength", "--user-spread", "--post-noise",
+                  "--out-posts", "--out-edges", "--out-vectors"},
+        "report": {"--summary", "--distributions", "--dynamics", "--out-dir"},
+    }
+
+    def test_each_subcommand_keeps_its_flags(self):
+        def long_options(parser):
+            return {option for action in parser._actions for option in action.option_strings
+                    if option.startswith("--") and option != "--help"}
+
+        parser = build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {name: long_options(stage) for name, stage in sub.choices.items()}
+        assert {None: long_options(parser), **flags} == self.FLAGS
+
+    def test_unknown_log_level_exit_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--log-level", "nope", "report", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'NOPE'" in capsys.readouterr().err
