@@ -163,10 +163,16 @@ def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
     })
 
 
+def integer(raw) -> int:
+    """An int parsed from ``str(raw)``, as a flag is, so that a JSON float or
+    boolean is refused rather than truncated."""
+    return int(str(raw))
+
+
 def int_list(raw) -> tuple[int, ...]:
     """Integers from a comma-separated string or a list, each item parsed alike."""
     parts = raw if isinstance(raw, (list, tuple)) else str(raw).split(",")
-    return tuple(int(str(part)) for part in parts if str(part).strip())
+    return tuple(integer(part) for part in parts if str(part).strip())
 
 
 def finite(raw) -> float:
@@ -174,6 +180,13 @@ def finite(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"{value} is not finite")
+    return value
+
+
+def days(raw) -> float:
+    """A finite number of days that is still finite in seconds."""
+    value = finite(raw)
+    finite(value * 86400)
     return value
 
 
@@ -386,26 +399,26 @@ STAGES = {
     "lcc": (stage_lcc, "restrict to the largest weakly connected component",
             CORPUS_FILES, {}),
     "sample": (stage_sample, "seeded user sampling with induced subgraph",
-               CORPUS_FILES, {"fraction": finite, "seed": int}),
+               CORPUS_FILES, {"fraction": finite, "seed": integer}),
     "embed": (stage_embed, "clean text and compute hashed TF-IDF vectors",
               ("posts", "stopwords", "out"),
-              {"dim": int, "min_count": int, "hash_seed": int}),
+              {"dim": integer, "min_count": integer, "hash_seed": integer}),
     "pca": (stage_pca, "reduce vectors to a target variance fraction",
             ("vectors", "out", "model_out"), {"variance": finite}),
     "eccentricity": (stage_eccentricity, "replay the log and emit per-post eccentricities",
-                     ("posts", "edges", "vectors", "out"), {"window_days": finite}),
+                     ("posts", "edges", "vectors", "out"), {"window_days": days}),
     "dynamics": (stage_dynamics, "per-user F/G-scores from an eccentricity CSV",
                  ("records", "out"),
                  {"fg_weighting": one_of(*sorted(dynamics.WEIGHTINGS)), "min_gap": finite}),
     "distributions": (stage_distributions, "popularity bins, KDE curves, pairwise AD tests",
                       ("records", "out_csv", "out_summary"),
                       {"bins": int_list, "bandwidth": finite,
-                       "p_method": one_of("table", "permutation"), "n_perm": int,
-                       "seed": int}),
+                       "p_method": one_of("table", "permutation"), "n_perm": integer,
+                       "seed": integer}),
     "synth": (stage_synth, "generate a seeded synthetic corpus with planted effects",
               ("out_posts", "out_edges", "out_vectors"),
-              {"n_users": int, "follow_prob": finite, "n_days": finite,
-               "posts_per_day": finite, "synth_dim": int, "seed": int,
+              {"n_users": integer, "follow_prob": finite, "n_days": finite,
+               "posts_per_day": finite, "synth_dim": integer, "seed": integer,
                "effect": one_of(*synth.EFFECTS), "strength": finite,
                "user_spread": finite, "post_noise": finite}),
     "report": (stage_report, "aggregate distributions and dynamics into one report",

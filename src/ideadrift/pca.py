@@ -11,6 +11,9 @@ import numpy as np
 from .errors import DataFormatError
 
 _EV_TIE_RTOL = 1e-9
+# values in one centered row block (at least D rows), as cloud._CHUNK_VALUES;
+# np.linalg.qr factors a copy of the stacked R and block, so a fold holds two
+_QR_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -57,13 +60,27 @@ def _sort_ties(components: np.ndarray, variances: np.ndarray) -> tuple[np.ndarra
     return components[order], variances[order]
 
 
+def _centered_r(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """The R factor of ``data - mean``, at most D x D, from a QR that folds
+    one centered row block at a time into the R so far. It has the singular
+    values and right singular vectors of the centered data, and no temporary
+    grows with the row count."""
+    n, d = data.shape
+    rows = max(d, _QR_VALUES // d)
+    r = np.empty((0, d))
+    for start in range(0, n, rows):
+        r = np.linalg.qr(np.concatenate((r, data[start:start + rows] - mean)), mode="r")
+    return r
+
+
 def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
     """Fit PCA on an n x D matrix, keeping the fewest components whose
     cumulative explained variance reaches ``variance_fraction`` of the total.
 
     Covariance uses 1/(n-1) normalization; components come from the SVD of
-    the centered data, sign-fixed and deterministically ordered. Data with
-    zero total variance yields a single zero-variance component.
+    the R factor of the centered data (see ``_centered_r``), sign-fixed and
+    deterministically ordered. Data with zero total variance yields a single
+    zero-variance component.
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -71,11 +88,12 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
     n, d = data.shape
     if n < 2:
         raise DataFormatError(f"need at least 2 rows to fit, got {n}")
+    if d < 1:
+        raise DataFormatError("data needs at least one column")
     if not (0.0 < variance_fraction <= 1.0):
         raise DataFormatError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
     mean = data.mean(axis=0)
-    centered = data - mean
-    _, singular, vt = np.linalg.svd(centered, full_matrices=False)
+    _, singular, vt = np.linalg.svd(_centered_r(data, mean), full_matrices=False)
     variances = singular**2 / (n - 1)
     total = float(variances.sum())
     if total <= 0.0:
@@ -108,13 +126,12 @@ def transform(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
 
 def save_model(model: PcaModel, path: str | Path) -> None:
     payload = {
-        "mean": [float(x) for x in model.mean],
-        "components": [[float(x) for x in row] for row in model.components],
-        "explained_variance": [float(x) for x in model.explained_variance],
+        "mean": model.mean.tolist(),
+        "components": model.components.tolist(),
+        "explained_variance": model.explained_variance.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def load_model(path: str | Path) -> PcaModel:

@@ -350,6 +350,12 @@ class TestConfigFile:
     @pytest.mark.parametrize(("config", "args"), [
         ({"seed": "abc"}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
                            "--out-vectors", "v.jsonl"]),
+        ({"seed": 1.5}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
+                         "--out-vectors", "v.jsonl"]),
+        ({"n_users": 12.9}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
+                             "--out-vectors", "v.jsonl"]),
+        ({"seed": True}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
+                          "--out-vectors", "v.jsonl"]),
         ({"window_days": "five"}, ["eccentricity", "--posts", "posts.jsonl",
                                    "--edges", "edges.jsonl", "--vectors", "vectors.jsonl",
                                    "--out", "records.csv"]),
@@ -365,7 +371,8 @@ class TestConfigFile:
                                  "--out-csv", "d.csv", "--out-summary", "s.json"]),
         # no user, so no score is weighted
         ({"fg_weighting": "nope"}, ["dynamics", "--records", "empty.csv", "--out", "dyn.csv"]),
-    ], ids=["synth-seed", "eccentricity-window-days", "distributions-bins-word",
+    ], ids=["synth-seed", "synth-seed-fraction", "synth-n-users-fraction", "synth-seed-bool",
+            "eccentricity-window-days", "distributions-bins-word",
             "distributions-bins-fraction", "unknown-key", "p-method-choice",
             "fg-weighting-choice"])
     def test_bad_config_value_exit_2(self, worked_example, monkeypatch, caplog,
@@ -658,6 +665,8 @@ class TestNonFiniteSettings:
     @pytest.mark.parametrize(("args", "key"), [
         ([*ECCENTRICITY, "--window-days", "nan"], "window_days"),
         ([*ECCENTRICITY, "--window-days", "inf"], "window_days"),
+        # finite in days, infinite in seconds
+        ([*ECCENTRICITY, "--window-days", "1e305"], "window_days"),
         ([*SYNTH, "--n-days", "inf"], "n_days"),
         ([*DISTRIBUTIONS, "--bandwidth", "nan"], "bandwidth"),
         ([*DISTRIBUTIONS, "--bandwidth", "inf"], "bandwidth"),
@@ -665,7 +674,7 @@ class TestNonFiniteSettings:
          "min_gap"),
         ([*SYNTH, "--strength", "nan", "--effect", "attention-coupling"], "strength"),
         ([*SYNTH, "--user-spread", "inf"], "user_spread"),
-    ], ids=["window-days-nan", "window-days-inf", "n-days-inf", "bandwidth-nan",
+    ], ids=["window-days-nan", "window-days-inf", "window-days-huge", "n-days-inf", "bandwidth-nan",
             "bandwidth-inf", "min-gap-nan", "strength-nan", "user-spread-inf"])
     def test_non_finite_exit_2(self, worked_example, monkeypatch, caplog, args, key):
         monkeypatch.chdir(worked_example)

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ideadrift import pca
 from ideadrift.errors import DataFormatError
-from ideadrift.pca import fit_pca, load_model, save_model, transform
+from ideadrift.pca import PcaModel, fit_pca, load_model, save_model, transform
 
 
 def random_data(seed, n=40, d=6):
@@ -69,6 +72,10 @@ class TestFitPca:
         with pytest.raises(DataFormatError):
             fit_pca(np.ones((1, 3)), 0.9)
 
+    def test_no_columns_fatal(self):
+        with pytest.raises(DataFormatError, match="column"):
+            fit_pca(np.ones((4, 0)), 0.9)
+
     def test_bad_fraction_fatal(self):
         with pytest.raises(DataFormatError):
             fit_pca(np.ones((4, 3)), 0.0)
@@ -78,6 +85,69 @@ class TestFitPca:
         assert model.k == 1
         assert_allclose(model.explained_variance, [0.0])
         assert_allclose(np.linalg.norm(model.components[0]), 1.0)
+
+
+def svd_fit(data, fraction):
+    """fit_pca's rule applied to a direct SVD of the centered matrix."""
+    n = len(data)
+    _, singular, vt = np.linalg.svd(data - data.mean(0), full_matrices=False)
+    variances = singular**2 / (n - 1)
+    total = variances.sum()
+    if total <= 0.0:
+        return np.eye(1, data.shape[1]), np.zeros(1)
+    keep = variances > variances[0] * 1e-12
+    rows, variances = pca._sort_ties(pca._fix_signs(vt[keep]), variances[keep])
+    k = int(np.searchsorted(np.cumsum(variances), fraction * total * (1.0 - 1e-12)) + 1)
+    k = min(k, len(variances))
+    return rows[:k], variances[:k]
+
+
+class TestStreamedQr:
+    # a budget of 36 values over 6 columns folds in 6-row blocks
+    @pytest.mark.parametrize(("n", "d", "budget"), [
+        (5, 8, 1 << 17),     # n < D: R has n rows
+        (8, 8, 1 << 17),     # n = D
+        (22, 6, 36),         # 4 blocks of 6 rows, the last one 4 rows, shorter than D
+        (40, 6, 36),         # 7 blocks
+        (2000, 300, 1 << 17),  # the real budget: 436-row blocks, 5 of them
+    ], ids=["n-below-d", "n-equals-d", "short-tail-block", "many-blocks", "real-budget"])
+    @pytest.mark.parametrize("fraction", [0.6, 1.0])
+    def test_matches_direct_svd(self, monkeypatch, n, d, budget, fraction):
+        monkeypatch.setattr(pca, "_QR_VALUES", budget)
+        data = random_data(20 + n, n=n, d=d) + 100.0
+        self.assert_same_fit(data, fraction)
+
+    @pytest.mark.parametrize("fraction", [0.6, 1.0])
+    def test_rank_deficient_matches_direct_svd(self, monkeypatch, fraction):
+        monkeypatch.setattr(pca, "_QR_VALUES", 48)
+        rng = np.random.default_rng(21)
+        data = rng.normal(0, 1, (30, 3)) @ rng.normal(0, 1, (3, 8)) + 5.0
+        model = self.assert_same_fit(data, fraction)
+        assert model.k <= 3
+
+    def test_constant_data_matches_direct_svd(self, monkeypatch):
+        monkeypatch.setattr(pca, "_QR_VALUES", 9)
+        model = self.assert_same_fit(np.full((10, 3), 2.5), 0.9)
+        assert_allclose(model.components, [[1.0, 0.0, 0.0]])
+
+    @staticmethod
+    def assert_same_fit(data, fraction):
+        model = fit_pca(data, fraction)
+        rows, variances = svd_fit(data, fraction)
+        assert model.k == len(variances)
+        assert_allclose(model.components, rows, rtol=0, atol=1e-10)
+        assert_allclose(model.explained_variance, variances, rtol=1e-12, atol=0)
+        return model
+
+    def test_peak_memory_below_half_the_matrix(self):
+        data = np.random.default_rng(22).normal(0, 1, (20_000, 50))
+        tracemalloc.start()
+        try:
+            fit_pca(data, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes / 2
 
 
 class TestTransform:
@@ -135,6 +205,17 @@ class TestPersistence:
         assert_allclose(loaded.mean, model.mean)
         assert_allclose(loaded.components, model.components)
         assert_allclose(loaded.explained_variance, model.explained_variance)
+
+    def test_golden_bytes(self, tmp_path):
+        model = PcaModel(mean=np.array([0.1 + 0.2, -0.0]),
+                         components=np.array([[1.0, -0.0], [0.0, 1.0]]),
+                         explained_variance=np.array([1e16, 5e-324]))
+        path = tmp_path / "pca.json"
+        save_model(model, path)
+        assert path.read_bytes() == (
+            b'{"mean": [0.30000000000000004, -0.0], '
+            b'"components": [[1.0, -0.0], [0.0, 1.0]], '
+            b'"explained_variance": [1e+16, 5e-324]}\n')
 
     def test_rejects_non_orthonormal(self, tmp_path):
         path = tmp_path / "pca.json"
