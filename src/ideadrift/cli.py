@@ -82,10 +82,8 @@ class _Settings:
         if unknown:
             raise DataFormatError(f"{cli['config']}: unknown keys {', '.join(unknown)}")
         self.layers = [cli, file, DEFAULTS]
-        preset_name = self.get("preset")
-        if preset_name not in PRESETS:
-            raise DataFormatError(f"unknown preset {preset_name!r}")
-        self.layers.insert(2, PRESETS[preset_name])
+        preset = self.values(preset=one_of(*PRESETS))["preset"]
+        self.layers.insert(2, PRESETS[preset])
         self.inputs: dict[str, Path] = {}
 
     def get(self, key: str):

@@ -260,10 +260,13 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:
     """Rows of a CSV file headed ``row_type._fields``, each field parsed by the
     matching entry of ``parsers``; blank lines are skipped. A row with the wrong
-    field count or an unparsable field raises DataFormatError with file:line."""
+    field count, an unparsable field or bytes that are not UTF-8 raises
+    DataFormatError with file:line."""
     fields = row_type._fields
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 is read as a lone surrogate; each row is
+    # decoded again strictly, so that the error names its line
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != fields:
@@ -274,6 +277,7 @@ def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], obje
             try:
                 if len(row) != len(fields):
                     raise ValueError(f"{len(row)} fields, expected {len(fields)}")
+                ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
                 rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
             except ValueError as exc:
                 raise DataFormatError(

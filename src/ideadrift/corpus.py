@@ -1,9 +1,10 @@
 """Post log and follow graph: loading, validation, components, ego neighborhoods.
 
-Input files are JSONL. posts.jsonl lines carry id, author, created_at (integer
-epoch seconds), text, likes; edges.jsonl lines carry follower, followee.
-Malformed lines are skipped with a warning; structural problems (duplicate
-post ids, unreadable files) are fatal.
+Input files are UTF-8 JSONL. posts.jsonl lines carry id, author, created_at
+(integer epoch seconds), text, likes; edges.jsonl lines carry follower,
+followee. Malformed lines, undecodable ones included, are skipped with a
+file:line warning; structural problems (duplicate post ids, unreadable files)
+are fatal.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,21 +39,17 @@ class SocialGraph:
     are never stored. Users with no edges are legal (isolated nodes).
     """
 
-    __slots__ = ("_users", "_edges", "_out")
+    __slots__ = ("_users", "_out")
 
     def __init__(self, users: Iterable[str], edges: Iterable[tuple[str, str]]):
-        self._users = frozenset(users)
-        edge_set = set()
+        out: dict[str, set[str]] = {u: set() for u in users}
         for a, b in edges:
             if a == b:
                 continue
-            if a not in self._users or b not in self._users:
+            if a not in out or b not in out:
                 raise DataFormatError(f"edge ({a!r}, {b!r}) references unknown user")
-            edge_set.add((a, b))
-        self._edges = frozenset(edge_set)
-        out: dict[str, set[str]] = {u: set() for u in self._users}
-        for a, b in self._edges:
             out[a].add(b)
+        self._users = frozenset(out)
         self._out = {u: frozenset(v) for u, v in out.items()}
 
     @property
@@ -61,18 +58,11 @@ class SocialGraph:
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
-        return self._edges
+        return frozenset((a, b) for a, followees in self._out.items() for b in followees)
 
     def out_neighbors(self, u: str) -> frozenset[str]:
         """Users that u follows."""
         return self._out[u]
-
-    def with_users(self, extra: Iterable[str]) -> "SocialGraph":
-        """Copy of the graph with additional isolated users added."""
-        extra = set(extra) - self._users
-        if not extra:
-            return self
-        return SocialGraph(self._users | extra, self._edges)
 
     def induced(self, keep: Iterable[str]) -> "SocialGraph":
         """Subgraph induced on ``keep`` (nodes restricted, edges filtered)."""
@@ -80,19 +70,15 @@ class SocialGraph:
         unknown = keep - self._users
         if unknown:
             raise DataFormatError(f"cannot induce on unknown users: {sorted(unknown)[:5]}")
-        edges = [(a, b) for a, b in self._edges if a in keep and b in keep]
-        return SocialGraph(keep, edges)
+        return SocialGraph(keep, ((a, b) for a in keep for b in self._out[a] & keep))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialGraph):
             return NotImplemented
-        return self._users == other._users and self._edges == other._edges
-
-    def __hash__(self) -> int:
-        return hash((self._users, self._edges))
+        return self._out == other._out
 
     def __repr__(self) -> str:
-        return f"SocialGraph(users={len(self._users)}, edges={len(self._edges)})"
+        return f"SocialGraph(users={len(self._users)}, edges={len(self.edges)})"
 
 
 @dataclass(frozen=True)
@@ -117,12 +103,15 @@ class Corpus:
 
 def build_corpus(posts: Sequence[Post], graph: SocialGraph) -> Corpus:
     """Assemble a Corpus; authors absent from the graph become isolated nodes."""
-    graph = graph.with_users(p.author for p in posts)
+    missing = {p.author for p in posts} - graph.users
+    if missing:
+        graph = SocialGraph(graph.users | missing, graph.edges)
     ordered = tuple(sorted(posts, key=lambda p: (p.created_at, p.id)))
     return Corpus(posts=ordered, graph=graph)
 
 
-def _parse_post(obj) -> Post:
+def _parse_post(line: str) -> Post:
+    obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     for key, typ in (("id", str), ("author", str), ("created_at", int),
@@ -140,6 +129,39 @@ def _parse_post(obj) -> Post:
                 text=obj["text"], likes=obj["likes"])
 
 
+def _parse_edge(line: str) -> tuple[str, str]:
+    obj = json.loads(line)
+    follower, followee = obj["follower"], obj["followee"]
+    if not isinstance(follower, str) or not isinstance(followee, str):
+        raise ValueError("follower/followee must be strings")
+    return follower, followee
+
+
+def _parsed_lines(path: str | Path, kind: str,
+                  parse: Callable[[str], object]) -> Iterator[tuple[int, object]]:
+    """``(lineno, parse(line))`` for each non-blank line of a JSONL file.
+
+    Lines are numbered from 1, blank ones included. A line that is not UTF-8,
+    or that ``parse`` rejects, is skipped with a ``file:line`` warning, and
+    the number skipped is logged once the file is read.
+    """
+    skipped = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
+                item = parse(line)
+            except (ValueError, KeyError, TypeError) as exc:
+                skipped += 1
+                logger.warning("%s:%d: skipping malformed %s line (%s)", path, lineno, kind, exc)
+                continue
+            yield lineno, item
+    if skipped:
+        logger.warning("%s: skipped %d malformed %s line(s)", path, skipped, kind)
+
+
 def load_posts(path: str | Path) -> list[Post]:
     """Load a posts.jsonl file, sorted by (created_at, id).
 
@@ -148,52 +170,19 @@ def load_posts(path: str | Path) -> list[Post]:
     """
     posts: list[Post] = []
     seen: set[str] = set()
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                post = _parse_post(json.loads(line))
-            except (json.JSONDecodeError, ValueError) as exc:
-                skipped += 1
-                logger.warning("%s:%d: skipping malformed post line (%s)", path, lineno, exc)
-                continue
-            if post.id in seen:
-                raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
-            seen.add(post.id)
-            posts.append(post)
-    if skipped:
-        logger.warning("%s: skipped %d malformed post line(s)", path, skipped)
+    for lineno, post in _parsed_lines(path, "post", _parse_post):
+        if post.id in seen:
+            raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
+        seen.add(post.id)
+        posts.append(post)
     posts.sort(key=lambda p: (p.created_at, p.id))
     return posts
 
 
 def load_edges(path: str | Path) -> SocialGraph:
     """Load an edges.jsonl follow graph; duplicates deduplicated, self-loops dropped."""
-    users: set[str] = set()
-    edges: set[tuple[str, str]] = set()
-    skipped = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                follower, followee = obj["follower"], obj["followee"]
-                if not isinstance(follower, str) or not isinstance(followee, str):
-                    raise ValueError("follower/followee must be strings")
-            except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-                skipped += 1
-                logger.warning("%s:%d: skipping malformed edge line (%s)", path, lineno, exc)
-                continue
-            users.add(follower)
-            users.add(followee)
-            if follower != followee:
-                edges.add((follower, followee))
-    if skipped:
-        logger.warning("%s: skipped %d malformed edge line(s)", path, skipped)
-    return SocialGraph(users, edges)
+    edges = [edge for _, edge in _parsed_lines(path, "edge", _parse_edge)]
+    return SocialGraph({u for edge in edges for u in edge}, edges)
 
 
 def largest_connected_component(g: SocialGraph) -> SocialGraph:

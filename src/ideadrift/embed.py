@@ -112,16 +112,17 @@ def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
     """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines.
 
     Each vec must be a non-empty list of JSON numbers (not strings or
-    booleans), and all lines must share one dimension; duplicate ids and
-    non-finite values are fatal.
+    booleans), and all lines must share one dimension; a line that is not
+    UTF-8, duplicate ids and non-finite values are fatal.
     """
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
             try:
+                line = raw_line.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 post_id = obj["id"]
                 raw = obj["vec"]

@@ -98,17 +98,14 @@ def bin_by_popularity(
 class DensityCurve:
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
-    n_samples: int
 
 
-def default_grid(samples: Sequence[float], bandwidth: float,
-                 points: int = DEFAULT_GRID_POINTS,
-                 span: float = DEFAULT_GRID_SPAN) -> np.ndarray:
-    """Ascending grid covering [min - span*h, max + span*h]."""
+def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
+    """Ascending grid of DEFAULT_GRID_POINTS points covering
+    [min - span*h, max + span*h] with span = DEFAULT_GRID_SPAN."""
     samples = np.asarray(samples, dtype=float)
-    return np.linspace(samples.min() - span * bandwidth,
-                       samples.max() + span * bandwidth, points)
+    return np.linspace(samples.min() - DEFAULT_GRID_SPAN * bandwidth,
+                       samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
 
 
 def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> DensityCurve:
@@ -130,8 +127,7 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> Density
         scaled = (grid[None, :] - chunk[:, None]) / bandwidth
         density += np.exp(-0.5 * scaled**2).sum(axis=0)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
-    return DensityCurve(grid=grid, density=density, bandwidth=bandwidth,
-                        n_samples=int(samples.size))
+    return DensityCurve(grid=grid, density=density)
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +139,8 @@ class _PooledSplits:
 
     The distinct values, their multiplicities, and the per-value weights of
     the midrank statistic depend only on the pooled sample, so they are
-    shared across all splits during permutation.
+    shared across all splits during permutation. ``mann_whitney`` takes its
+    midranks (B_j + 1/2) and tie counts from the same table.
     """
 
     def __init__(self, pooled: np.ndarray):
@@ -298,13 +295,6 @@ def bonferroni(pvals: Sequence[float], m: int) -> list[float]:
 # Mann-Whitney U test
 # ---------------------------------------------------------------------------
 
-def _midranks(a: np.ndarray) -> np.ndarray:
-    values, inverse, counts = np.unique(a, return_inverse=True, return_counts=True)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    group_rank = starts + (counts + 1) / 2.0
-    return group_rank[inverse]
-
-
 def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Two-sided Mann-Whitney test; returns (U, p) with U counted for x.
 
@@ -318,8 +308,8 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     n, m = x.size, y.size
     if n < 1 or m < 1:
         raise DataFormatError("each sample needs at least 1 observation")
-    pooled = np.concatenate([x, y])
-    ranks = _midranks(pooled)
+    pooled = _PooledSplits(np.concatenate([x, y]))
+    ranks = (pooled.pooled_midcount + 0.5)[pooled.value_index]
     u = float(ranks[:n].sum() - n * (n + 1) / 2.0)
     mu = n * m / 2.0
 
@@ -335,8 +325,8 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
         return u, count / total
 
     n_total = n + m
-    _, counts = np.unique(pooled, return_counts=True)
-    tie_term = float(np.sum(counts.astype(float)**3 - counts)) / (n_total * (n_total - 1.0))
+    counts = pooled.multiplicity
+    tie_term = float(np.sum(counts**3 - counts)) / (n_total * (n_total - 1.0))
     variance = n * m / 12.0 * ((n_total + 1.0) - tie_term)
     if variance <= 0.0:
         return u, 1.0
@@ -375,7 +365,6 @@ class BinSummary:
 def bin_summary(
     bins: dict[str, list[float]],
     bandwidth: float = DEFAULT_BANDWIDTH,
-    grid: np.ndarray | None = None,
     p_method: str = "table",
     n_perm: int = DEFAULT_N_PERM,
     seed: int = 0,
@@ -387,8 +376,7 @@ def bin_summary(
     smaller bins are reported but skipped with a notice.
     """
     pooled = [v for samples in bins.values() for v in samples]
-    if grid is None and pooled:
-        grid = default_grid(pooled, bandwidth)
+    grid = default_grid(pooled, bandwidth) if pooled else None
     stats_rows: list[BinStats] = []
     notices: list[str] = []
     testable: list[str] = []

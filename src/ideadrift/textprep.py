@@ -14,6 +14,7 @@ import unicodedata
 from importlib import resources
 from pathlib import Path
 
+from .errors import DataFormatError
 from .porter import stem
 
 _NON_LETTER = re.compile(r"[^a-z\s]+")
@@ -29,9 +30,15 @@ def default_stopwords() -> frozenset[str]:
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Load a one-word-per-line stopword file."""
-    with open(path, encoding="utf-8") as fh:
-        return frozenset(line.strip().lower() for line in fh if line.strip())
+    """Load a one-word-per-line UTF-8 stopword file; an undecodable line is fatal."""
+    words = set()
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                words.add(line.decode("utf-8").strip().lower())
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
+    return frozenset(words - {""})
 
 
 def _fold_ascii(text: str) -> str:

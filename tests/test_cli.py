@@ -115,6 +115,18 @@ class TestGraphStages:
         edges = (tmp_path / "out_edges.jsonl").read_text().splitlines()
         assert len(edges) == 1
 
+    def test_ingest_skips_undecodable_post_line(self, tmp_path, caplog):
+        posts = tmp_path / "posts.jsonl"
+        write_jsonl(posts, [{"id": "p1", "author": "a", "created_at": 0, "text": "", "likes": 0}])
+        posts.write_bytes(posts.read_bytes() + b'{"id": "p2", "author": "\xff"}\n')
+        write_jsonl(tmp_path / "edges.jsonl", [{"follower": "a", "followee": "b"}])
+        assert main(["ingest", "--posts", str(posts), "--edges", str(tmp_path / "edges.jsonl"),
+                     "--out-posts", str(tmp_path / "out_posts.jsonl"),
+                     "--out-edges", str(tmp_path / "out_edges.jsonl")]) == 0
+        assert f"{posts}:2: skipping malformed post line" in caplog.text
+        assert f"{posts}: skipped 1 malformed post line(s)" in caplog.text
+        assert len((tmp_path / "out_posts.jsonl").read_text().splitlines()) == 1
+
     def test_lcc_stage_filters_posts(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [
             {"id": "p1", "author": "a", "created_at": 0, "text": "", "likes": 0},
@@ -515,19 +527,20 @@ class TestSynthManifest:
 
 class TestBadRecordRows:
     @pytest.mark.parametrize(("stage", "row"), [
-        ("dynamics", "p2,a,notanint,0,,,0,0"),
-        ("distributions", "p2,a,notanint,0,,,0,0"),
-        ("dynamics", "p2,a,5,0,,,1,0,x,y"),
-        ("distributions", "p2,a,5,0,,,1,0,x,y"),
+        ("dynamics", b"p2,a,notanint,0,,,0,0"),
+        ("distributions", b"p2,a,notanint,0,,,0,0"),
+        ("dynamics", b"p2,a,5,0,,,1,0,x,y"),
+        ("distributions", b"p2,a,5,0,,,1,0,x,y"),
+        ("dynamics", b"p2,\xff,5,0,,,1,0"),
+        ("distributions", b"p2,\xff,5,0,,,1,0"),
     ], ids=["dynamics", "distributions", "dynamics-extra-fields",
-            "distributions-extra-fields"])
+            "distributions-extra-fields", "dynamics-not-utf8", "distributions-not-utf8"])
     def test_malformed_row_exit_2(self, tmp_path, caplog, stage, row):
         records = tmp_path / "records.csv"
-        records.write_text(
-            "post_id,author,created_at,likes,eccentricity,self_eccentricity,"
-            "cloud_size,self_cloud_size\n"
-            "p1,a,0,0,,,0,0\n"
-            f"{row}\n")
+        records.write_bytes(
+            b"post_id,author,created_at,likes,eccentricity,self_eccentricity,"
+            b"cloud_size,self_cloud_size\n"
+            b"p1,a,0,0,,,0,0\n" + row + b"\n")
         args = (["dynamics", "--out", str(tmp_path / "dyn.csv")]
                 if stage == "dynamics" else
                 ["distributions", "--out-csv", str(tmp_path / "d.csv"),
@@ -647,8 +660,9 @@ class TestPresets:
         assert dims == {90}
         assert config["min_count"] == 7
 
-    def test_unknown_preset_in_config_exit_2(self, small_run, tmp_path):
-        (tmp_path / "config.json").write_text(json.dumps({"preset": "nope"}))
+    @pytest.mark.parametrize("preset", ["nope", ["x"]], ids=["unknown", "list"])
+    def test_unknown_preset_in_config_exit_2(self, small_run, tmp_path, preset):
+        (tmp_path / "config.json").write_text(json.dumps({"preset": preset}))
         assert main(["--config", str(tmp_path / "config.json"), "embed",
                      "--posts", str(small_run / "posts.jsonl"),
                      "--out", str(tmp_path / "v.jsonl")]) == 2

@@ -250,6 +250,19 @@ class TestLongHorizon:
                     == (r2.eccentricity, r2.self_eccentricity, r2.cloud_size,
                         r2.self_cloud_size))
 
+    def test_times_beyond_int64_agree_with_oracle(self):
+        corpus, vectors = TestReplayInvariants._random_case(5)
+        shift = 2 ** 63
+        moved = corpus_of([Post(p.id, p.author, p.created_at + shift, p.text, p.likes)
+                           for p in corpus.posts],
+                          corpus.graph.users, corpus.graph.edges)
+        for r in replay(moved, vectors, WINDOW):
+            want = eccentricity_oracle(moved, vectors, WINDOW, r.post_id)
+            for got, exact in zip((r.eccentricity, r.self_eccentricity), want):
+                assert (got is None) == (exact is None)
+                if exact is not None:
+                    assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
 
 class TestRecordsCsv:
     def test_roundtrip_preserves_values_and_undefined(self, tmp_path):

@@ -71,6 +71,19 @@ class TestLoadPosts:
         with pytest.raises(FileNotFoundError):
             load_posts(tmp_path / "missing.jsonl")
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
+    def test_warning_names_the_line(self, tmp_path, caplog, newline):
+        path = tmp_path / "posts.jsonl"
+        lines = [json.dumps(POST).encode(), b"", b"not json", b"\xff"]
+        path.write_bytes(newline.join(lines) + newline)
+        with caplog.at_level("WARNING"):
+            assert load_posts(path) == [Post("p1", "a", 0, "hi", 0)]
+        assert [r.getMessage().split(" (")[0] for r in caplog.records] == [
+            f"{path}:3: skipping malformed post line",
+            f"{path}:4: skipping malformed post line",
+            f"{path}: skipped 2 malformed post line(s)",
+        ]
+
 
 class TestLoadEdges:
     def test_dedup(self, tmp_path):
@@ -92,13 +105,33 @@ class TestLoadEdges:
         g = load_edges(path)
         assert g.users == frozenset() and g.edges == frozenset()
 
-    def test_malformed_skipped(self, tmp_path, caplog):
+    @pytest.mark.parametrize("bad", [
+        b'{"follower": "a"}', b'{"follower": "\xff", "followee": "b"}',
+    ], ids=["missing-key", "not-utf8"])
+    def test_malformed_skipped(self, tmp_path, caplog, bad):
         path = tmp_path / "edges.jsonl"
-        path.write_text('{"follower": "a"}\n{"follower": "a", "followee": "b"}\n')
+        path.write_bytes(bad + b'\n{"follower": "a", "followee": "b"}\n')
         with caplog.at_level("WARNING"):
             g = load_edges(path)
-        assert g.edges == {("a", "b")}
-        assert any("malformed" in r.message for r in caplog.records)
+        assert g.users == {"a", "b"} and g.edges == {("a", "b")}
+        assert f"{path}:1: skipping malformed edge line" in caplog.text
+
+
+class TestSocialGraph:
+    def test_self_loop_on_unknown_user_dropped(self):
+        g = SocialGraph("ab", [("a", "b"), ("z", "z")])
+        assert g.users == {"a", "b"} and g.edges == {("a", "b")}
+
+    def test_edge_to_unknown_user_fatal(self):
+        with pytest.raises(DataFormatError, match="unknown user"):
+            SocialGraph("ab", [("a", "z")])
+
+    def test_equality_and_edges(self):
+        g = SocialGraph("abc", [("a", "b"), ("a", "b"), ("b", "a")])
+        assert g.edges == {("a", "b"), ("b", "a")}
+        assert g == SocialGraph("cba", [("b", "a"), ("a", "b")])
+        assert g != SocialGraph("ab", [("b", "a"), ("a", "b")])
+        assert g != SocialGraph("abc", [("a", "b")])
 
 
 class TestLargestConnectedComponent:

@@ -134,13 +134,13 @@ class TestExternalVectors:
             load_external_vectors(path)
 
     @pytest.mark.parametrize("vec", [
-        '["1.5","2"]', "[true,false]", "[]", "[true,1.5]",
-    ], ids=["strings", "booleans", "empty", "mixed-bool"])
+        b'["1.5","2"]', b"[true,false]", b"[]", b"[true,1.5]", b"[1.0,\xff]",
+    ], ids=["strings", "booleans", "empty", "mixed-bool", "not-utf8"])
     def test_non_number_or_empty_vec_fatal(self, tmp_path, vec):
         path = tmp_path / "vectors.jsonl"
         # alone in the file, so no dimension check can catch it; the blank
         # first line is skipped but still counted
-        path.write_text('\n{"id":"p1","vec":' + vec + "}\n")
+        path.write_bytes(b'\n{"id":"p1","vec":' + vec + b"}\n")
         with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: "):
             load_external_vectors(path)
 

@@ -3,6 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from ideadrift.errors import DataFormatError
 from ideadrift.porter import stem
 from ideadrift.textprep import clean, default_stopwords, load_stopwords
 
@@ -122,3 +123,10 @@ def test_load_stopwords_file(tmp_path):
     path = tmp_path / "stops.txt"
     path.write_text("Foo\nbar\n\n")
     assert load_stopwords(path) == {"foo", "bar"}
+
+
+def test_load_stopwords_undecodable_line_fatal(tmp_path):
+    path = tmp_path / "stops.txt"
+    path.write_bytes(b"foo\r\nb\xffr\r\n")
+    with pytest.raises(DataFormatError, match=r"stops\.txt:2: not UTF-8"):
+        load_stopwords(path)
