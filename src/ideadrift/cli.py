@@ -111,6 +111,8 @@ class _Settings:
         path = Path(value)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
+        if path.is_dir():
+            raise DataFormatError(f"input is a directory, not a file: {path}")
         self.inputs[key] = path
         return path
 
@@ -247,9 +249,9 @@ def stage_embed(settings: _Settings, config: dict) -> None:
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
-    tokens = {p.id: textprep.clean(p.text, stopwords) for p in posts}
-    model = embed.fit_vectorizer([tokens[p.id] for p in posts], **config)
-    vectors = embed.embed_all(model, ((p.id, tokens[p.id]) for p in posts))
+    docs = [(p.id, textprep.clean(p.text, stopwords)) for p in posts]
+    model = embed.fit_vectorizer([tokens for _, tokens in docs], **config)
+    vectors = embed.embed_all(model, docs)
     out = settings.out_path("out")
     embed.write_vectors(out, vectors)
     logger.info("embed: %d posts, vocabulary %d, dim %d",
@@ -258,15 +260,12 @@ def stage_embed(settings: _Settings, config: dict) -> None:
 
 
 def stage_pca(settings: _Settings, config: dict) -> None:
-    vectors = embed.load_external_vectors(settings.require_path("vectors"))
-    if len(vectors) < 2:
+    ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
+    if len(ids) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
-    ids = sorted(vectors)
-    matrix = np.asarray([vectors[i] for i in ids])
     model = pca.fit_pca(matrix, config["variance"])
-    reduced = pca.transform(model, matrix)
     out = settings.out_path("out")
-    embed.write_vectors(out, {i: reduced[row] for row, i in enumerate(ids)})
+    embed.write_vectors(out, (ids, pca.transform(model, matrix)))
     model_out = settings.out_path("model_out")
     pca.save_model(model, model_out)
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
@@ -332,7 +331,7 @@ def stage_synth(settings: _Settings, config: dict) -> None:
     fields = {"posts_per_day": "posts_per_user_per_day", "synth_dim": "dim",
               "strength": "effect_strength"}
     cfg = synth.SynthConfig(**{fields.get(key, key): value for key, value in config.items()})
-    c, vectors = synth.gen_corpus(cfg)
+    c, vectors, _ = synth.gen_corpus(cfg)
     out_posts = settings.out_path("out_posts")
     out_edges = settings.out_path("out_edges")
     out_vectors = settings.out_path("out_vectors")

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import Corpus, Post, ego_neighborhood
+from .embed import Vectors
 from .errors import DataFormatError
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
@@ -41,22 +42,6 @@ RECORD_FIELDS = EccentricityRecord._fields
 # Float64 values allowed in one temporary of the replay kernel. Work is split
 # into chunks of this size, so peak memory does not grow with the corpus.
 _CHUNK_VALUES = 1 << 17
-
-
-def _post_matrix(posts: tuple[Post, ...], vectors: dict[str, np.ndarray]) -> np.ndarray:
-    """Stack the posts' vectors in post order; every post needs one, all of one dimension."""
-    rows = []
-    for post in posts:
-        vec = vectors.get(post.id)
-        if vec is None:
-            raise DataFormatError(f"no vector for post {post.id!r}")
-        if rows and vec.shape[0] != rows[0].shape[0]:
-            raise DataFormatError(
-                f"vector for post {post.id!r} has dimension {vec.shape[0]}, "
-                f"expected {rows[0].shape[0]}"
-            )
-        rows.append(vec)
-    return np.array(rows, dtype=float)
 
 
 def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
@@ -116,11 +101,29 @@ def _part_sums(x, prefix, ref, v, seg, a, b):
     return (b - a)[:, None] * (v - x[ref[seg]]) - (prefix[b + seg] - prefix[a + seg])
 
 
-def _clouds(corpus: Corpus, vectors: dict[str, np.ndarray], window_seconds: int):
+def _row_index(vectors: Vectors) -> dict[str, int]:
+    """Map each post id to its matrix row. A matrix that is not 2-D, or whose
+    row count differs from the id count, is a DataFormatError that names the
+    first id left without a row."""
+    ids, matrix = vectors
+    n_rows = len(matrix) if np.ndim(matrix) == 2 else 0
+    if n_rows != len(ids):
+        unmatched = f", first without a row: {ids[n_rows]!r}" if n_rows < len(ids) else ""
+        raise DataFormatError(f"vector matrix of shape {np.shape(matrix)} does not hold "
+                              f"one row per id ({len(ids)} ids{unmatched})")
+    return dict(zip(ids, range(len(ids))))
+
+
+def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
     """Per post, in log order: eccentricity, self-eccentricity, cloud size and
     self-cloud size, as four lists (see ``replay``)."""
     posts = corpus.posts
-    x = _post_matrix(posts, vectors)
+    row = _row_index(vectors)
+    matrix = vectors[1]
+    try:
+        x = matrix[[row[p.id] for p in posts]]
+    except KeyError as exc:
+        raise DataFormatError(f"no vector for post {exc.args[0]!r}") from None
     n = len(posts)
     if n == 0:
         return [], [], [], []
@@ -184,7 +187,7 @@ def _clouds(corpus: Corpus, vectors: dict[str, np.ndarray], window_seconds: int)
 
 def replay(
     corpus: Corpus,
-    vectors: dict[str, np.ndarray],
+    vectors: Vectors,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
 ) -> list[EccentricityRecord]:
     """Emit one EccentricityRecord per post, in (created_at, id) order.
@@ -207,7 +210,7 @@ def replay(
 
 def eccentricity_oracle(
     corpus: Corpus,
-    vectors: dict[str, np.ndarray],
+    vectors: Vectors,
     window_seconds: int,
     post_id: str,
 ) -> tuple[float | None, float | None]:
@@ -221,14 +224,16 @@ def eccentricity_oracle(
     target = next((p for p in corpus.posts if p.id == post_id), None)
     if target is None:
         raise DataFormatError(f"unknown post id {post_id!r}")
+    row = _row_index(vectors)
+    matrix = vectors[1]
     neighborhood = ego_neighborhood(corpus.graph, target.author)
     t = target.created_at
     lo = t - window_seconds
-    cloud = [vectors[p.id] for p in corpus.posts
+    cloud = [matrix[row[p.id]] for p in corpus.posts
              if lo <= p.created_at < t and p.author in neighborhood]
-    own = [vectors[p.id] for p in corpus.posts
+    own = [matrix[row[p.id]] for p in corpus.posts
            if lo <= p.created_at < t and p.author == target.author]
-    vec = vectors[target.id]
+    vec = matrix[row[target.id]]
 
     def distance(members: list[np.ndarray]) -> float | None:
         if not members:

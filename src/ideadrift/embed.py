@@ -15,13 +15,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DataFormatError
 
 DEFAULT_HASH_SEED = 9172023
+
+# vectors: post ids and a 2-D float64 matrix with one row per id
+Vectors = tuple[Sequence[str], np.ndarray]
 
 
 def _hash64(token: str, seed: int, person: bytes) -> int:
@@ -103,20 +106,26 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     return vec
 
 
-def embed_all(model: VectorizerModel, docs: Iterable[tuple[str, Sequence[str]]]) -> dict[str, np.ndarray]:
-    """Embed (id, tokens) pairs into an id -> vector map."""
-    return {doc_id: embed(model, tokens) for doc_id, tokens in docs}
+def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
+    """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
+    matrix = np.empty((len(docs), model.dim))
+    for row, (_, tokens) in enumerate(docs):
+        matrix[row] = embed(model, tokens)
+    return [doc_id for doc_id, _ in docs], matrix
 
 
-def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
-    """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines.
+def load_external_vectors(path: str | Path) -> Vectors:
+    """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines as vectors:
+    the ids and a float64 matrix with one row per id, in ascending id order
+    whatever the order of the lines.
 
     Each vec must be a non-empty list of JSON numbers (not strings or
     booleans), and all lines must share one dimension; a line that is not
-    UTF-8, duplicate ids and non-finite values are fatal.
+    UTF-8, duplicate ids and non-finite values are fatal, each naming its line.
     """
-    vectors: dict[str, np.ndarray] = {}
-    dim: int | None = None
+    ids: list[str] = []
+    seen: set[str] = set()
+    matrix = np.empty((0, 0))   # rows beyond len(ids) are spare capacity
     with open(path, "rb") as fh:
         for lineno, raw_line in enumerate(fh, start=1):
             try:
@@ -131,33 +140,34 @@ def load_external_vectors(path: str | Path) -> dict[str, np.ndarray]:
                 # type() rather than isinstance(): bool is a subclass of int
                 if not raw or not set(map(type, raw)) <= {int, float}:
                     raise ValueError("vec must be a non-empty list of numbers")
-                vec = np.asarray(raw, dtype=float)
+                if ids and len(raw) != matrix.shape[1]:
+                    raise ValueError(f"dimension {len(raw)} != {matrix.shape[1]} seen earlier")
+                if len(ids) == len(matrix):  # full: double in place; no view of it is held
+                    matrix.resize((2 * len(ids) or 1, len(raw)), refcheck=False)
+                matrix[len(ids)] = raw
+                if not np.isfinite(matrix[len(ids)]).all():
+                    raise ValueError(f"non-finite component for {post_id!r}")
+                if post_id in seen:
+                    raise ValueError(f"duplicate id {post_id!r}")
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise DataFormatError(
-                    f"{path}:{lineno}: dimension {vec.size} != {dim} seen earlier"
-                )
-            if not np.all(np.isfinite(vec)):
-                raise DataFormatError(f"{path}:{lineno}: non-finite component for {post_id!r}")
-            if post_id in vectors:
-                raise DataFormatError(f"{path}:{lineno}: duplicate id {post_id!r}")
-            vectors[post_id] = vec
-    return vectors
+            seen.add(post_id)
+            ids.append(post_id)
+    matrix.resize((len(ids), matrix.shape[1]), refcheck=False)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return [ids[i] for i in order], matrix[order]
 
 
-def write_vectors(path: str | Path, vectors: dict[str, np.ndarray]) -> None:
-    """Write an id -> vector map as vectors.jsonl (ids in sorted order).
+def write_vectors(path: str | Path, vectors: Vectors) -> None:
+    """Write vectors as vectors.jsonl, one line per id in ascending id order.
 
     The bytes are those of ``json.dumps`` with compact separators: JSON
     writes a finite float by its ``repr``, so the components are joined
     directly. A non-finite component is written as ``nan``/``inf``, which
     ``load_external_vectors`` rejects.
     """
+    ids, matrix = vectors
     with open(path, "w", encoding="utf-8") as fh:
-        for post_id in sorted(vectors):
-            values = np.asarray(vectors[post_id], dtype=float).tolist()
-            fh.write('{"id":' + json.dumps(post_id) + ',"vec":['
-                     + ",".join(map(repr, values)) + "]}\n")
+        for row in sorted(range(len(ids)), key=ids.__getitem__):
+            fh.write('{"id":' + json.dumps(ids[row]) + ',"vec":['
+                     + ",".join(map(repr, matrix[row].tolist())) + "]}\n")

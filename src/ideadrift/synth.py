@@ -23,7 +23,7 @@ import numpy as np
 
 from .corpus import (Corpus, Post, SocialGraph, build_corpus,
                      write_edges_jsonl, write_posts_jsonl)
-from .embed import write_vectors
+from .embed import Vectors, write_vectors
 from .errors import DataFormatError
 
 EFFECTS = ("null", "attention-coupling", "elevator-drift")
@@ -94,11 +94,9 @@ class SynthDetails:
     planted_deviation: np.ndarray
 
 
-def gen_corpus(
-    cfg: SynthConfig, with_details: bool = False,
-) -> (tuple[Corpus, dict[str, np.ndarray]]
-      | tuple[Corpus, dict[str, np.ndarray], SynthDetails]):
-    """Generate a corpus and its post vectors. Same config, same bytes."""
+def gen_corpus(cfg: SynthConfig) -> tuple[Corpus, Vectors, SynthDetails]:
+    """Generate a corpus, its post vectors and the generation internals.
+    Same config, same bytes."""
     rng = np.random.default_rng(cfg.seed)
     users = [f"u{i:05d}" for i in range(cfg.n_users)]
 
@@ -165,19 +163,15 @@ def gen_corpus(
             text=" ".join(words),
             likes=int(likes[idx]),
         ))
-    corpus = build_corpus(posts, graph)
-    vec_map = {post.id: vectors[idx] for idx, post in enumerate(posts)}
-    if with_details:
-        details = SynthDetails(user_means=mu, drift_direction=drift_dir,
-                               author_index=author_idx, times_days=t_days,
-                               planted_deviation=deviation)
-        return corpus, vec_map, details
-    return corpus, vec_map
+    details = SynthDetails(user_means=mu, drift_direction=drift_dir,
+                           author_index=author_idx, times_days=t_days,
+                           planted_deviation=deviation)
+    return build_corpus(posts, graph), ([p.id for p in posts], vectors), details
 
 
 def write_corpus_files(
     corpus: Corpus,
-    vectors: dict[str, np.ndarray],
+    vectors: Vectors,
     posts_path: str | Path,
     edges_path: str | Path,
     vectors_path: str | Path,

@@ -47,7 +47,7 @@ def test_acceptance_1_oracle_equivalence():
         cfg = SynthConfig(n_users=20, follow_prob=0.15, n_days=5,
                           posts_per_user_per_day=5, dim=8, seed=seed,
                           effect="null")
-        corpus, vectors = gen_corpus(cfg)
+        corpus, vectors, _ = gen_corpus(cfg)
         records = replay(corpus, vectors, WINDOW)
         for r in records:
             ecc, self_ecc = eccentricity_oracle(corpus, vectors, WINDOW, r.post_id)
@@ -169,7 +169,7 @@ def test_acceptance_5_popularity_coupling_reproduction():
     cfg = SynthConfig(n_users=1000, follow_prob=0.02, n_days=10,
                       posts_per_user_per_day=5, dim=16, seed=11,
                       effect="attention-coupling", effect_strength=1.0)
-    corpus, vectors = gen_corpus(cfg)
+    corpus, vectors, _ = gen_corpus(cfg)
     records = replay(corpus, vectors, WINDOW)
     binning = PopularityBinning.from_thresholds((10, 100))
     bins = bin_by_popularity(records, binning)
@@ -178,7 +178,7 @@ def test_acceptance_5_popularity_coupling_reproduction():
     low_high = next(t for t in summary.tests
                     if (t.label_a, t.label_b) == ("low", "high"))
 
-    corpus2, vectors2 = gen_corpus(cfg)
+    corpus2, vectors2, _ = gen_corpus(cfg)
     records2 = replay(corpus2, vectors2, WINDOW)
     deterministic = records2 == records and corpus2.posts == corpus.posts
 
@@ -198,7 +198,7 @@ def test_acceptance_6_shared_drift_reproduction():
     cfg = SynthConfig(n_users=300, follow_prob=0.15, n_days=10,
                       posts_per_user_per_day=5, dim=16, seed=23,
                       effect="elevator-drift", effect_strength=1.0)
-    corpus, vectors = gen_corpus(cfg)
+    corpus, vectors, _ = gen_corpus(cfg)
     posts_per_user = len(corpus.posts) / cfg.n_users
     records = replay(corpus, vectors, WINDOW)
     rows = user_dynamics(records, weighting="proportional-gap")

@@ -1,0 +1,66 @@
+"""The benchmark's use of the package, checked here so that a change to a
+traced function fails in the unit tests rather than in a benchmark run.
+
+``perfbench/traced_stage.py`` wraps ``TRACED`` functions by name and reads a
+path from argument 0 of the vector reader and writer; ``perfbench/run.py``
+passes what ``embed.load_external_vectors`` returns straight to
+``cloud.eccentricity_oracle``.
+"""
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+from ideadrift import cloud, corpus, embed
+from ideadrift.cli import main
+
+TRACED_STAGE = Path(__file__).resolve().parent.parent / "perfbench" / "traced_stage.py"
+DAY = 86400
+
+
+@pytest.fixture(scope="module")
+def traced_stage():
+    spec = importlib.util.spec_from_file_location("traced_stage", TRACED_STAGE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves(traced_stage):
+    for layer, names in traced_stage.TRACED.items():
+        module = importlib.import_module(f"ideadrift.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"ideadrift.{layer}.{name}"
+
+
+@pytest.mark.parametrize("name", ["load_external_vectors", "write_vectors"])
+def test_vector_io_takes_path_first(name):
+    assert next(iter(inspect.signature(getattr(embed, name)).parameters)) == "path"
+
+
+def test_oracle_takes_what_the_reader_returns(tmp_path):
+    files = {key: tmp_path / f"{key}.jsonl" for key in ("posts", "edges", "vectors")}
+    assert main(["synth", "--n-users", "12", "--follow-prob", "0.3", "--n-days", "4",
+                 "--posts-per-day", "3", "--synth-dim", "5", "--seed", "3",
+                 *(arg for key, path in files.items()
+                   for arg in (f"--out-{key}", str(path)))]) == 0
+    records_csv = tmp_path / "records.csv"
+    assert main(["eccentricity", *(arg for key, path in files.items()
+                                   for arg in (f"--{key}", str(path))),
+                 "--window-days", "5", "--out", str(records_csv)]) == 0
+    c = corpus.build_corpus(corpus.load_posts(files["posts"]),
+                            corpus.load_edges(files["edges"]))
+    vecs = embed.load_external_vectors(files["vectors"])
+    records = cloud.read_records_csv(records_csv)
+    defined = 0
+    for r in records:
+        want = cloud.eccentricity_oracle(c, vecs, 5 * DAY, r.post_id)
+        for got, exp in zip((r.eccentricity, r.self_eccentricity), want):
+            assert (got is None) == (exp is None)
+            if exp is not None:
+                defined += 1
+                assert abs(got - exp) <= 1e-9 * max(abs(exp), 1e-300)
+    assert defined > 0

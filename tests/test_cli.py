@@ -61,12 +61,21 @@ class TestEccentricityStage:
         assert rows["p1"]["eccentricity"] == ""
         assert (worked_example / "records.csv.manifest.json").exists()
 
-    def test_missing_input_exit_2(self, tmp_path):
+    def test_missing_input_exit_2(self, worked_example, tmp_path, caplog):
         code = main(["eccentricity", "--posts", str(tmp_path / "nope.jsonl"),
                      "--edges", str(tmp_path / "nope.jsonl"),
                      "--vectors", str(tmp_path / "nope.jsonl"),
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
+        # a directory given as an input file
+        directory = tmp_path / "posts_dir"
+        directory.mkdir()
+        code = main(["eccentricity", "--posts", str(directory),
+                     "--edges", str(worked_example / "edges.jsonl"),
+                     "--vectors", str(worked_example / "vectors.jsonl"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert str(directory) in caplog.text
 
     def test_data_error_exit_2(self, worked_example, tmp_path):
         # vector file missing one post id
@@ -195,6 +204,24 @@ class TestEmbedAndPcaStages:
             (tmp_path / "reduced.jsonl").read_text().splitlines()[0])["vec"])
         assert reduced_dim == len(model["explained_variance"]) <= 16
 
+    def test_pca_fits_rows_in_id_order(self, tmp_path):
+        # the fit's last bits depend on row order: the file's line order must not
+        matrix = (np.random.default_rng(5).standard_normal((300, 40))
+                  * np.linspace(1.0, 5.0, 40) + 1e3)
+        embed.write_vectors(tmp_path / "sorted.jsonl",
+                            ([f"p{i:03d}" for i in range(len(matrix))], matrix))
+        lines = (tmp_path / "sorted.jsonl").read_text().splitlines(keepends=True)
+        (tmp_path / "reversed.jsonl").write_text("".join(reversed(lines)))
+        outputs = []
+        for name in ("sorted", "reversed"):
+            out = tmp_path / name
+            assert main(["pca", "--vectors", str(tmp_path / f"{name}.jsonl"),
+                         "--variance", "0.9", "--out", str(out / "reduced.jsonl"),
+                         "--model-out", str(out / "pca_model.json")]) == 0
+            outputs.append([(out / f).read_bytes()
+                            for f in ("reduced.jsonl", "pca_model.json")])
+        assert outputs[0] == outputs[1]
+
     def test_embed_custom_stopwords(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [
             {"id": "p0", "author": "a", "created_at": 0,
@@ -302,7 +329,7 @@ class TestBlasThreads:
         # a multithreaded SVD changes the last bits at 2000 x 300, not at 2000 x 100
         matrix = np.random.default_rng(11).standard_normal((2000, 300))
         embed.write_vectors(tmp_path / "vectors.jsonl",
-                            {f"p{i:04d}": row for i, row in enumerate(matrix)})
+                            ([f"p{i:04d}" for i in range(len(matrix))], matrix))
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"

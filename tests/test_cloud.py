@@ -27,7 +27,7 @@ def three_user_example():
         Post("p2", "c", 2 * DAY, "", 0),
         Post("p3", "a", 3 * DAY, "", 0),
     ]
-    vectors = {"p1": np.array([0.0]), "p2": np.array([2.0]), "p3": np.array([4.0])}
+    vectors = (["p1", "p2", "p3"], np.array([[0.0], [2.0], [4.0]]))
     return corpus_of(posts, users, edges), vectors
 
 
@@ -47,7 +47,7 @@ class TestReplayWorkedExamples:
         corpus = corpus_of([Post("q1", "b", 0, "", 0),
                             Post("q2", "a", 432001, "", 0)],
                            ["a", "b"], [("a", "b")])
-        vectors = {"q1": np.array([1.0]), "q2": np.array([5.0])}
+        vectors = (["q1", "q2"], np.array([[1.0], [5.0]]))
         records = replay(corpus, vectors, 432000)
         assert records[1].eccentricity is None
         assert records[1].cloud_size == 0
@@ -56,13 +56,13 @@ class TestReplayWorkedExamples:
         corpus = corpus_of([Post("q1", "b", 1, "", 0),
                             Post("q2", "a", 432001, "", 0)],
                            ["a", "b"], [("a", "b")])
-        vectors = {"q1": np.array([1.0]), "q2": np.array([5.0])}
+        vectors = (["q1", "q2"], np.array([[1.0], [5.0]]))
         records = replay(corpus, vectors, 432000)
         assert records[1].eccentricity == 4.0
 
     def test_first_post_everything_undefined(self):
         corpus = corpus_of([Post("p1", "a", 0, "", 0)], ["a"], [])
-        records = replay(corpus, {"p1": np.array([1.0])}, WINDOW)
+        records = replay(corpus, (["p1"], np.array([[1.0]])), WINDOW)
         (r,) = records
         assert r.eccentricity is None and r.self_eccentricity is None
         assert r.cloud_size == 0 and r.self_cloud_size == 0
@@ -71,7 +71,7 @@ class TestReplayWorkedExamples:
         corpus = corpus_of([Post("p1", "a", 100, "", 0),
                             Post("p2", "b", 100, "", 0)],
                            ["a", "b"], [("a", "b"), ("b", "a")])
-        vectors = {"p1": np.array([0.0]), "p2": np.array([9.0])}
+        vectors = (["p1", "p2"], np.array([[0.0], [9.0]]))
         records = replay(corpus, vectors, WINDOW)
         assert records[0].eccentricity is None
         assert records[1].eccentricity is None
@@ -81,7 +81,7 @@ class TestReplayWorkedExamples:
         corpus = corpus_of([Post("p1", "x", 0, "", 0),
                             Post("p2", "u", 100, "", 0)],
                            ["u", "x"], [("x", "u")])
-        vectors = {"p1": np.array([3.0]), "p2": np.array([1.0])}
+        vectors = (["p1", "p2"], np.array([[3.0], [1.0]]))
         records = replay(corpus, vectors, WINDOW)
         assert records[1].eccentricity is None
         # while u's post lands in x's base
@@ -91,12 +91,18 @@ class TestReplayWorkedExamples:
     def test_missing_vector_fatal_with_id(self):
         corpus = corpus_of([Post("p9", "a", 0, "", 0)], ["a"], [])
         with pytest.raises(DataFormatError, match="p9"):
-            replay(corpus, {}, WINDOW)
+            replay(corpus, (["p1"], np.zeros((1, 2))), WINDOW)
 
     def test_dimension_mismatch_fatal_with_id(self):
         corpus = corpus_of([Post("p1", "a", 0, "", 0), Post("p2", "a", 1, "", 0)], ["a"], [])
+        # one row for two ids leaves p2 without a vector of the common dimension
         with pytest.raises(DataFormatError, match="p2"):
-            replay(corpus, {"p1": np.zeros(2), "p2": np.zeros(3)}, WINDOW)
+            replay(corpus, (["p1", "p2"], np.zeros((1, 2))), WINDOW)
+        with pytest.raises(DataFormatError, match="p2"):
+            eccentricity_oracle(corpus, (["p1", "p2"], np.zeros((1, 2))), WINDOW, "p2")
+        # a 1-D matrix gives no post a vector dimension
+        with pytest.raises(DataFormatError, match=r"shape \(2,\)"):
+            replay(corpus, (["p1", "p2"], np.zeros(2)), WINDOW)
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_non_positive_window_fatal(self, window):
@@ -114,7 +120,7 @@ class TestOracle:
         corpus = corpus_of([Post("q1", "b", 0, "", 0),
                             Post("q2", "a", 432001, "", 0)],
                            ["a", "b"], [("a", "b")])
-        vectors = {"q1": np.array([1.0]), "q2": np.array([5.0])}
+        vectors = (["q1", "q2"], np.array([[1.0], [5.0]]))
         assert eccentricity_oracle(corpus, vectors, 432000, "q2") == (None, None)
 
     def test_unknown_post_fatal(self):
@@ -127,7 +133,7 @@ class TestOracle:
         cfg = SynthConfig(n_users=20, follow_prob=0.2, n_days=8,
                           posts_per_user_per_day=2.5, dim=4, seed=seed,
                           effect="null")
-        corpus, vectors = gen_corpus(cfg)
+        corpus, vectors, _ = gen_corpus(cfg)
         records = replay(corpus, vectors, WINDOW)
         for r in records:
             ecc, self_ecc = eccentricity_oracle(corpus, vectors, WINDOW, r.post_id)
@@ -143,12 +149,12 @@ class TestReplayInvariants:
         cfg = SynthConfig(n_users=15, follow_prob=0.25, n_days=7,
                           posts_per_user_per_day=3, dim=3, seed=seed,
                           effect="null")
-        return gen_corpus(cfg)
+        return gen_corpus(cfg)[:2]
 
     def test_translation_invariance(self):
         corpus, vectors = self._random_case(7)
         shift = np.array([13.0, -4.0, 0.5])
-        shifted = {k: v + shift for k, v in vectors.items()}
+        shifted = (vectors[0], vectors[1] + shift)
         base = replay(corpus, vectors, WINDOW)
         moved = replay(corpus, shifted, WINDOW)
         for r1, r2 in zip(base, moved):
@@ -190,7 +196,8 @@ class TestLongHorizon:
         rng = np.random.default_rng(2023)
         posts = [Post(f"{u}{h}", u, h * 3600 + k * 1200, "", 0)
                  for k, u in enumerate(cls.USERS) for h in range(365 * 24)]
-        vectors = {p.id: 1e6 + rng.standard_normal(4) for p in posts}
+        vectors = ([p.id for p in posts],
+                   np.array([1e6 + rng.standard_normal(4) for _ in posts]))
         return corpus_of(posts, cls.USERS, cls.EDGES), vectors
 
     @staticmethod
@@ -204,17 +211,18 @@ class TestLongHorizon:
     def test_matches_exact_sums_over_a_year(self):
         corpus, vectors = self._case()
         records = replay(corpus, vectors, WINDOW)
+        by_id = dict(zip(*vectors))
         by_author = {u: [p for p in corpus.posts if p.author == u] for u in self.USERS}
         times = {u: [p.created_at for p in ps] for u, ps in by_author.items()}
 
         def window_of(u, t):
             lo = bisect.bisect_left(times[u], t - WINDOW)
-            return [vectors[p.id] for p in by_author[u][lo:bisect.bisect_left(times[u], t)]]
+            return [by_id[p.id] for p in by_author[u][lo:bisect.bisect_left(times[u], t)]]
 
         picks = np.random.default_rng(7).choice(len(records), size=80, replace=False)
         for i in sorted(picks.tolist()) + [len(records) - 1]:
             r = records[i]
-            vec = vectors[r.post_id]
+            vec = by_id[r.post_id]
             own = window_of(r.author, r.created_at)
             cloud = [x for u in ego_neighborhood(corpus.graph, r.author)
                      for x in window_of(u, r.created_at)]
@@ -227,13 +235,14 @@ class TestLongHorizon:
 
     def test_oracle_matches_exact_sums(self):
         corpus, vectors = self._case()
+        by_id = dict(zip(*vectors))
         for post in corpus.posts[-3::-2000]:
-            vec = vectors[post.id]
+            vec = by_id[post.id]
             lo = post.created_at - WINDOW
             neighborhood = ego_neighborhood(corpus.graph, post.author)
             window = [p for p in corpus.posts if lo <= p.created_at < post.created_at]
-            cloud = [vectors[p.id] for p in window if p.author in neighborhood]
-            own = [vectors[p.id] for p in window if p.author == post.author]
+            cloud = [by_id[p.id] for p in window if p.author in neighborhood]
+            own = [by_id[p.id] for p in window if p.author == post.author]
             got = eccentricity_oracle(corpus, vectors, WINDOW, post.id)
             for g, want in zip(got, (self._exact(vec, cloud), self._exact(vec, own))):
                 assert abs(g - want) <= 1e-15 * want

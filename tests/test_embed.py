@@ -103,22 +103,24 @@ class TestEmbed:
 
     def test_embed_all(self):
         model = fit_vectorizer([["a"], ["b"]], dim=8, min_count=1)
-        out = embed_all(model, [("d1", ["a"]), ("d2", ["b"])])
-        assert set(out) == {"d1", "d2"}
+        ids, matrix = embed_all(model, [("d1", ["a"]), ("d2", ["b"])])
+        assert ids == ["d1", "d2"]
+        assert matrix.shape == (2, 8)
+        assert_array_equal(matrix, [embed(model, ["a"]), embed(model, ["b"])])
 
 
 class TestExternalVectors:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id":"p1","vec":[1.0,0.0]}\n')
-        vecs = load_external_vectors(path)
-        assert set(vecs) == {"p1"}
-        assert_allclose(vecs["p1"], [1.0, 0.0])
+        ids, matrix = load_external_vectors(path)
+        assert ids == ["p1"]
+        assert_allclose(matrix, [[1.0, 0.0]])
 
     def test_inconsistent_dims_fatal(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id":"p1","vec":[1.0,0.0]}\n{"id":"p2","vec":[1.0,0.0,3.0]}\n')
-        with pytest.raises(DataFormatError, match="dimension"):
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: .*dimension"):
             load_external_vectors(path)
 
     def test_duplicate_id_fatal(self, tmp_path):
@@ -130,7 +132,19 @@ class TestExternalVectors:
     def test_non_finite_fatal(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text('{"id":"p1","vec":[1.0,"NaN"]}\n')
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:1: "):
+            load_external_vectors(path)
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e400", "1" + "0" * 400],
+                             ids=["nan", "minus-inf", "float-overflow", "int-overflow"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        # the row is checked with the whole matrix, after the later line 4
+        # was read and before the rows are sorted by id
+        path = tmp_path / "vectors.jsonl"
+        path.write_text('{"id":"p2","vec":[1.0,2.0]}\n\n'
+                        '{"id":"p3","vec":[1.0,' + value + ']}\n'
+                        '{"id":"p1","vec":[3.0,4.0]}\n')
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:3: "):
             load_external_vectors(path)
 
     @pytest.mark.parametrize("vec", [
@@ -147,14 +161,15 @@ class TestExternalVectors:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_text("")
-        assert load_external_vectors(path) == {}
+        ids, matrix = load_external_vectors(path)
+        assert ids == [] and matrix.shape == (0, 0)
 
     def test_write_then_load(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
-        original = {"p2": np.array([0.25, -1.5]), "p1": np.array([1e-17, 3.0])}
+        original = (["p2", "p1"], np.array([[0.25, -1.5], [1e-17, 3.0]]))
         write_vectors(path, original)
-        loaded = load_external_vectors(path)
-        for key, vec in original.items():
+        loaded = dict(zip(*load_external_vectors(path)))
+        for key, vec in zip(*original):
             assert_array_equal(loaded[key], vec)
         # ids are emitted sorted
         ids = [json.loads(line)["id"] for line in path.read_text().splitlines()]
@@ -164,11 +179,11 @@ class TestExternalVectors:
 class TestVectorBytes:
     def test_exact_jsonl_bytes(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
-        write_vectors(path, {
-            'x"\\é': np.array([1e16, 1e22, 1.0]),
-            "b": np.array([0.1 + 0.2, -0.0, 5e-324]),
-            "a": np.array([0.25, -1.5, 3.0]),
-        })
+        write_vectors(path, (['x"\\é', "b", "a"], np.array([
+            [1e16, 1e22, 1.0],
+            [0.1 + 0.2, -0.0, 5e-324],
+            [0.25, -1.5, 3.0],
+        ])))
         assert path.read_bytes() == (
             b'{"id":"a","vec":[0.25,-1.5,3.0]}\n'
             b'{"id":"b","vec":[0.30000000000000004,-0.0,5e-324]}\n'
@@ -177,6 +192,6 @@ class TestVectorBytes:
 
     def test_nan_row_is_rejected_on_read(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
-        write_vectors(path, {"m": np.array([1.0, 2.0]), "n": np.array([1.0, np.nan])})
+        write_vectors(path, (["m", "n"], np.array([[1.0, 2.0], [1.0, np.nan]])))
         with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: "):
             load_external_vectors(path)

@@ -13,12 +13,12 @@ def small_cfg(**overrides):
 
 
 def corpora_equal(a, b):
-    corpus_a, vectors_a = a[:2]
-    corpus_b, vectors_b = b[:2]
+    corpus_a, (ids_a, matrix_a), _ = a
+    corpus_b, (ids_b, matrix_b), _ = b
     return (corpus_a.posts == corpus_b.posts
             and corpus_a.graph == corpus_b.graph
-            and set(vectors_a) == set(vectors_b)
-            and all(np.array_equal(vectors_a[k], vectors_b[k]) for k in vectors_a))
+            and ids_a == ids_b
+            and np.array_equal(matrix_a, matrix_b))
 
 
 class TestDeterminism:
@@ -29,7 +29,7 @@ class TestDeterminism:
         for run in ("one", "two"):
             d = tmp_path / run
             d.mkdir()
-            corpus, vectors = gen_corpus(small_cfg())
+            corpus, vectors, _ = gen_corpus(small_cfg())
             write_corpus_files(corpus, vectors, d / "posts.jsonl",
                                d / "edges.jsonl", d / "vectors.jsonl")
         for name in ("posts.jsonl", "edges.jsonl", "vectors.jsonl"):
@@ -60,14 +60,14 @@ class TestNullMode:
         cfg = SynthConfig(n_users=500, follow_prob=0.02, n_days=10,
                           posts_per_user_per_day=4, dim=16, seed=5,
                           effect="null")
-        corpus, _, details = gen_corpus(cfg, with_details=True)
+        corpus, _, details = gen_corpus(cfg)
         assert len(corpus.posts) >= 10_000
         likes = np.array([p.likes for p in corpus.posts], dtype=float)
         r = np.corrcoef(details.planted_deviation, likes)[0, 1]
         assert abs(r) < 0.05
 
     def test_likes_within_cap(self):
-        corpus, _ = gen_corpus(small_cfg(like_max=500))
+        corpus, _, _ = gen_corpus(small_cfg(like_max=500))
         assert all(0 <= p.likes <= 500 for p in corpus.posts)
 
 
@@ -76,7 +76,7 @@ class TestAttentionCoupling:
         cfg = SynthConfig(n_users=300, follow_prob=0.03, n_days=10,
                           posts_per_user_per_day=4, dim=16, seed=8,
                           effect="attention-coupling", effect_strength=1.0)
-        corpus, _, details = gen_corpus(cfg, with_details=True)
+        corpus, _, details = gen_corpus(cfg)
         likes = np.array([p.likes for p in corpus.posts], dtype=float)
         order = np.argsort(details.planted_deviation)
         thirds = np.array_split(likes[order], 3)
@@ -90,7 +90,8 @@ class TestElevatorDrift:
         cfg = SynthConfig(n_users=80, follow_prob=0.05, n_days=10,
                           posts_per_user_per_day=6, dim=16, seed=3,
                           effect="elevator-drift", effect_strength=strength)
-        corpus, vectors, details = gen_corpus(cfg, with_details=True)
+        corpus, vectors, details = gen_corpus(cfg)
+        by_id = dict(zip(*vectors))
         checked = 0
         for u in range(cfg.n_users):
             mask = details.author_index == u
@@ -98,7 +99,7 @@ class TestElevatorDrift:
                 continue
             t = details.times_days[mask]
             ids = [corpus.posts[i].id for i in np.flatnonzero(mask)]
-            proj = np.array([vectors[i] for i in ids]) @ details.drift_direction
+            proj = np.array([by_id[i] for i in ids]) @ details.drift_direction
             slope = np.polyfit(t, proj, 1)[0]
             assert slope == pytest.approx(strength, rel=0.2)
             assert slope > 0
@@ -107,7 +108,7 @@ class TestElevatorDrift:
 
     def test_direction_shared_across_users(self):
         cfg = small_cfg(effect="elevator-drift", effect_strength=2.0)
-        _, _, details = gen_corpus(cfg, with_details=True)
+        _, _, details = gen_corpus(cfg)
         assert np.linalg.norm(details.drift_direction) == pytest.approx(1.0)
 
 
@@ -122,13 +123,13 @@ class TestValidation:
             small_cfg(**overrides)
 
     def test_posts_sorted_and_ids_unique(self):
-        corpus, _ = gen_corpus(small_cfg())
+        corpus, _, _ = gen_corpus(small_cfg())
         keys = [(p.created_at, p.id) for p in corpus.posts]
         assert keys == sorted(keys)
         assert len({p.id for p in corpus.posts}) == len(corpus.posts)
 
     def test_text_is_clean_alpha_words(self):
-        corpus, _ = gen_corpus(small_cfg())
+        corpus, _, _ = gen_corpus(small_cfg())
         for p in corpus.posts[:50]:
             assert p.text
             assert all(w.isalpha() and w.islower() for w in p.text.split())
