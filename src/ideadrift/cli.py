@@ -111,8 +111,8 @@ class _Settings:
         path = Path(value)
         if not path.exists():
             raise FileNotFoundError(f"input file not found: {path}")
-        if path.is_dir():
-            raise DataFormatError(f"input is a directory, not a file: {path}")
+        if not path.is_file():
+            raise DataFormatError(f"input is not a regular file: {path}")
         self.inputs[key] = path
         return path
 
@@ -300,13 +300,12 @@ def stage_dynamics(settings: _Settings, config: dict) -> None:
 
 def stage_distributions(settings: _Settings, config: dict) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
-    binning = stats.PopularityBinning.from_thresholds(config["bins"])
-    bins = stats.bin_by_popularity(records, binning)
+    bins = stats.bin_by_popularity(records, config["bins"])
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"})
     out_csv = settings.out_path("out_csv")
     cloud.write_rows(out_csv, ("bin", "grid_x", "density"),
-                     ((row.label, x, d) for row in summary.bins if row.curve is not None
-                      for x, d in zip(row.curve.grid.tolist(), row.curve.density.tolist())))
+                     ((row.label, x, d) for row in summary.bins if row.density is not None
+                      for x, d in zip(summary.grid.tolist(), row.density.tolist())))
     out_summary = settings.out_path("out_summary")
     payload = {
         "bandwidth": config["bandwidth"],

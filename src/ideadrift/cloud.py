@@ -48,18 +48,20 @@ def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
     """Per post: the index range [lo, hi) of the time-sorted log that falls in
     its window [t - window, t), and the dense rank of its block
     ``(t - t0) // window``. No window spans more than two blocks."""
-    times = [p.created_at for p in posts]
-    # any window longer than the log's span selects the same posts; clamping
-    # keeps t - window inside int64 whenever the times themselves are
-    window = min(window_seconds, max(times[-1] - times[0], 1))
+    # offsets from the first post, exact Python ints, fit int64 unless the log
+    # spans 2**63 s; a window longer than the span selects the same posts, so
+    # clamping it keeps t - window inside int64 too
+    t0 = posts[0].created_at
+    offsets = [p.created_at - t0 for p in posts]
+    window = min(window_seconds, max(offsets[-1], 1))
     try:
-        t = np.array(times, dtype=np.int64)
-    except OverflowError:  # exact Python ints: slower, same result
-        t = np.array(times, dtype=object)
+        t = np.array(offsets, dtype=np.int64)
+    except OverflowError:
+        raise DataFormatError(f"post times span {offsets[-1]} s, more than int64 holds") from None
     lo = np.searchsorted(t, t - window, side="left")
     hi = np.searchsorted(t, t, side="left")
-    block = (t - t[0]) // window
-    new_block = np.ones(len(times), dtype=bool)
+    block = t // window
+    new_block = np.ones(len(t), dtype=bool)
     new_block[1:] = block[1:] != block[:-1]
     return lo, hi, np.cumsum(new_block)
 
@@ -264,29 +266,37 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:
     """Rows of a CSV file headed ``row_type._fields``, each field parsed by the
-    matching entry of ``parsers``; blank lines are skipped. A row with the wrong
-    field count, an unparsable field or bytes that are not UTF-8 raises
-    DataFormatError with file:line."""
+    matching entry of ``parsers``; blank lines are skipped. Lines end at ``\n``
+    and are decoded strictly as UTF-8, one at a time. A line that is not UTF-8,
+    a row the CSV reader rejects (such as a field over its size limit), a row
+    with the wrong field count or an unparsable field raises DataFormatError
+    with file:line."""
     fields = row_type._fields
     rows = []
-    # a byte that is not UTF-8 is read as a lone surrogate; each row is
-    # decoded again strictly, so that the error names its line
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != fields:
-            raise DataFormatError(f"{path}: unexpected CSV header {header}")
-        for row in reader:
-            if not row:
-                continue
-            try:
+    with open(path, "rb") as fh:
+        def lines():
+            for lineno, line in enumerate(fh, start=1):
+                try:
+                    yield line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
+
+        reader = csv.reader(lines())
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != fields:
+                raise DataFormatError(f"{path}: unexpected CSV header {header}")
+            for row in reader:
+                if not row:
+                    continue
                 if len(row) != len(fields):
                     raise ValueError(f"{len(row)} fields, expected {len(fields)}")
-                ",".join(row).encode("utf-8", "surrogateescape").decode("utf-8")
                 rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
-            except ValueError as exc:
-                raise DataFormatError(
-                    f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
+        except DataFormatError:
+            raise
+        except (csv.Error, ValueError) as exc:
+            raise DataFormatError(
+                f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
     return rows
 
 

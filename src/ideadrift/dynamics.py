@@ -82,22 +82,19 @@ def user_dynamics(
     defined points in a series get None for that (F, G) pair. Output is
     sorted by user id.
     """
-    ecc_series: dict[str, list[tuple[int, str, float]]] = {}
-    self_series: dict[str, list[tuple[int, str, float]]] = {}
-    users: set[str] = set()
+    # author -> (neighborhood points, self points), each (t, post id, value)
+    series: dict[str, tuple[list, list]] = {}
     for r in records:
-        users.add(r.author)
+        ecc_pts, self_pts = series.setdefault(r.author, ([], []))
         if r.eccentricity is not None:
-            ecc_series.setdefault(r.author, []).append(
-                (r.created_at, r.post_id, r.eccentricity))
+            ecc_pts.append((r.created_at, r.post_id, r.eccentricity))
         if r.self_eccentricity is not None:
-            self_series.setdefault(r.author, []).append(
-                (r.created_at, r.post_id, r.self_eccentricity))
+            self_pts.append((r.created_at, r.post_id, r.self_eccentricity))
 
     out = []
-    for user in sorted(users):
-        ecc_pts = sorted(ecc_series.get(user, ()))
-        self_pts = sorted(self_series.get(user, ()))
+    for user, (ecc_pts, self_pts) in sorted(series.items()):
+        ecc_pts.sort()
+        self_pts.sort()
         fg_ecc = fg_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
         fg_self = fg_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
         mean_gap = None

@@ -132,20 +132,3 @@ def save_model(model: PcaModel, path: str | Path) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload) + "\n")
-
-
-def load_model(path: str | Path) -> PcaModel:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    try:
-        model = PcaModel(
-            mean=np.asarray(payload["mean"], dtype=float),
-            components=np.asarray(payload["components"], dtype=float),
-            explained_variance=np.asarray(payload["explained_variance"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"{path}: bad PCA model file ({exc})") from exc
-    gram = model.components @ model.components.T
-    if not np.allclose(gram, np.eye(model.k), atol=1e-9):
-        raise DataFormatError(f"{path}: component rows are not orthonormal")
-    return model

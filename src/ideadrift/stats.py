@@ -38,67 +38,45 @@ SPLIT_TIE_RTOL = 1e-9
 # popularity binning
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PopularityBinning:
-    """Ascending like-count cut points partitioning [0, inf) into labeled bins."""
-
-    thresholds: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        if list(self.thresholds) != sorted(set(self.thresholds)):
-            raise DataFormatError(f"thresholds must be strictly ascending: {self.thresholds}")
-        if len(self.labels) != len(self.thresholds) + 1:
-            raise DataFormatError("need exactly one more label than thresholds")
-
-    @classmethod
-    def from_thresholds(cls, thresholds: Sequence[int]) -> "PopularityBinning":
-        thresholds = tuple(thresholds)
-        if len(thresholds) == 0:
-            labels = ("all",)
-        elif len(thresholds) == 1:
-            labels = ("low", "high")
-        elif len(thresholds) == 2:
-            labels = ("low", "medium", "high")
-        else:
-            labels = (f"le_{thresholds[0]}",
-                      *(f"{lo + 1}_{hi}" for lo, hi in zip(thresholds, thresholds[1:])),
-                      f"gt_{thresholds[-1]}")
-        return cls(thresholds=thresholds, labels=labels)
-
-    def label_for(self, likes: int) -> str:
-        return self.labels[bisect_left(self.thresholds, likes)]
+def bin_labels(thresholds: Sequence[int]) -> tuple[str, ...]:
+    """One label per bin of the strictly ascending like-count ``thresholds``,
+    which cut [0, inf) into one more bin than there are thresholds."""
+    thresholds = tuple(thresholds)
+    if list(thresholds) != sorted(set(thresholds)):
+        raise DataFormatError(f"thresholds must be strictly ascending: {thresholds}")
+    if len(thresholds) == 0:
+        return ("all",)
+    if len(thresholds) == 1:
+        return ("low", "high")
+    if len(thresholds) == 2:
+        return ("low", "medium", "high")
+    return (f"le_{thresholds[0]}",
+            *(f"{lo + 1}_{hi}" for lo, hi in zip(thresholds, thresholds[1:])),
+            f"gt_{thresholds[-1]}")
 
 
 def bin_by_popularity(
     records: Iterable[EccentricityRecord],
-    binning: PopularityBinning | Sequence[int],
+    thresholds: Sequence[int],
 ) -> dict[str, list[float]]:
-    """Group defined eccentricities by like-count bin.
+    """Group defined eccentricities by like-count bin, keyed by ``bin_labels``.
 
     A record with likes L lands in bin i when thresholds[i-1] < L <=
     thresholds[i]; records beyond the last threshold land in the last bin.
     Records with undefined eccentricity are skipped.
     """
-    if not isinstance(binning, PopularityBinning):
-        binning = PopularityBinning.from_thresholds(binning)
-    out: dict[str, list[float]] = {label: [] for label in binning.labels}
+    labels = bin_labels(thresholds)
+    out: dict[str, list[float]] = {label: [] for label in labels}
     for r in records:
         if r.eccentricity is None:
             continue
-        out[binning.label_for(r.likes)].append(r.eccentricity)
+        out[labels[bisect_left(thresholds, r.likes)]].append(r.eccentricity)
     return out
 
 
 # ---------------------------------------------------------------------------
 # kernel density estimation
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DensityCurve:
-    grid: np.ndarray
-    density: np.ndarray
-
 
 def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
     """Ascending grid of DEFAULT_GRID_POINTS points covering
@@ -108,8 +86,8 @@ def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
                        samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
 
 
-def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> DensityCurve:
-    """Gaussian kernel density estimate on an ascending grid.
+def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndarray:
+    """Gaussian kernel density estimate at each point of an ascending grid.
 
     density(x) = (1 / (n h sqrt(2 pi))) * sum_i exp(-(x - s_i)^2 / (2 h^2))
     """
@@ -127,7 +105,7 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> Density
         scaled = (grid[None, :] - chunk[:, None]) / bandwidth
         density += np.exp(-0.5 * scaled**2).sum(axis=0)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
-    return DensityCurve(grid=grid, density=density)
+    return density
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +321,7 @@ class BinStats:
     label: str
     n: int
     mean: float | None
-    curve: DensityCurve | None
+    density: np.ndarray | None  # on BinSummary.grid
 
 
 @dataclass(frozen=True)
@@ -357,6 +335,7 @@ class PairTest:
 
 @dataclass(frozen=True)
 class BinSummary:
+    grid: np.ndarray | None  # None when no bin has samples
     bins: list[BinStats]
     tests: list[PairTest]
     notices: list[str]
@@ -383,8 +362,8 @@ def bin_summary(
     for label, samples in bins.items():
         n = len(samples)
         mean = float(np.mean(samples)) if n else None
-        curve = kde(samples, bandwidth, grid) if n else None
-        stats_rows.append(BinStats(label=label, n=n, mean=mean, curve=curve))
+        density = kde(samples, bandwidth, grid) if n else None
+        stats_rows.append(BinStats(label=label, n=n, mean=mean, density=density))
         if n >= 2:
             testable.append(label)
         else:
@@ -400,4 +379,4 @@ def bin_summary(
         corrected = bonferroni([p for _, _, _, p in raw], len(pairs))
         tests = [PairTest(a, b, a2, p, pc)
                  for (a, b, a2, p), pc in zip(raw, corrected)]
-    return BinSummary(bins=stats_rows, tests=tests, notices=notices)
+    return BinSummary(grid=grid, bins=stats_rows, tests=tests, notices=notices)

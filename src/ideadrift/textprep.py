@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from importlib import resources
 from pathlib import Path
 
 from .errors import DataFormatError
@@ -25,8 +24,7 @@ TokenList = list[str]
 @functools.lru_cache(maxsize=1)
 def default_stopwords() -> frozenset[str]:
     """The bundled English stopword list."""
-    text = resources.files("ideadrift").joinpath("data/stopwords_en.txt").read_text("utf-8")
-    return frozenset(w for w in text.split() if w)
+    return load_stopwords(Path(__file__).parent / "data" / "stopwords_en.txt")
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:

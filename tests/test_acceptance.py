@@ -22,8 +22,7 @@ from ideadrift.cloud import eccentricity_oracle, replay
 from ideadrift.dynamics import fg_scores, user_dynamics
 from ideadrift.pca import fit_pca, transform
 from ideadrift.stats import (
-    PopularityBinning, ad_test_2sample, bin_by_popularity, bin_summary, kde,
-    mann_whitney,
+    ad_test_2sample, bin_by_popularity, bin_summary, kde, mann_whitney,
 )
 from ideadrift.synth import SynthConfig, gen_corpus
 
@@ -102,7 +101,7 @@ def test_acceptance_3_numerical_hygiene():
     for n, h in ((1, 5.0), (10, 5.0), (500, 5.0), (200, 0.5)):
         samples = rng.normal(0, 12, n)
         grid = np.linspace(samples.min() - 6 * h, samples.max() + 6 * h, 1024)
-        integral = np.trapezoid(kde(samples, h, grid).density, grid)
+        integral = np.trapezoid(kde(samples, h, grid), grid)
         kde_ok &= abs(integral - 1.0) <= 1e-3
     checks["KDE integrates to 1 +- 1e-3"] = kde_ok
 
@@ -171,8 +170,7 @@ def test_acceptance_5_popularity_coupling_reproduction():
                       effect="attention-coupling", effect_strength=1.0)
     corpus, vectors, _ = gen_corpus(cfg)
     records = replay(corpus, vectors, WINDOW)
-    binning = PopularityBinning.from_thresholds((10, 100))
-    bins = bin_by_popularity(records, binning)
+    bins = bin_by_popularity(records, (10, 100))
     summary = bin_summary(bins, bandwidth=5.0)
     means = {b.label: b.mean for b in summary.bins}
     low_high = next(t for t in summary.tests

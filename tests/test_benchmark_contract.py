@@ -4,7 +4,7 @@ traced function fails in the unit tests rather than in a benchmark run.
 ``perfbench/traced_stage.py`` wraps ``TRACED`` functions by name and reads a
 path from argument 0 of the vector reader and writer; ``perfbench/run.py``
 passes what ``embed.load_external_vectors`` returns straight to
-``cloud.eccentricity_oracle``.
+``cloud.eccentricity_oracle`` and reads ``stats.EXACT_SPLIT_LIMIT``.
 """
 
 import importlib
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ideadrift import cloud, corpus, embed
+from ideadrift import cloud, corpus, embed, stats
 from ideadrift.cli import main
 
 TRACED_STAGE = Path(__file__).resolve().parent.parent / "perfbench" / "traced_stage.py"
@@ -34,6 +34,10 @@ def test_every_traced_name_resolves(traced_stage):
         module = importlib.import_module(f"ideadrift.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"ideadrift.{layer}.{name}"
+
+
+def test_exact_split_limit_is_an_int():
+    assert isinstance(stats.EXACT_SPLIT_LIMIT, int)
 
 
 @pytest.mark.parametrize("name", ["load_external_vectors", "write_vectors"])

@@ -76,6 +76,15 @@ class TestEccentricityStage:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
         assert str(directory) in caplog.text
+        # a FIFO is refused before anything opens it, so the stage cannot block
+        fifo = tmp_path / "posts.fifo"
+        os.mkfifo(fifo)
+        code = main(["eccentricity", "--posts", str(fifo),
+                     "--edges", str(worked_example / "edges.jsonl"),
+                     "--vectors", str(worked_example / "vectors.jsonl"),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"input is not a regular file: {fifo}" in caplog.text
 
     def test_data_error_exit_2(self, worked_example, tmp_path):
         # vector file missing one post id
@@ -560,8 +569,11 @@ class TestBadRecordRows:
         ("distributions", b"p2,a,5,0,,,1,0,x,y"),
         ("dynamics", b"p2,\xff,5,0,,,1,0"),
         ("distributions", b"p2,\xff,5,0,,,1,0"),
+        ("dynamics", b"p" + b"x" * 200_000 + b",a,5,0,,,1,0"),
+        ("distributions", b"p" + b"x" * 200_000 + b",a,5,0,,,1,0"),
     ], ids=["dynamics", "distributions", "dynamics-extra-fields",
-            "distributions-extra-fields", "dynamics-not-utf8", "distributions-not-utf8"])
+            "distributions-extra-fields", "dynamics-not-utf8", "distributions-not-utf8",
+            "dynamics-oversized-field", "distributions-oversized-field"])
     def test_malformed_row_exit_2(self, tmp_path, caplog, stage, row):
         records = tmp_path / "records.csv"
         records.write_bytes(
@@ -574,6 +586,16 @@ class TestBadRecordRows:
                  "--out-summary", str(tmp_path / "s.json")])
         assert main([*args, "--records", str(records)]) == 2
         assert f"{records}:3:" in caplog.text
+
+    def test_lone_cr_line_endings_exit_2(self, tmp_path, caplog):
+        # lines end at \n only, so a lone-CR file is one line the CSV reader refuses
+        records = tmp_path / "records.csv"
+        records.write_bytes(
+            b"post_id,author,created_at,likes,eccentricity,self_eccentricity,"
+            b"cloud_size,self_cloud_size\rp1,a,0,0,,,0,0\r")
+        assert main(["dynamics", "--out", str(tmp_path / "dyn.csv"),
+                     "--records", str(records)]) == 2
+        assert f"{records}:1:" in caplog.text
 
 
 class TestPermutationCount:

@@ -272,6 +272,16 @@ class TestLongHorizon:
                 if exact is not None:
                     assert got == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("t0", [0, -2 ** 70])
+    def test_log_spanning_int64_rejected(self, t0):
+        corpus, vectors = three_user_example()
+        times = (t0, t0 + 1, t0 + 2 ** 63)
+        moved = corpus_of([Post(p.id, p.author, t, p.text, p.likes)
+                           for p, t in zip(corpus.posts, times)],
+                          corpus.graph.users, corpus.graph.edges)
+        with pytest.raises(DataFormatError, match="int64"):
+            replay(moved, vectors, WINDOW)
+
 
 class TestRecordsCsv:
     def test_roundtrip_preserves_values_and_undefined(self, tmp_path):

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from numpy.testing import assert_allclose
 
 from ideadrift import pca
 from ideadrift.errors import DataFormatError
-from ideadrift.pca import PcaModel, fit_pca, load_model, save_model, transform
+from ideadrift.pca import PcaModel, fit_pca, save_model, transform
 
 
 def random_data(seed, n=40, d=6):
@@ -201,10 +202,11 @@ class TestPersistence:
         model = fit_pca(random_data(14), 0.9)
         path = tmp_path / "pca.json"
         save_model(model, path)
-        loaded = load_model(path)
-        assert_allclose(loaded.mean, model.mean)
-        assert_allclose(loaded.components, model.components)
-        assert_allclose(loaded.explained_variance, model.explained_variance)
+        with open(path, encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        assert_allclose(loaded["mean"], model.mean)
+        assert_allclose(loaded["components"], model.components)
+        assert_allclose(loaded["explained_variance"], model.explained_variance)
 
     def test_golden_bytes(self, tmp_path):
         model = PcaModel(mean=np.array([0.1 + 0.2, -0.0]),
@@ -216,10 +218,3 @@ class TestPersistence:
             b'{"mean": [0.30000000000000004, -0.0], '
             b'"components": [[1.0, -0.0], [0.0, 1.0]], '
             b'"explained_variance": [1e+16, 5e-324]}\n')
-
-    def test_rejects_non_orthonormal(self, tmp_path):
-        path = tmp_path / "pca.json"
-        path.write_text('{"mean": [0, 0], "components": [[1.0, 1.0]], '
-                        '"explained_variance": [1.0]}')
-        with pytest.raises(DataFormatError, match="orthonormal"):
-            load_model(path)

@@ -8,8 +8,8 @@ from numpy.testing import assert_allclose
 from ideadrift.cloud import EccentricityRecord
 from ideadrift.errors import DataFormatError
 from ideadrift.stats import (
-    EXACT_SPLIT_LIMIT, PopularityBinning, _PooledSplits, ad_2sample_statistic, ad_test_2sample, bin_by_popularity,
-    bin_summary, bonferroni, default_grid, kde, mann_whitney,
+    EXACT_SPLIT_LIMIT, _PooledSplits, ad_2sample_statistic, ad_test_2sample, bin_by_popularity,
+    bin_labels, bin_summary, bonferroni, default_grid, kde, mann_whitney,
 )
 
 # ---------------------------------------------------------------------------
@@ -109,27 +109,30 @@ def rec(likes, ecc=1.0):
                               cloud_size=1, self_cloud_size=0)
 
 
+def label_of(likes, thresholds):
+    """The bin a record with ``likes`` lands in."""
+    bins = bin_by_popularity([rec(likes)], thresholds)
+    (label,) = [label for label, samples in bins.items() if samples]
+    return label
+
+
 class TestBinning:
     def test_three_level_thresholds(self):
-        binning = PopularityBinning.from_thresholds((10, 100))
-        assert binning.label_for(10) == "low"
-        assert binning.label_for(11) == "medium"
-        assert binning.label_for(100) == "medium"
-        assert binning.label_for(101) == "high"
+        assert label_of(10, (10, 100)) == "low"
+        assert label_of(11, (10, 100)) == "medium"
+        assert label_of(100, (10, 100)) == "medium"
+        assert label_of(101, (10, 100)) == "high"
 
     def test_two_level_thresholds(self):
-        binning = PopularityBinning.from_thresholds((2,))
-        assert binning.label_for(2) == "low"
-        assert binning.label_for(3) == "high"
+        assert label_of(2, (2,)) == "low"
+        assert label_of(3, (2,)) == "high"
 
     def test_zero_likes_in_first_bin(self):
         for thresholds in ((2,), (10, 100), ()):
-            binning = PopularityBinning.from_thresholds(thresholds)
-            assert binning.label_for(0) == binning.labels[0]
+            assert label_of(0, thresholds) == bin_labels(thresholds)[0]
 
     def test_empty_thresholds_single_bin(self):
-        binning = PopularityBinning.from_thresholds(())
-        assert binning.labels == ("all",)
+        assert bin_labels(()) == ("all",)
 
     def test_undefined_eccentricity_excluded(self):
         undefined = EccentricityRecord("px", "u", 0, 5, None, None, 0, 0)
@@ -138,7 +141,7 @@ class TestBinning:
 
     def test_unsorted_thresholds_rejected(self):
         with pytest.raises(DataFormatError):
-            PopularityBinning.from_thresholds((100, 10))
+            bin_labels((100, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +150,21 @@ class TestBinning:
 
 class TestKde:
     def test_single_sample_peak_value(self):
-        curve = kde([0.0], 5.0, np.array([0.0]))
-        assert curve.density[0] == pytest.approx(1 / (5 * math.sqrt(2 * math.pi)),
-                                                 rel=1e-12)
+        density = kde([0.0], 5.0, np.array([0.0]))
+        assert density[0] == pytest.approx(1 / (5 * math.sqrt(2 * math.pi)), rel=1e-12)
 
     def test_symmetry(self):
         grid = np.linspace(-4, 4, 101)
-        curve = kde([-1.0, 1.0], 1.0, grid)
-        assert_allclose(curve.density, curve.density[::-1], rtol=1e-12)
+        density = kde([-1.0, 1.0], 1.0, grid)
+        assert_allclose(density, density[::-1], rtol=1e-12)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(0)
         samples = rng.normal(3, 10, 200)
         h = 5.0
         grid = np.linspace(samples.min() - 6 * h, samples.max() + 6 * h, 1024)
-        curve = kde(samples, h, grid)
-        integral = np.trapezoid(curve.density, grid)
+        density = kde(samples, h, grid)
+        integral = np.trapezoid(density, grid)
         assert integral == pytest.approx(1.0, abs=1e-3)
 
     def test_shift_equivariance(self):
@@ -171,7 +173,7 @@ class TestKde:
         shift = 7.25
         base = kde(samples, 2.0, grid)
         moved = kde([s + shift for s in samples], 2.0, grid + shift)
-        assert_allclose(moved.density, base.density, rtol=1e-12)
+        assert_allclose(moved, base, rtol=1e-12)
 
     def test_empty_samples_rejected(self):
         with pytest.raises(DataFormatError):
@@ -394,7 +396,7 @@ class TestBinSummary:
     def test_single_bin_no_tests(self):
         summary = bin_summary({"all": [1.0, 2.0, 3.0]}, bandwidth=1.0)
         assert summary.tests == []
-        assert summary.bins[0].curve is not None
+        assert summary.bins[0].density is not None
         assert summary.bins[0].mean == pytest.approx(2.0)
 
     def test_identical_bins_not_significant(self):
@@ -422,9 +424,17 @@ class TestBinSummary:
 
     def test_curves_share_grid(self):
         bins = {"a": [0.0, 1.0, 2.0], "b": [10.0, 11.0, 12.0]}
-        summary = bin_summary(bins, bandwidth=1.0)
-        grids = [b.curve.grid for b in summary.bins]
-        assert_allclose(grids[0], grids[1])
+        h = 1.0
+        summary = bin_summary(bins, bandwidth=h)
+        for samples in bins.values():
+            assert summary.grid[0] <= min(samples) - 3 * h
+            assert summary.grid[-1] >= max(samples) + 3 * h
+        assert [b.density.size for b in summary.bins] == [summary.grid.size] * len(bins)
+
+    def test_no_samples_no_grid(self):
+        summary = bin_summary({"a": [], "b": []}, bandwidth=1.0)
+        assert summary.grid is None
+        assert [b.density for b in summary.bins] == [None, None]
 
     def test_handles_wildly_unequal_sizes(self):
         rng = np.random.default_rng(1)
