@@ -23,11 +23,10 @@ from pathlib import Path
 from typing import Callable
 
 # One BLAS thread, whatever the caller set: a multithreaded SVD changes the
-# last bits of pca output with the thread count. Set before numpy loads BLAS.
+# last bits of pca output with the thread count. Set before numpy loads BLAS,
+# which no module top does: each kernel imports numpy when it first runs.
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
-
-import numpy as np  # noqa: E402
 
 from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
 from .errors import DataFormatError  # noqa: E402
@@ -260,6 +259,8 @@ def stage_embed(settings: _Settings, config: dict) -> None:
 
 
 def stage_pca(settings: _Settings, config: dict) -> None:
+    import numpy as np
+
     ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
     if len(ids) < 2:
         raise DataFormatError("pca needs at least 2 vectors")
@@ -368,6 +369,8 @@ def stage_report(settings: _Settings, config: dict) -> None:
     g_self = [d.g_self for d in rows if d.g_self is not None]
     comparison = None
     if len(g_ecc) >= 1 and len(g_self) >= 1:
+        import numpy as np
+
         u, p = stats.mann_whitney(g_self, g_ecc)
         comparison = {
             "n_self": len(g_self), "n_ecc": len(g_ecc),

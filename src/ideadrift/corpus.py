@@ -16,11 +16,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-import numpy as np
-
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
+
+# compact JSON, as json.dumps(..., separators=(",", ":")) writes it
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,9 +144,13 @@ def _parsed_lines(path: str | Path, kind: str,
 
     Lines are numbered from 1, blank ones included. A line that is not UTF-8,
     or that ``parse`` rejects, is skipped with a ``file:line`` warning, and
-    the number skipped is logged once the file is read.
+    the number skipped is logged once the file is read. A file whose every
+    non-blank line is skipped, such as one with lone-CR line endings read as
+    one line, raises DataFormatError naming the first; an empty file yields
+    nothing.
     """
-    skipped = 0
+    skipped = parsed = 0
+    first_bad = ""
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -156,10 +161,14 @@ def _parsed_lines(path: str | Path, kind: str,
             except (ValueError, KeyError, TypeError) as exc:
                 skipped += 1
                 logger.warning("%s:%d: skipping malformed %s line (%s)", path, lineno, kind, exc)
+                first_bad = first_bad or f"line {lineno} ({exc})"
                 continue
+            parsed += 1
             yield lineno, item
     if skipped:
         logger.warning("%s: skipped %d malformed %s line(s)", path, skipped, kind)
+        if not parsed:
+            raise DataFormatError(f"{path}: no {kind} line parses; first malformed: {first_bad}")
 
 
 def load_posts(path: str | Path) -> list[Post]:
@@ -219,6 +228,8 @@ def sample_users(g: SocialGraph, fraction: float, seed: int) -> SocialGraph:
     The draw is made by a seeded generator over the sorted user list, so the
     same (graph, fraction, seed) always yields the same subgraph.
     """
+    import numpy as np
+
     if not (0.0 < fraction <= 1.0):
         raise DataFormatError(f"fraction must be in (0, 1], got {fraction}")
     ordered = sorted(g.users)
@@ -241,15 +252,13 @@ def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
     """Write posts in their given order, one compact JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for p in posts:
-            fh.write(json.dumps(
+            fh.write(_encode_compact(
                 {"id": p.id, "author": p.author, "created_at": p.created_at,
-                 "text": p.text, "likes": p.likes},
-                separators=(",", ":")) + "\n")
+                 "text": p.text, "likes": p.likes}) + "\n")
 
 
 def write_edges_jsonl(g: SocialGraph, path: str | Path) -> None:
     """Write the edge set in sorted order, one compact JSON object per line."""
     with open(path, "w", encoding="utf-8") as fh:
         for follower, followee in sorted(g.edges):
-            fh.write(json.dumps({"follower": follower, "followee": followee},
-                                separators=(",", ":")) + "\n")
+            fh.write(_encode_compact({"follower": follower, "followee": followee}) + "\n")

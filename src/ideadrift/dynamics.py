@@ -9,21 +9,22 @@ changes that arrive quickly count for more; alternatives are pluggable.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
 from .errors import DataFormatError
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_MIN_GAP_SECONDS = 1.0
 
-WeightFn = Callable[[np.ndarray, float], np.ndarray]
+WeightFn = Callable[["np.ndarray", float], "np.ndarray"]
 
 WEIGHTINGS: dict[str, WeightFn] = {
     "inverse-gap": lambda gaps, mean_gap: mean_gap / gaps,
     "proportional-gap": lambda gaps, mean_gap: gaps / mean_gap,
-    "uniform": lambda gaps, mean_gap: np.ones_like(gaps),
+    "uniform": lambda gaps, mean_gap: gaps ** 0,  # ones, one per gap
 }
 
 
@@ -51,6 +52,8 @@ def fg_scores(
     below by min_gap) and w_k the weights, F = sum(w|dE|)/sum(w) and
     G = sum(w dE)/sum(w). Returns None for series shorter than 2.
     """
+    import numpy as np
+
     if min_gap <= 0:
         raise DataFormatError(f"min_gap must be positive, got {min_gap}")
     if weighting not in WEIGHTINGS:
@@ -82,6 +85,8 @@ def user_dynamics(
     defined points in a series get None for that (F, G) pair. Output is
     sorted by user id.
     """
+    import numpy as np
+
     # author -> (neighborhood points, self points), each (t, post id, value)
     series: dict[str, tuple[list, list]] = {}
     for r in records:

@@ -15,16 +15,17 @@ from collections import Counter
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DataFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_HASH_SEED = 9172023
 
 # vectors: post ids and a 2-D float64 matrix with one row per id
-Vectors = tuple[Sequence[str], np.ndarray]
+Vectors = tuple[Sequence[str], "np.ndarray"]
 
 
 def _hash64(token: str, seed: int, person: bytes) -> int:
@@ -91,6 +92,8 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     Each in-vocabulary token contributes tf * idf * sign to its hash bucket;
     tokens are accumulated in sorted order so the float sum is reproducible.
     """
+    import numpy as np
+
     acc = [0.0] * model.dim
     tf = Counter(tokens)
     for token in sorted(tf):
@@ -108,6 +111,8 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
 
 def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
     """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
+    import numpy as np
+
     matrix = np.empty((len(docs), model.dim))
     for row, (_, tokens) in enumerate(docs):
         matrix[row] = embed(model, tokens)
@@ -123,6 +128,8 @@ def load_external_vectors(path: str | Path) -> Vectors:
     booleans), and all lines must share one dimension; a line that is not
     UTF-8, duplicate ids and non-finite values are fatal, each naming its line.
     """
+    import numpy as np
+
     ids: list[str] = []
     seen: set[str] = set()
     matrix = np.empty((0, 0))   # rows beyond len(ids) are spare capacity

@@ -15,12 +15,13 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .cloud import EccentricityRecord
 from .errors import DataFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BANDWIDTH = 5.0
 DEFAULT_GRID_POINTS = 512
@@ -81,6 +82,8 @@ def bin_by_popularity(
 def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
     """Ascending grid of DEFAULT_GRID_POINTS points covering
     [min - span*h, max + span*h] with span = DEFAULT_GRID_SPAN."""
+    import numpy as np
+
     samples = np.asarray(samples, dtype=float)
     return np.linspace(samples.min() - DEFAULT_GRID_SPAN * bandwidth,
                        samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
@@ -91,6 +94,8 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndar
 
     density(x) = (1 / (n h sqrt(2 pi))) * sum_i exp(-(x - s_i)^2 / (2 h^2))
     """
+    import numpy as np
+
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if samples.size == 0:
@@ -122,6 +127,8 @@ class _PooledSplits:
     """
 
     def __init__(self, pooled: np.ndarray):
+        import numpy as np
+
         pooled = np.asarray(pooled, dtype=float)
         self.n_total = pooled.size
         self.values, self.value_index, counts = np.unique(
@@ -143,6 +150,8 @@ class _PooledSplits:
         The other sample's midcounts are B_j - M_j, so its squared deviations
         (n M_j - size B_j)^2 equal this side's and one pass scores both.
         """
+        import numpy as np
+
         n = float(self.n_total)
         size = float(side.size)
         counts = np.bincount(self.value_index[side], minlength=self.values.size)
@@ -153,6 +162,8 @@ class _PooledSplits:
 
 def ad_2sample_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     """Scholz-Stephens two-sample rank statistic, midrank (tie-aware) version."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pooled = _PooledSplits(np.concatenate([x, y]))
@@ -162,15 +173,17 @@ def ad_2sample_statistic(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 # critical values of the standardized statistic: b0 + b1/sqrt(m) + b2/m
-_AD_SIG = np.array([0.25, 0.10, 0.05, 0.025, 0.01, 0.005, 0.001])
-_AD_B0 = np.array([0.675, 1.281, 1.645, 1.960, 2.326, 2.573, 3.085])
-_AD_B1 = np.array([-0.245, 0.250, 0.678, 1.149, 1.822, 2.364, 3.615])
-_AD_B2 = np.array([-0.105, -0.305, -0.362, -0.391, -0.396, -0.345, -0.154])
+_AD_SIG = (0.25, 0.10, 0.05, 0.025, 0.01, 0.005, 0.001)
+_AD_B0 = (0.675, 1.281, 1.645, 1.960, 2.326, 2.573, 3.085)
+_AD_B1 = (-0.245, 0.250, 0.678, 1.149, 1.822, 2.364, 3.615)
+_AD_B2 = (-0.105, -0.305, -0.362, -0.391, -0.396, -0.345, -0.154)
 
 
 def ad_standardized(a2: float, n_x: int, n_y: int) -> float:
     """Standardize the two-sample statistic: (A2 - 1) / sigma with sigma from
     the statistic's finite-sample variance."""
+    import numpy as np
+
     n_total = n_x + n_y
     k = 2
     h_sum = float(np.sum(1.0 / np.arange(1, n_total)))
@@ -197,12 +210,15 @@ def _ad_table_p(a2: float, n_x: int, n_y: int) -> float:
     curve; log p is interpolated linearly between table columns and clipped
     to the table's [0.001, 0.25] range.
     """
+    import numpy as np
+
     t = ad_standardized(a2, n_x, n_y)
-    critical = _AD_B0 + _AD_B1 + _AD_B2  # b0 + b1/sqrt(m) + b2/m at m = 1
+    # b0 + b1/sqrt(m) + b2/m at m = 1, summed as arrays (tuples would concatenate)
+    critical = np.array(_AD_B0) + np.array(_AD_B1) + np.array(_AD_B2)
     if t <= critical[0]:
-        return float(_AD_SIG[0])
+        return _AD_SIG[0]
     if t >= critical[-1]:
-        return float(_AD_SIG[-1])
+        return _AD_SIG[-1]
     return float(math.exp(np.interp(t, critical, np.log(_AD_SIG))))
 
 
@@ -223,6 +239,8 @@ def ad_test_2sample(
     equal-valued splits are ties regardless of rounding. A pooled sample with a single
     distinct value is degenerate and reports p = 1.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2 or y.size < 2:
@@ -281,6 +299,8 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     together; otherwise the normal approximation with tie-corrected variance
     and continuity correction is used.
     """
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = x.size, y.size
@@ -354,6 +374,8 @@ def bin_summary(
     samples and are Bonferroni-corrected by the number of tests performed;
     smaller bins are reported but skipped with a notice.
     """
+    import numpy as np
+
     pooled = [v for samples in bins.values() for v in samples]
     grid = default_grid(pooled, bandwidth) if pooled else None
     stats_rows: list[BinStats] = []

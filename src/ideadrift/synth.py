@@ -18,13 +18,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .corpus import (Corpus, Post, SocialGraph, build_corpus,
                      write_edges_jsonl, write_posts_jsonl)
 from .embed import Vectors, write_vectors
 from .errors import DataFormatError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EFFECTS = ("null", "attention-coupling", "elevator-drift")
 
@@ -97,6 +99,8 @@ class SynthDetails:
 def gen_corpus(cfg: SynthConfig) -> tuple[Corpus, Vectors, SynthDetails]:
     """Generate a corpus, its post vectors and the generation internals.
     Same config, same bytes."""
+    import numpy as np
+
     rng = np.random.default_rng(cfg.seed)
     users = [f"u{i:05d}" for i in range(cfg.n_users)]
 

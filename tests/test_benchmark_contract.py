@@ -10,10 +10,14 @@ passes what ``embed.load_external_vectors`` returns straight to
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ideadrift
 from ideadrift import cloud, corpus, embed, stats
 from ideadrift.cli import main
 
@@ -34,6 +38,19 @@ def test_every_traced_name_resolves(traced_stage):
         module = importlib.import_module(f"ideadrift.{layer}")
         for name in names:
             assert callable(getattr(module, name, None)), f"ideadrift.{layer}.{name}"
+
+
+def test_cli_import_loads_every_traced_layer(traced_stage):
+    # install() finds each layer in sys.modules right after `import ideadrift.cli`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(ideadrift.__file__).resolve().parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ideadrift.cli; print(*sorted(sys.modules))"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(proc.stdout.split())
+    assert {f"ideadrift.{layer}" for layer in traced_stage.TRACED} <= loaded
 
 
 def test_exact_split_limit_is_an_int():

@@ -145,6 +145,38 @@ class TestGraphStages:
         assert f"{posts}: skipped 1 malformed post line(s)" in caplog.text
         assert len((tmp_path / "out_posts.jsonl").read_text().splitlines()) == 1
 
+    def test_ingest_lone_cr_posts_exit_2(self, tmp_path, caplog):
+        # lines end at \n only, so a lone-CR file is one line that does not parse
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes(b"\r".join(
+            json.dumps({"id": f"p{i}", "author": "a", "created_at": i, "text": "x",
+                        "likes": 0}).encode() for i in range(3)) + b"\r")
+        write_jsonl(tmp_path / "edges.jsonl", [{"follower": "a", "followee": "b"}])
+        out_posts = tmp_path / "out_posts.jsonl"
+        assert main(["ingest", "--posts", str(posts), "--edges", str(tmp_path / "edges.jsonl"),
+                     "--out-posts", str(out_posts),
+                     "--out-edges", str(tmp_path / "out_edges.jsonl")]) == 2
+        assert f"{posts}: no post line parses; first malformed: line 1" in caplog.text
+        assert not out_posts.exists()
+
+    def test_corpus_stages_never_import_numpy(self, tmp_path):
+        write_jsonl(tmp_path / "posts.jsonl", [
+            {"id": f"p{i}", "author": f"u{i % 3}", "created_at": i, "text": "x", "likes": i}
+            for i in range(6)])
+        write_jsonl(tmp_path / "edges.jsonl", [{"follower": "u0", "followee": "u1"}])
+        script = (
+            "import sys\n"
+            "from ideadrift.cli import main\n"
+            "for stage, src, dst in (('ingest', '', 'ok_'), ('lcc', 'ok_', 'lcc_')):\n"
+            "    assert main([stage, *(arg for key in ('posts', 'edges') for arg in (\n"
+            "        f'--{key}', f'{src}{key}.jsonl', f'--out-{key}', f'{dst}{key}.jsonl'))]) == 0\n"
+            "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=blas_env(1),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (tmp_path / "lcc_posts.jsonl").read_text().count("\n") == 4
+        assert proc.stdout.strip() == "False"
+
     def test_lcc_stage_filters_posts(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [
             {"id": "p1", "author": "a", "created_at": 0, "text": "", "likes": 0},
@@ -362,6 +394,24 @@ class TestBlasThreads:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_kernel_numpy_import_starts_no_blas_thread():
+    # importing the CLI no longer loads numpy; the first kernel that runs does
+    script = ("import sys\n"
+              "import ideadrift.cli\n"
+              "from ideadrift import corpus\n"
+              "assert 'numpy' not in sys.modules\n"
+              "corpus.sample_users(corpus.SocialGraph('abcd', ()), 0.5, 0)\n"
+              "assert 'numpy' in sys.modules\n"
+              "for line in open('/proc/self/status'):\n"
+              "    if line.startswith('Threads:'):\n"
+              "        print(line.split()[1])\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=blas_env(2),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "1"
 
 
 class TestConfigFile:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -29,6 +30,22 @@ class TestLoadPosts:
         path = tmp_path / "posts.jsonl"
         path.write_text("")
         assert load_posts(path) == []
+
+    def test_blank_lines_only(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n  \n\r\n")
+        assert load_posts(path) == []
+
+    def test_no_line_parses_is_fatal(self, tmp_path, caplog):
+        # lines end at \n only, so a lone-CR file is one line that does not parse
+        path = tmp_path / "posts.jsonl"
+        path.write_bytes(b"\n" + b"\r".join(
+            json.dumps(dict(POST, id=f"p{i}")).encode() for i in range(3)) + b"\r")
+        with caplog.at_level("WARNING"), pytest.raises(
+                DataFormatError, match=f"^{re.escape(str(path))}: no post line parses; "
+                                         "first malformed: line 2 "):
+            load_posts(path)
+        assert f"{path}:2: skipping malformed post line" in caplog.text
 
     def test_tie_broken_by_id(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -115,6 +132,13 @@ class TestLoadEdges:
             g = load_edges(path)
         assert g.users == {"a", "b"} and g.edges == {("a", "b")}
         assert f"{path}:1: skipping malformed edge line" in caplog.text
+
+    def test_no_line_parses_is_fatal(self, tmp_path):
+        path = tmp_path / "edges.jsonl"
+        path.write_bytes(b'{"follower": "a"}\n\n{"followee": "b"}\n')
+        with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: no edge line "
+                                                  "parses; first malformed: line 1 "):
+            load_edges(path)
 
 
 class TestSocialGraph:
