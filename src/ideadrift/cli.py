@@ -143,7 +143,7 @@ def _read_json_object(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataFormatError(f"{path}: expected a JSON object")

@@ -13,24 +13,26 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
 
-# compact JSON, as json.dumps(..., separators=(",", ":")) writes it
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+_raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True, slots=True)
-class Post:
+class Post(NamedTuple):
     id: str
     author: str
     created_at: int
     text: str
     likes: int
+
+
+_POST_TYPES = (str, str, int, str, int)  # Post's field types, in order
 
 
 class SocialGraph:
@@ -111,27 +113,46 @@ def build_corpus(posts: Sequence[Post], graph: SocialGraph) -> Corpus:
     return Corpus(posts=ordered, graph=graph)
 
 
+def json_line(line: str) -> object:
+    """``json.loads(line)``: the same value, or the same error.
+
+    A line that starts with its value and ends in JSON whitespace is decoded
+    by one C call; any other line goes through ``json.loads`` itself. A value
+    nested too deeply to decode raises ValueError, not RecursionError.
+    """
+    try:
+        try:
+            obj, end = _raw_decode(line)
+        except ValueError:
+            return json.loads(line)
+        if line[end:].strip(" \t\n\r"):
+            return json.loads(line)
+        return obj
+    except RecursionError as exc:
+        raise ValueError(f"nested too deeply: {exc}") from None
+
+
 def _parse_post(line: str) -> Post:
-    obj = json.loads(line)
+    obj = json_line(line)
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
-    for key, typ in (("id", str), ("author", str), ("created_at", int),
-                     ("text", str), ("likes", int)):
-        if key not in obj:
-            raise ValueError(f"missing field {key!r}")
-        value = obj[key]
-        if not isinstance(value, typ) or isinstance(value, bool):
-            raise ValueError(f"field {key!r} has wrong type")
-    if obj["created_at"] < 0:
+    post = Post._make(map(obj.get, Post._fields))
+    # type() rather than isinstance(): bool is a subclass of int
+    if tuple(map(type, post)) != _POST_TYPES:
+        for key, typ in zip(Post._fields, _POST_TYPES):
+            if key not in obj:
+                raise ValueError(f"missing field {key!r}")
+            if type(obj[key]) is not typ:
+                raise ValueError(f"field {key!r} has wrong type")
+    if post.created_at < 0:
         raise ValueError("created_at is negative")
-    if obj["likes"] < 0:
+    if post.likes < 0:
         raise ValueError("likes is negative")
-    return Post(id=obj["id"], author=obj["author"], created_at=obj["created_at"],
-                text=obj["text"], likes=obj["likes"])
+    return post
 
 
 def _parse_edge(line: str) -> tuple[str, str]:
-    obj = json.loads(line)
+    obj = json_line(line)
     follower, followee = obj["follower"], obj["followee"]
     if not isinstance(follower, str) or not isinstance(followee, str):
         raise ValueError("follower/followee must be strings")
@@ -249,16 +270,23 @@ def ego_neighborhood(g: SocialGraph, u: str) -> frozenset[str]:
 
 
 def write_posts_jsonl(posts: Iterable[Post], path: str | Path) -> None:
-    """Write posts in their given order, one compact JSON object per line."""
+    """Write posts in their given order, one compact JSON object per line.
+
+    Each line is formatted by hand, its strings escaped by the string encoder
+    of ``json.dumps``, so the bytes are those of ``json.dumps(post_as_dict,
+    separators=(",", ":"))``.
+    """
     with open(path, "w", encoding="utf-8") as fh:
         for p in posts:
-            fh.write(_encode_compact(
-                {"id": p.id, "author": p.author, "created_at": p.created_at,
-                 "text": p.text, "likes": p.likes}) + "\n")
+            fh.write('{"id":%s,"author":%s,"created_at":%d,"text":%s,"likes":%d}\n' % (
+                _json_string(p.id), _json_string(p.author), p.created_at,
+                _json_string(p.text), p.likes))
 
 
 def write_edges_jsonl(g: SocialGraph, path: str | Path) -> None:
-    """Write the edge set in sorted order, one compact JSON object per line."""
+    """Write the edge set in sorted order, one compact JSON object per line,
+    formatted as ``write_posts_jsonl`` formats its lines."""
     with open(path, "w", encoding="utf-8") as fh:
         for follower, followee in sorted(g.edges):
-            fh.write(_encode_compact({"follower": follower, "followee": followee}) + "\n")
+            fh.write('{"follower":%s,"followee":%s}\n' % (
+                _json_string(follower), _json_string(followee)))

@@ -17,6 +17,7 @@ from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
+from .corpus import json_line
 from .errors import DataFormatError
 
 if TYPE_CHECKING:
@@ -139,7 +140,7 @@ def load_external_vectors(path: str | Path) -> Vectors:
                 line = raw_line.decode("utf-8")
                 if not line.strip():
                     continue
-                obj = json.loads(line)
+                obj = json_line(line)
                 post_id = obj["id"]
                 raw = obj["vec"]
                 if not isinstance(post_id, str) or not isinstance(raw, list):

@@ -145,6 +145,17 @@ class TestGraphStages:
         assert f"{posts}: skipped 1 malformed post line(s)" in caplog.text
         assert len((tmp_path / "out_posts.jsonl").read_text().splitlines()) == 1
 
+    def test_ingest_skips_deeply_nested_post_line(self, tmp_path, caplog):
+        posts = tmp_path / "posts.jsonl"
+        write_jsonl(posts, [{"id": "p1", "author": "a", "created_at": 0, "text": "", "likes": 0}])
+        posts.write_text(posts.read_text() + "[" * 100_000 + "\n")
+        write_jsonl(tmp_path / "edges.jsonl", [{"follower": "a", "followee": "b"}])
+        assert main(["ingest", "--posts", str(posts), "--edges", str(tmp_path / "edges.jsonl"),
+                     "--out-posts", str(tmp_path / "out_posts.jsonl"),
+                     "--out-edges", str(tmp_path / "out_edges.jsonl")]) == 0
+        assert f"{posts}:2: skipping malformed post line (nested too deeply" in caplog.text
+        assert len((tmp_path / "out_posts.jsonl").read_text().splitlines()) == 1
+
     def test_ingest_lone_cr_posts_exit_2(self, tmp_path, caplog):
         # lines end at \n only, so a lone-CR file is one line that does not parse
         posts = tmp_path / "posts.jsonl"
@@ -445,6 +456,15 @@ class TestConfigFile:
                      "--out-vectors", str(tmp_path / "v.jsonl")])
         assert code == 2
 
+    def test_config_nested_too_deeply_exit_2(self, tmp_path, caplog):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        assert main(["--config", str(config), "synth",
+                     "--out-posts", str(tmp_path / "p.jsonl"),
+                     "--out-edges", str(tmp_path / "e.jsonl"),
+                     "--out-vectors", str(tmp_path / "v.jsonl")]) == 2
+        assert f"{config}: invalid JSON (maximum recursion depth exceeded" in caplog.text
+
     @pytest.mark.parametrize(("config", "args"), [
         ({"seed": "abc"}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
                            "--out-vectors", "v.jsonl"]),
@@ -725,8 +745,9 @@ class TestCsvBytes:
 
 
 class TestReportSummary:
-    @pytest.mark.parametrize("text", ['{"bins": [', '{"bins": [{"n": 1}]}'],
-                             ids=["truncated", "bin-without-label"])
+    @pytest.mark.parametrize("text", ['{"bins": [', '{"bins": [{"n": 1}]}',
+                                      '{"bins": ' + "[" * 100_000],
+                             ids=["truncated", "bin-without-label", "nested-too-deeply"])
     def test_bad_summary_exit_2(self, tmp_path, caplog, text):
         summary = tmp_path / "summary.json"
         summary.write_text(text)

@@ -4,8 +4,9 @@ import re
 import pytest
 
 from ideadrift.corpus import (
-    Post, SocialGraph, build_corpus, ego_neighborhood,
+    Post, SocialGraph, build_corpus, ego_neighborhood, json_line,
     largest_connected_component, load_edges, load_posts, sample_users,
+    write_edges_jsonl, write_posts_jsonl,
 )
 from ideadrift.errors import DataFormatError
 
@@ -17,6 +18,36 @@ def write_jsonl(path, rows):
 
 
 POST = {"id": "p1", "author": "a", "created_at": 0, "text": "hi", "likes": 0}
+OBJ = json.dumps(POST)
+# nested past the interpreter's recursion limit
+DEEP = "[" * 100_000
+
+
+class TestJsonLine:
+    @pytest.mark.parametrize("line", [
+        OBJ + "\n", "  " + OBJ + " \r\n", "\t" + OBJ, "\x0c" + OBJ, OBJ + " 1",
+        OBJ + "}", OBJ + "\x0c\n", "\ufeff" + OBJ, "", "\n", "NaN", "-Infinity",
+        '"\ud800"', '"\\ud800"', "[1, 2", "1 2",
+    ], ids=["newline", "whitespace-around", "tab-before", "formfeed-before",
+            "extra-value", "extra-brace", "formfeed-after", "bom", "empty", "blank",
+            "nan", "minus-infinity", "lone-surrogate", "escaped-lone-surrogate",
+            "truncated", "two-values"])
+    def test_same_as_json_loads(self, line):
+        try:
+            expected = json.loads(line)
+        except ValueError as exc:
+            with pytest.raises(type(exc)) as raised:
+                json_line(line)
+            assert str(raised.value) == str(exc)
+        else:
+            # repr, so that NaN equals NaN
+            assert repr(json_line(line)) == repr(expected)
+
+    def test_nested_too_deeply_is_value_error(self):
+        with pytest.raises(RecursionError):
+            json.loads(DEEP)
+        with pytest.raises(ValueError, match="nested too deeply"):
+            json_line(DEEP)
 
 
 class TestLoadPosts:
@@ -88,6 +119,11 @@ class TestLoadPosts:
         with pytest.raises(FileNotFoundError):
             load_posts(tmp_path / "missing.jsonl")
 
+    def test_post_is_immutable(self):
+        post = Post("p1", "a", 0, "hi", 0)
+        with pytest.raises(AttributeError):
+            post.likes = 1
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["lf", "crlf"])
     def test_warning_names_the_line(self, tmp_path, caplog, newline):
         path = tmp_path / "posts.jsonl"
@@ -123,8 +159,8 @@ class TestLoadEdges:
         assert g.users == frozenset() and g.edges == frozenset()
 
     @pytest.mark.parametrize("bad", [
-        b'{"follower": "a"}', b'{"follower": "\xff", "followee": "b"}',
-    ], ids=["missing-key", "not-utf8"])
+        b'{"follower": "a"}', b'{"follower": "\xff", "followee": "b"}', DEEP.encode(),
+    ], ids=["missing-key", "not-utf8", "nested-too-deeply"])
     def test_malformed_skipped(self, tmp_path, caplog, bad):
         path = tmp_path / "edges.jsonl"
         path.write_bytes(bad + b'\n{"follower": "a", "followee": "b"}\n')
@@ -139,6 +175,29 @@ class TestLoadEdges:
         with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: no edge line "
                                                   "parses; first malformed: line 1 "):
             load_edges(path)
+
+
+# non-ASCII, quote, backslash, every C0 control, DEL, a lone surrogate,
+# U+2028 and an emoji
+AWKWARD = ["caf\u00e9", 'say "hi"', "back\\slash", "".join(map(chr, range(32))),
+           "del\x7f", "lone\ud800", "line\u2028sep", "emoji\U0001f600"]
+
+
+class TestWriterBytes:
+    def test_posts_are_compact_json_dumps(self, tmp_path):
+        posts = [Post(f"p{i}{s}", s, i, s * 2, 7 * i) for i, s in enumerate(AWKWARD)]
+        write_posts_jsonl(posts, tmp_path / "posts.jsonl")
+        assert (tmp_path / "posts.jsonl").read_bytes() == "".join(
+            json.dumps({"id": p.id, "author": p.author, "created_at": p.created_at,
+                        "text": p.text, "likes": p.likes}, separators=(",", ":")) + "\n"
+            for p in posts).encode()
+
+    def test_edges_are_compact_json_dumps(self, tmp_path):
+        edges = list(zip(AWKWARD, AWKWARD[1:] + AWKWARD[:1]))
+        write_edges_jsonl(SocialGraph(AWKWARD, edges), tmp_path / "edges.jsonl")
+        assert (tmp_path / "edges.jsonl").read_bytes() == "".join(
+            json.dumps({"follower": a, "followee": b}, separators=(",", ":")) + "\n"
+            for a, b in sorted(edges)).encode()
 
 
 class TestSocialGraph:

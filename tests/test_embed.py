@@ -149,7 +149,8 @@ class TestExternalVectors:
 
     @pytest.mark.parametrize("vec", [
         b'["1.5","2"]', b"[true,false]", b"[]", b"[true,1.5]", b"[1.0,\xff]",
-    ], ids=["strings", "booleans", "empty", "mixed-bool", "not-utf8"])
+        b"[" * 100_000,
+    ], ids=["strings", "booleans", "empty", "mixed-bool", "not-utf8", "nested-too-deeply"])
     def test_non_number_or_empty_vec_fatal(self, tmp_path, vec):
         path = tmp_path / "vectors.jsonl"
         # alone in the file, so no dimension check can catch it; the blank
