@@ -263,8 +263,14 @@ def write_records_csv(records: Iterable[EccentricityRecord], path: str | Path) -
 
 
 def optional_float(text: str) -> float | None:
-    """An empty CSV field is an undefined value."""
-    return float(text) if text else None
+    """An empty CSV field is an undefined value; a non-finite one (nan, inf)
+    raises ValueError, as no stage writes one."""
+    if not text:
+        return None
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
 
 
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

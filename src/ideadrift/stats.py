@@ -93,6 +93,10 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndar
     """Gaussian kernel density estimate at each point of an ascending grid.
 
     density(x) = (1 / (n h sqrt(2 pi))) * sum_i exp(-(x - s_i)^2 / (2 h^2))
+
+    Samples are taken 4096 at a time into one reused (4096, grid.size)
+    buffer, so working memory is that buffer alone. The chunk size also fixes
+    the order in which kernel values are summed, and so the result's bits.
     """
     import numpy as np
 
@@ -105,10 +109,16 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndar
     if np.any(np.diff(grid) < 0):
         raise DataFormatError("grid must be ascending")
     density = np.zeros(grid.size)
+    buf = np.empty((min(samples.size, 4096), grid.size))
     for start in range(0, samples.size, 4096):
         chunk = samples[start:start + 4096]
-        scaled = (grid[None, :] - chunk[:, None]) / bandwidth
-        density += np.exp(-0.5 * scaled**2).sum(axis=0)
+        scaled = buf[:chunk.size]
+        np.subtract(grid[None, :], chunk[:, None], out=scaled)
+        scaled /= bandwidth
+        np.square(scaled, out=scaled)
+        scaled *= -0.5
+        np.exp(scaled, out=scaled)
+        density += scaled.sum(axis=0)
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return density
 
@@ -149,14 +159,20 @@ class _PooledSplits:
 
         The other sample's midcounts are B_j - M_j, so its squared deviations
         (n M_j - size B_j)^2 equal this side's and one pass scores both.
+        The terms are formed in place in one array over the distinct values.
         """
         import numpy as np
 
         n = float(self.n_total)
         size = float(side.size)
         counts = np.bincount(self.value_index[side], minlength=self.values.size)
-        mid = np.cumsum(counts) - counts / 2.0  # M_j
-        total = float(np.sum(self.weight * (n * mid - size * self.pooled_midcount)**2))
+        terms = counts / 2.0
+        np.subtract(np.cumsum(counts), terms, out=terms)  # M_j
+        terms *= n
+        terms -= size * self.pooled_midcount
+        np.square(terms, out=terms)
+        terms *= self.weight
+        total = float(np.sum(terms))
         return (n - 1.0) / n * total * (1.0 / size + 1.0 / (n - size))
 
 
@@ -376,13 +392,14 @@ def bin_summary(
     """
     import numpy as np
 
-    pooled = [v for samples in bins.values() for v in samples]
-    grid = default_grid(pooled, bandwidth) if pooled else None
+    arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}
+    filled = [samples for samples in arrays.values() if samples.size]
+    grid = default_grid(np.concatenate(filled), bandwidth) if filled else None
     stats_rows: list[BinStats] = []
     notices: list[str] = []
     testable: list[str] = []
-    for label, samples in bins.items():
-        n = len(samples)
+    for label, samples in arrays.items():
+        n = samples.size
         mean = float(np.mean(samples)) if n else None
         density = kde(samples, bandwidth, grid) if n else None
         stats_rows.append(BinStats(label=label, n=n, mean=mean, density=density))
@@ -395,7 +412,7 @@ def bin_summary(
     if pairs:
         raw = []
         for a, b in pairs:
-            a2, p = ad_test_2sample(bins[a], bins[b], p_method=p_method,
+            a2, p = ad_test_2sample(arrays[a], arrays[b], p_method=p_method,
                                     n_perm=n_perm, seed=seed)
             raw.append((a, b, a2, p))
         corrected = bonferroni([p for _, _, _, p in raw], len(pairs))

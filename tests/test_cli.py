@@ -641,9 +641,14 @@ class TestBadRecordRows:
         ("distributions", b"p2,\xff,5,0,,,1,0"),
         ("dynamics", b"p" + b"x" * 200_000 + b",a,5,0,,,1,0"),
         ("distributions", b"p" + b"x" * 200_000 + b",a,5,0,,,1,0"),
+        ("dynamics", b"p2,a,5,0,nan,,1,0"),
+        ("distributions", b"p2,a,5,0,nan,,1,0"),
+        ("dynamics", b"p2,a,5,0,1.5,-inf,1,1"),
+        ("distributions", b"p2,a,5,0,inf,,1,0"),
     ], ids=["dynamics", "distributions", "dynamics-extra-fields",
             "distributions-extra-fields", "dynamics-not-utf8", "distributions-not-utf8",
-            "dynamics-oversized-field", "distributions-oversized-field"])
+            "dynamics-oversized-field", "distributions-oversized-field",
+            "dynamics-nan", "distributions-nan", "dynamics-inf", "distributions-inf"])
     def test_malformed_row_exit_2(self, tmp_path, caplog, stage, row):
         records = tmp_path / "records.csv"
         records.write_bytes(
@@ -758,6 +763,21 @@ class TestReportSummary:
                      "--dynamics", str(tmp_path / "dynamics.csv"),
                      "--out-dir", str(tmp_path / "report")]) == 2
         assert str(summary) in caplog.text
+
+    @pytest.mark.parametrize("field", ["nan", "-inf"])
+    def test_non_finite_dynamics_field_exit_2(self, tmp_path, caplog, field):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"bins": []}')
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        dyn = tmp_path / "dynamics.csv"
+        dyn.write_text("user,n,f_ecc,g_ecc,f_self,g_self,mean_gap_seconds\n"
+                       "a,3,0.5,0.25,,,60.0\n"
+                       f"b,3,0.5,{field},,,60.0\n")
+        assert main(["report", "--summary", str(summary),
+                     "--distributions", str(tmp_path / "distributions.csv"),
+                     "--dynamics", str(dyn),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        assert f"{dyn}:3:" in caplog.text
 
 
 class TestPresets:

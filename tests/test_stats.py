@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,32 @@ class TestKde:
         grid = default_grid([0.0, 10.0], 5.0)
         assert grid[0] == -15.0 and grid[-1] == 25.0 and grid.size == 512
 
+    @pytest.mark.parametrize("points", [512, 101])
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 10_000])
+    def test_bits_match_out_of_place_reference(self, n, points):
+        # samples rounded to 0.1 repeat, so chunks hold ties
+        samples = np.round(np.random.default_rng(n).normal(20.0, 8.0, n), 1)
+        h = 5.0
+        grid = np.linspace(samples.min() - 15.0, samples.max() + 15.0, points)
+        want = np.zeros(grid.size)
+        for start in range(0, n, 4096):
+            chunk = samples[start:start + 4096]
+            scaled = (grid[None, :] - chunk[:, None]) / h
+            want += np.exp(-0.5 * scaled**2).sum(axis=0)
+        want /= n * h * math.sqrt(2.0 * math.pi)
+        assert kde(samples, h, grid).tobytes() == want.tobytes()
+
+    def test_peak_memory_one_chunk_buffer(self):
+        samples = np.random.default_rng(23).normal(20.0, 8.0, 10_000)
+        grid = default_grid(samples, 5.0)
+        tracemalloc.start()
+        try:
+            kde(samples, 5.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 4096 * grid.size * 8
+
 
 # ---------------------------------------------------------------------------
 # Anderson-Darling
@@ -231,6 +258,25 @@ class TestAdStatistic:
         want = naive_ad_statistic(x, y)
         assert from_x == pytest.approx(want, rel=1e-12)
         assert from_y == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_statistic_bits_match_out_of_place_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        pooled = np.round(rng.normal(0.0, 1.0, rng.integers(4, 2000)), rng.integers(0, 3))
+        splits = _PooledSplits(pooled)
+        if splits.degenerate:
+            pytest.skip("degenerate draw")
+        n = float(pooled.size)
+        for _ in range(20):
+            shuffled = rng.permutation(pooled.size)
+            cut = int(rng.integers(1, pooled.size))
+            for side in (shuffled[:cut], shuffled[cut:]):
+                size = float(side.size)
+                counts = np.bincount(splits.value_index[side], minlength=splits.values.size)
+                mid = np.cumsum(counts) - counts / 2.0
+                total = float(np.sum(splits.weight * (n * mid - size * splits.pooled_midcount)**2))
+                want = (n - 1.0) / n * total * (1.0 / size + 1.0 / (n - size))
+                assert splits.statistic(side) == want
 
 
 class TestAdTest:
