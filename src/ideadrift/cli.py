@@ -321,8 +321,8 @@ def stage_distributions(settings: _Settings, config: dict) -> None:
     _write_json(out_summary, payload)
     for notice in summary.notices:
         logger.warning("distributions: %s", notice)
-    logger.info("distributions: %d bins, %d pairwise tests",
-                len(summary.bins), len(summary.tests))
+    logger.info("distributions: %d bins, %d pairwise tests on %d threads",
+                len(summary.bins), len(summary.tests), summary.threads)
     _write_manifest(out_csv, "distributions", settings, config)
 
 

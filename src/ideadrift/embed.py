@@ -162,6 +162,8 @@ def load_external_vectors(path: str | Path) -> Vectors:
             seen.add(post_id)
             ids.append(post_id)
     matrix.resize((len(ids), matrix.shape[1]), refcheck=False)
+    if all(map(str.__lt__, ids, ids[1:])):  # already in id order, as every writer leaves it
+        return ids, matrix
     order = sorted(range(len(ids)), key=ids.__getitem__)
     return [ids[i] for i in order], matrix[order]
 

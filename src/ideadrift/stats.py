@@ -375,6 +375,7 @@ class BinSummary:
     bins: list[BinStats]
     tests: list[PairTest]
     notices: list[str]
+    threads: int  # threads the pairwise tests ran on; 0 when none ran
 
 
 def bin_summary(
@@ -389,7 +390,15 @@ def bin_summary(
     Pairwise tests run between every pair of bins holding at least two
     samples and are Bonferroni-corrected by the number of tests performed;
     smaller bins are reported but skipped with a notice.
+
+    The pairs run concurrently on min(pairs, usable CPUs) threads; numpy
+    releases the GIL in each draw's shuffle and statistic. Every pair owns
+    its pooled sample and its own ``default_rng(seed)``, and results are
+    collected in pair order, so no result depends on the thread count.
     """
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
     import numpy as np
 
     arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}
@@ -409,13 +418,20 @@ def bin_summary(
             notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
     pairs = list(itertools.combinations(testable, 2))
     tests: list[PairTest] = []
+    threads = 0
     if pairs:
-        raw = []
-        for a, b in pairs:
-            a2, p = ad_test_2sample(arrays[a], arrays[b], p_method=p_method,
-                                    n_perm=n_perm, seed=seed)
-            raw.append((a, b, a2, p))
-        corrected = bonferroni([p for _, _, _, p in raw], len(pairs))
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        threads = min(len(pairs), cpus)
+
+        def pair_test(pair: tuple[str, str]) -> tuple[float, float]:
+            return ad_test_2sample(arrays[pair[0]], arrays[pair[1]], p_method=p_method,
+                                   n_perm=n_perm, seed=seed)
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            raw = list(pool.map(pair_test, pairs))
+        corrected = bonferroni([p for _, p in raw], len(pairs))
         tests = [PairTest(a, b, a2, p, pc)
-                 for (a, b, a2, p), pc in zip(raw, corrected)]
-    return BinSummary(grid=grid, bins=stats_rows, tests=tests, notices=notices)
+                 for (a, b), (a2, p), pc in zip(pairs, raw, corrected)]
+    return BinSummary(grid=grid, bins=stats_rows, tests=tests, notices=notices,
+                      threads=threads)

@@ -4,14 +4,16 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ideadrift
-from ideadrift import cloud, dynamics, embed
+from ideadrift import cloud, dynamics, embed, stats
 from ideadrift.cli import build_parser, main
+from ideadrift.errors import DataFormatError
 
 DAY = 86400
 
@@ -686,6 +688,59 @@ class TestPermutationCount:
                      "--out-csv", str(out), "--out-summary", str(tmp_path / "s.json")]) == 2
         assert f"n_perm must be at least 1, got {n_perm}" in caplog.text
         assert not out.exists()
+
+    @staticmethod
+    def three_bins(path):
+        rng = np.random.default_rng(4)
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i:03d}", "a", i, likes, round(float(ecc), 1),
+                                      None, 1, 0)
+             for i, (likes, ecc) in enumerate(
+                 (likes, rng.normal(likes ** 0.5, 2.0))
+                 for likes in (5, 50, 500) for _ in range(40))], path)
+
+    def test_worker_error_exit_2(self, tmp_path, caplog, monkeypatch):
+        # only the last pair fails, after the first two were handed out
+        real = stats.ad_test_2sample
+
+        def failing_test(x, y, **kwargs):
+            if float(np.mean(x)) > 4.0:
+                raise DataFormatError("medium-high pair failed")
+            return real(x, y, **kwargs)
+
+        self.three_bins(tmp_path / "records.csv")
+        monkeypatch.setattr(stats, "ad_test_2sample", failing_test)
+        before = threading.active_count()
+        out = tmp_path / "d.csv"
+        assert main(["distributions", "--records", str(tmp_path / "records.csv"),
+                     "--bins", "10,100", "--out-csv", str(out),
+                     "--out-summary", str(tmp_path / "s.json")]) == 2
+        assert "medium-high pair failed" in caplog.text
+        assert not out.exists()
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                        or len(os.sched_getaffinity(0)) < 2, reason="needs 2 usable CPUs")
+    def test_bytes_do_not_depend_on_usable_cpus(self, tmp_path):
+        cpus = os.sched_getaffinity(0)
+        outputs = []
+        for name, pin in (("one", {min(cpus)}), ("all", None)):
+            root = tmp_path / name
+            root.mkdir()
+            self.three_bins(root / "records.csv")
+            proc = subprocess.run(
+                [sys.executable, "-m", "ideadrift.cli", "distributions",
+                 "--records", "records.csv", "--bins", "10,100", "--p-method", "permutation",
+                 "--n-perm", "300", "--seed", "2", "--out-csv", "d.csv",
+                 "--out-summary", "s.json"],
+                cwd=root, env=blas_env(1), capture_output=True, text=True,
+                preexec_fn=pin and (lambda: os.sched_setaffinity(0, pin)))
+            assert proc.returncode == 0, proc.stderr[-2000:]
+            threads = 1 if pin else min(3, len(cpus))
+            assert f"3 pairwise tests on {threads} threads" in proc.stderr
+            outputs.append([(root / file).read_bytes()
+                            for file in ("d.csv", "s.json", "d.csv.manifest.json")])
+        assert outputs[0] == outputs[1]
 
 
 class TestCsvBytes:

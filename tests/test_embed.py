@@ -165,6 +165,18 @@ class TestExternalVectors:
         ids, matrix = load_external_vectors(path)
         assert ids == [] and matrix.shape == (0, 0)
 
+    @pytest.mark.parametrize("order", [(2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)])
+    def test_lines_in_any_order_come_back_in_id_order(self, tmp_path, order):
+        ids = ["p1", "p10", "p2"]  # ascending as strings
+        matrix = np.random.default_rng(2).standard_normal((3, 4))
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(
+            '{"id":"%s","vec":[%s]}\n' % (ids[i], ",".join(map(repr, matrix[i].tolist())))
+            for i in order))
+        loaded_ids, loaded = load_external_vectors(path)
+        assert loaded_ids == ids
+        assert loaded.tobytes() == matrix.tobytes()
+
     def test_write_then_load(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         original = (["p2", "p1"], np.array([[0.25, -1.5], [1e-17, 3.0]]))
