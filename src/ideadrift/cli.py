@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 missing input or invalid configuration or data.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import logging
@@ -338,7 +337,7 @@ def stage_synth(settings: _Settings, config: dict) -> None:
     synth.write_corpus_files(c, vectors, out_posts, out_edges, out_vectors)
     logger.info("synth: %d users, %d posts, effect=%s strength=%s",
                 cfg.n_users, len(c.posts), cfg.effect, cfg.effect_strength)
-    _write_manifest(out_posts, "synth", settings, dataclasses.asdict(cfg))
+    _write_manifest(out_posts, "synth", settings, cfg._asdict())
 
 
 def stage_report(settings: _Settings, config: dict) -> None:

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -33,6 +33,7 @@ class Post(NamedTuple):
 
 
 _POST_TYPES = (str, str, int, str, int)  # Post's field types, in order
+_POST_ORDER = itemgetter(2, 0)  # a post's (created_at, id), the log's sort key
 
 
 class SocialGraph:
@@ -84,24 +85,12 @@ class SocialGraph:
         return f"SocialGraph(users={len(self._users)}, edges={len(self.edges)})"
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """A time-ordered post log plus the static follow graph behind it."""
+class Corpus(NamedTuple):
+    """A time-ordered post log plus the static follow graph behind it, as
+    ``build_corpus`` makes it: sorted by (created_at, id), authors in the graph."""
 
     posts: tuple[Post, ...]
     graph: SocialGraph
-
-    def __post_init__(self):
-        for p, q in zip(self.posts, self.posts[1:]):
-            if (p.created_at, p.id) >= (q.created_at, q.id):
-                raise DataFormatError(
-                    f"posts not sorted by (created_at, id): {p.id!r} before {q.id!r}"
-                )
-        missing = {p.author for p in self.posts} - self.graph.users
-        if missing:
-            raise DataFormatError(
-                f"post authors missing from graph: {sorted(missing)[:5]}"
-            )
 
 
 def build_corpus(posts: Sequence[Post], graph: SocialGraph) -> Corpus:
@@ -109,8 +98,7 @@ def build_corpus(posts: Sequence[Post], graph: SocialGraph) -> Corpus:
     missing = {p.author for p in posts} - graph.users
     if missing:
         graph = SocialGraph(graph.users | missing, graph.edges)
-    ordered = tuple(sorted(posts, key=lambda p: (p.created_at, p.id)))
-    return Corpus(posts=ordered, graph=graph)
+    return Corpus(tuple(sorted(posts, key=_POST_ORDER)), graph)
 
 
 def json_line(line: str) -> object:
@@ -205,7 +193,7 @@ def load_posts(path: str | Path) -> list[Post]:
             raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
         seen.add(post.id)
         posts.append(post)
-    posts.sort(key=lambda p: (p.created_at, p.id))
+    posts.sort(key=_POST_ORDER)
     return posts
 
 

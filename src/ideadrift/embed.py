@@ -12,10 +12,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from hashlib import blake2b
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .corpus import json_line
 from .errors import DataFormatError
@@ -35,29 +34,22 @@ def _hash64(token: str, seed: int, person: bytes) -> int:
     return int.from_bytes(digest.digest(), "big")
 
 
-@dataclass(frozen=True)
-class VectorizerModel:
+class VectorizerModel(NamedTuple):
     """Fitted vocabulary with IDF weights and hashing parameters.
 
     ``terms`` maps each vocabulary term to its hash bucket and its signed
-    weight ``idf * sign``, hashed once when the model is built.
+    weight ``idf * sign``, hashed once by ``fit_vectorizer``.
     """
 
     dim: int
     min_count: int
     hash_seed: int
     idf: dict[str, float]
-    vocabulary: frozenset[str] = field(init=False)
-    terms: dict[str, tuple[int, float]] = field(init=False, repr=False)
+    terms: dict[str, tuple[int, float]]
 
-    def __post_init__(self):
-        object.__setattr__(self, "vocabulary", frozenset(self.idf))
-        terms = {}
-        for token, idf in self.idf.items():
-            bucket = _hash64(token, self.hash_seed, b"bucket") % self.dim
-            sign = 1.0 if _hash64(token, self.hash_seed, b"sign") & 1 else -1.0
-            terms[token] = (bucket, idf * sign)
-        object.__setattr__(self, "terms", terms)
+    @property
+    def vocabulary(self) -> frozenset[str]:
+        return frozenset(self.idf)
 
 
 def fit_vectorizer(corpus_tokens: Sequence[Sequence[str]], dim: int,
@@ -84,7 +76,11 @@ def fit_vectorizer(corpus_tokens: Sequence[Sequence[str]], dim: int,
         for w, count in totals.items()
         if count >= min_count
     }
-    return VectorizerModel(dim=dim, min_count=min_count, hash_seed=hash_seed, idf=idf)
+    # each term's bucket and signed weight idf * (+-1), hashed once
+    terms = {token: (_hash64(token, hash_seed, b"bucket") % dim,
+                     weight if _hash64(token, hash_seed, b"sign") & 1 else -weight)
+             for token, weight in idf.items()}
+    return VectorizerModel(dim, min_count, hash_seed, idf, terms)
 
 
 def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
@@ -96,9 +92,10 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     import numpy as np
 
     acc = [0.0] * model.dim
+    terms = model.terms
     tf = Counter(tokens)
     for token in sorted(tf):
-        term = model.terms.get(token)
+        term = terms.get(token)
         if term is not None:
             bucket, weight = term
             # weight is idf * (+-1), so this is bitwise tf * idf * sign

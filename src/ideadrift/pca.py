@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DataFormatError
 
@@ -18,8 +17,7 @@ _EV_TIE_RTOL = 1e-9
 _QR_VALUES = 1 << 17
 
 
-@dataclass(frozen=True)
-class PcaModel:
+class PcaModel(NamedTuple):
     """Mean vector plus k orthonormal component rows and their variances."""
 
     mean: np.ndarray

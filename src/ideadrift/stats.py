@@ -14,8 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .cloud import EccentricityRecord
 from .errors import DataFormatError
@@ -352,16 +351,14 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
 # per-bin summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BinStats:
+class BinStats(NamedTuple):
     label: str
     n: int
     mean: float | None
     density: np.ndarray | None  # on BinSummary.grid
 
 
-@dataclass(frozen=True)
-class PairTest:
+class PairTest(NamedTuple):
     label_a: str
     label_b: str
     a2: float
@@ -369,8 +366,7 @@ class PairTest:
     p_bonferroni: float
 
 
-@dataclass(frozen=True)
-class BinSummary:
+class BinSummary(NamedTuple):
     grid: np.ndarray | None  # None when no bin has samples
     bins: list[BinStats]
     tests: list[PairTest]

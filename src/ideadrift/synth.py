@@ -16,9 +16,9 @@ is byte-identical to the null run under the same seed:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import (Corpus, Post, SocialGraph, build_corpus,
                      write_edges_jsonl, write_posts_jsonl)
@@ -54,8 +54,11 @@ _WORDS = (
 )
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+# numpy's largest Poisson mean (np.random.Generator.poisson refuses more)
+_POISSON_LAM_MAX = 2**63 - 1 - math.sqrt(2**63 - 1) * 10
+
+
+class _SynthFields(NamedTuple):
     n_users: int
     follow_prob: float
     n_days: float
@@ -68,7 +71,15 @@ class SynthConfig:
     post_noise: float = 0.25
     like_max: int = 500
 
-    def __post_init__(self):
+
+class SynthConfig(_SynthFields):
+    """Generation settings, refused when constructed unless ``gen_corpus``
+    can draw with them. (``_make`` and ``_replace`` skip the checks.)"""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_users < 1 or self.dim < 1 or self.like_max < 1:
             raise DataFormatError("n_users, dim and like_max must be positive")
         if self.n_days <= 0 or self.posts_per_user_per_day <= 0:
@@ -79,10 +90,20 @@ class SynthConfig:
             raise DataFormatError(f"effect must be one of {EFFECTS}, got {self.effect!r}")
         if self.effect_strength < 0:
             raise DataFormatError("effect_strength must be >= 0")
+        for name in ("user_spread", "post_noise"):
+            # numpy refuses a normal scale whose sign bit is set, -0.0 included
+            if math.copysign(1.0, getattr(self, name)) < 0:
+                raise DataFormatError(
+                    f"{name} must be >= 0 and not -0.0, got {getattr(self, name)}")
+        if not 0.5 < self.n_days * 86400 <= 2**63:  # times: [0, round(seconds)) as int64
+            raise DataFormatError(f"n_days must span 1 to 2**63 seconds, got {self.n_days}")
+        if not self.posts_per_user_per_day * self.n_days <= _POISSON_LAM_MAX:
+            raise DataFormatError("posts_per_user_per_day * n_days, the mean posts per "
+                                  f"user, is above numpy's Poisson limit {_POISSON_LAM_MAX:.4g}")
+        return self
 
 
-@dataclass(frozen=True)
-class SynthDetails:
+class SynthDetails(NamedTuple):
     """Generation internals exposed for verification against planted effects.
 
     Per-post arrays are aligned with the corpus post order. planted_deviation

@@ -190,6 +190,25 @@ class TestGraphStages:
         assert (tmp_path / "lcc_posts.jsonl").read_text().count("\n") == 4
         assert proc.stdout.strip() == "False"
 
+    def test_corpus_stages_never_import_dataclasses(self, tmp_path):
+        write_jsonl(tmp_path / "posts.jsonl", [
+            {"id": f"p{i}", "author": f"u{i % 3}", "created_at": i, "text": "x", "likes": i}
+            for i in range(6)])
+        write_jsonl(tmp_path / "edges.jsonl", [{"follower": "u0", "followee": "u1"}])
+        script = (
+            "import sys\n"
+            "from ideadrift.cli import main\n"
+            "print('dataclasses' in sys.modules)\n"
+            "for stage, src, dst in (('ingest', '', 'ok_'), ('lcc', 'ok_', 'lcc_')):\n"
+            "    assert main([stage, *(arg for key in ('posts', 'edges') for arg in (\n"
+            "        f'--{key}', f'{src}{key}.jsonl', f'--out-{key}', f'{dst}{key}.jsonl'))]) == 0\n"
+            "print('dataclasses' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=blas_env(1),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert (tmp_path / "lcc_posts.jsonl").read_text().count("\n") == 4
+        assert proc.stdout.split() == ["False", "False"]
+
     def test_lcc_stage_filters_posts(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [
             {"id": "p1", "author": "a", "created_at": 0, "text": "", "likes": 0},
@@ -631,6 +650,52 @@ class TestSynthManifest:
             configs.append(manifest_of(out / "posts.jsonl")["config"])
         assert [c["post_noise"] for c in configs] == [0.25, 0.5]
         assert configs[0] != configs[1]
+
+
+    def test_config_golden(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--n-users", "3", "--follow-prob", "0.5", "--n-days", "2",
+                     "--posts-per-day", "1.5", "--synth-dim", "4", "--seed", "5",
+                     "--effect", "elevator-drift", "--strength", "0.5",
+                     "--user-spread", "2", "--post-noise", "0.125",
+                     "--out-posts", str(out / "posts.jsonl"),
+                     "--out-edges", str(out / "edges.jsonl"),
+                     "--out-vectors", str(out / "vectors.jsonl")]) == 0
+        text = (out / "posts.jsonl.manifest.json").read_text()
+        assert text[:text.index("}") + 1] == (
+            '{\n'
+            '  "config": {\n'
+            '    "dim": 4,\n'
+            '    "effect": "elevator-drift",\n'
+            '    "effect_strength": 0.5,\n'
+            '    "follow_prob": 0.5,\n'
+            '    "like_max": 500,\n'
+            '    "n_days": 2.0,\n'
+            '    "n_users": 3,\n'
+            '    "post_noise": 0.125,\n'
+            '    "posts_per_user_per_day": 1.5,\n'
+            '    "seed": 5,\n'
+            '    "user_spread": 2.0\n'
+            '  }')
+
+    @pytest.mark.parametrize(("flags", "field"), [
+        (["--user-spread", "-1"], "user_spread"),
+        (["--user-spread", "-0"], "user_spread"),
+        (["--post-noise", "-0.5"], "post_noise"),
+        (["--n-days", "1e300"], "n_days"),
+        (["--n-days", "1e-9", "--posts-per-day", "1e12"], "n_days"),
+        (["--posts-per-day", "1e300"], "posts_per_user_per_day"),
+    ], ids=["user-spread-negative", "user-spread-minus-zero", "post-noise-negative",
+            "n-days-huge", "n-days-under-a-second", "posts-per-day-huge"])
+    def test_undrawable_config_exit_2(self, tmp_path, caplog, capsys, flags, field):
+        out = tmp_path / "out"
+        assert main(["synth", "--n-users", "3", *flags,
+                     "--out-posts", str(out / "posts.jsonl"),
+                     "--out-edges", str(out / "edges.jsonl"),
+                     "--out-vectors", str(out / "vectors.jsonl")]) == 2
+        assert field in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadRecordRows:

@@ -117,6 +117,11 @@ class TestValidation:
         dict(n_users=0), dict(dim=0), dict(follow_prob=1.5),
         dict(follow_prob=-0.1), dict(n_days=0), dict(posts_per_user_per_day=0),
         dict(effect="banana"), dict(effect_strength=-1.0),
+        # values numpy cannot draw with: a negative or -0.0 normal scale, a
+        # time span beyond int64 seconds or under one second, a huge Poisson mean
+        dict(user_spread=-1.0), dict(post_noise=-0.5), dict(user_spread=-0.0),
+        dict(post_noise=-0.0), dict(n_days=1e300), dict(n_days=1e-9),
+        dict(posts_per_user_per_day=1e300),
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(DataFormatError):
