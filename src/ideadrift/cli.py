@@ -18,8 +18,9 @@ import math
 import os
 import shutil
 import sys
+from collections import ChainMap
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 # One BLAS thread, whatever the caller set: a multithreaded SVD changes the
 # last bits of pca output with the thread count. Set before numpy loads BLAS,
@@ -63,7 +64,7 @@ DEFAULTS = {
 }
 
 
-class _Settings:
+class _Settings(ChainMap):
     """Layered parameter lookup: CLI flag > config file > preset > default.
 
     Every input file a stage resolves through ``require_path`` is recorded in
@@ -79,16 +80,10 @@ class _Settings:
         unknown = sorted(set(file) - known)
         if unknown:
             raise DataFormatError(f"{cli['config']}: unknown keys {', '.join(unknown)}")
-        self.layers = [cli, file, DEFAULTS]
+        super().__init__(cli, file, DEFAULTS)
         preset = self.values(preset=one_of(*PRESETS))["preset"]
-        self.layers.insert(2, PRESETS[preset])
+        self.maps.insert(2, PRESETS[preset])
         self.inputs: dict[str, Path] = {}
-
-    def get(self, key: str):
-        for layer in self.layers:
-            if key in layer:
-                return layer[key]
-        return None
 
     def values(self, **kinds: Callable) -> dict:
         """``{key: kind(setting)}``: the config a stage runs with and records."""
@@ -138,10 +133,11 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _read_json_object(path) -> dict:
-    """The JSON object in ``path``; anything else raises DataFormatError."""
+    """The JSON object in ``path``; anything else, or a non-finite number,
+    raises DataFormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_constant=finite, parse_float=finite)
     except (ValueError, RecursionError) as exc:
         raise DataFormatError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(payload, dict):
@@ -261,8 +257,6 @@ def stage_pca(settings: _Settings, config: dict) -> None:
     import numpy as np
 
     ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
-    if len(ids) < 2:
-        raise DataFormatError("pca needs at least 2 vectors")
     model = pca.fit_pca(matrix, config["variance"])
     out = settings.out_path("out")
     embed.write_vectors(out, (ids, pca.transform(model, matrix)))
@@ -298,12 +292,18 @@ def stage_dynamics(settings: _Settings, config: dict) -> None:
     _write_manifest(out, "dynamics", settings, config)
 
 
+class _DensityRow(NamedTuple):  # one row of distributions.csv
+    bin: str
+    grid_x: float
+    density: float
+
+
 def stage_distributions(settings: _Settings, config: dict) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
     bins = stats.bin_by_popularity(records, config["bins"])
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"})
     out_csv = settings.out_path("out_csv")
-    cloud.write_rows(out_csv, ("bin", "grid_x", "density"),
+    cloud.write_rows(out_csv, _DensityRow._fields,
                      ((row.label, x, d) for row in summary.bins if row.density is not None
                       for x, d in zip(summary.grid.tolist(), row.density.tolist())))
     out_summary = settings.out_path("out_summary")
@@ -351,6 +351,24 @@ def stage_report(settings: _Settings, config: dict) -> None:
         raise DataFormatError(f"{summary_path}: bins entries need label, n and mean "
                               f"({exc!r})") from exc
     rows = dynamics.read_dynamics_csv(dynamics_path)
+    # checked, then copied byte for byte into densities.csv
+    cloud.read_rows(distributions_path, _DensityRow, (str, finite, finite))
+    g_ecc = [d.g_ecc for d in rows if d.g_ecc is not None]
+    g_self = [d.g_self for d in rows if d.g_self is not None]
+    comparison = None
+    if len(g_ecc) >= 1 and len(g_self) >= 1:
+        import numpy as np
+
+        u, p = stats.mann_whitney(g_self, g_ecc)
+        with np.errstate(over="ignore"):  # checked below
+            mean_g_self, mean_g_ecc = float(np.mean(g_self)), float(np.mean(g_ecc))
+        if not (math.isfinite(mean_g_self) and math.isfinite(mean_g_ecc)):
+            raise OverflowError("a mean G-score overflows float64")
+        comparison = {
+            "n_self": len(g_self), "n_ecc": len(g_ecc),
+            "mean_g_self": mean_g_self, "mean_g_ecc": mean_g_ecc,
+            "mannwhitney_u": u, "p": p,
+        }
     out_dir = Path(settings.get("out_dir") or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -364,19 +382,6 @@ def stage_report(settings: _Settings, config: dict) -> None:
     means_path = out_dir / "bin_means.csv"
     cloud.write_rows(means_path, ("bin", "n", "mean_eccentricity"), bin_means)
 
-    g_ecc = [d.g_ecc for d in rows if d.g_ecc is not None]
-    g_self = [d.g_self for d in rows if d.g_self is not None]
-    comparison = None
-    if len(g_ecc) >= 1 and len(g_self) >= 1:
-        import numpy as np
-
-        u, p = stats.mann_whitney(g_self, g_ecc)
-        comparison = {
-            "n_self": len(g_self), "n_ecc": len(g_ecc),
-            "mean_g_self": float(np.mean(g_self)),
-            "mean_g_ecc": float(np.mean(g_ecc)),
-            "mannwhitney_u": u, "p": p,
-        }
     report = {"popularity": popularity, "gscore_comparison": comparison}
     report_path = out_dir / "report.json"
     _write_json(report_path, report)
@@ -455,6 +460,9 @@ def main(argv=None) -> int:
         stage(settings, settings.values(**kinds))
     except (FileNotFoundError, DataFormatError) as exc:
         logger.error("%s", exc)
+        return 2
+    except OverflowError as exc:  # a result out of float64's range: name the inputs
+        logger.error("%s: %s", ", ".join(map(str, settings.inputs.values())) or args.stage, exc)
         return 2
     return 0
 

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import Corpus, Post, ego_neighborhood
+from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
 from .embed import Vectors
 from .errors import DataFormatError
 
@@ -102,6 +102,8 @@ def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
     import numpy as np
 
     norms = np.linalg.norm(total / np.maximum(count, 1)[:, None], axis=1)
+    if not np.isfinite(norms).all():
+        raise OverflowError("an eccentricity overflows float64")
     return [d if c else None for d, c in zip(norms.tolist(), count.tolist())]
 
 
@@ -213,10 +215,14 @@ def replay(
     adds ``n * (v - ref) - sum(x - ref)`` to ``sum(v - x)`` over the cloud,
     whose mean is the offset of ``v`` from the cloud's centroid.
     """
+    import numpy as np
+
     if window_seconds <= 0:
         raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
-    # the kernel's arrays are freed before the records are built
-    columns = _clouds(corpus, vectors, window_seconds)
+    # the kernel's arrays are freed before the records are built; a sum that
+    # overflows leaves a non-finite distance, which _distances refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        columns = _clouds(corpus, vectors, window_seconds)
     return [EccentricityRecord(p.id, p.author, p.created_at, p.likes, e, se, c, sc)
             for p, e, se, c, sc in zip(corpus.posts, *columns)]
 
@@ -283,37 +289,28 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
 
 def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:
     """Rows of a CSV file headed ``row_type._fields``, each field parsed by the
-    matching entry of ``parsers``; blank lines are skipped. Lines end at ``\n``
-    and are decoded strictly as UTF-8, one at a time. A line that is not UTF-8,
-    a row the CSV reader rejects (such as a field over its size limit), a row
-    with the wrong field count or an unparsable field raises DataFormatError
-    with file:line."""
+    matching entry of ``parsers``; blank lines are skipped. Lines come from
+    ``utf8_lines``, so a line that is not UTF-8 raises DataFormatError with
+    file:line, as do a row the CSV reader rejects (such as a field over its
+    size limit), a row with the wrong field count and an unparsable field."""
     fields = row_type._fields
     rows = []
-    with open(path, "rb") as fh:
-        def lines():
-            for lineno, line in enumerate(fh, start=1):
-                try:
-                    yield line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
-
-        reader = csv.reader(lines())
-        try:
-            header = next(reader, None)
-            if header is None or tuple(header) != fields:
-                raise DataFormatError(f"{path}: unexpected CSV header {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(fields):
-                    raise ValueError(f"{len(row)} fields, expected {len(fields)}")
-                rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
-        except DataFormatError:
-            raise
-        except (csv.Error, ValueError) as exc:
-            raise DataFormatError(
-                f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
+    reader = csv.reader(line for _, line in utf8_lines(path))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != fields:
+            raise DataFormatError(f"{path}: unexpected CSV header {header}")
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(fields):
+                raise ValueError(f"{len(row)} fields, expected {len(fields)}")
+            rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
+    except DataFormatError:
+        raise
+    except (csv.Error, ValueError) as exc:
+        raise DataFormatError(
+            f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
     return rows
 
 

@@ -120,6 +120,20 @@ def json_line(line: str) -> object:
         raise ValueError(f"nested too deeply: {exc}") from None
 
 
+def utf8_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """``(lineno, line)`` for every line of a file, numbered from 1, blank
+    lines included. Lines end at ``\n`` and are decoded strictly as UTF-8,
+    one at a time; a line that is not UTF-8 raises DataFormatError with
+    file:line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
+            yield lineno, line
+
+
 def _parse_post(line: str) -> Post:
     obj = json_line(line)
     if not isinstance(obj, dict):
@@ -151,9 +165,10 @@ def _parsed_lines(path: str | Path, kind: str,
                   parse: Callable[[str], object]) -> Iterator[tuple[int, object]]:
     """``(lineno, parse(line))`` for each non-blank line of a JSONL file.
 
-    Lines are numbered from 1, blank ones included. A line that is not UTF-8,
-    or that ``parse`` rejects, is skipped with a ``file:line`` warning, and
-    the number skipped is logged once the file is read. A file whose every
+    Lines are numbered from 1, blank ones included. A line that is not UTF-8
+    (which ``utf8_lines`` would make fatal), or that ``parse`` rejects, is
+    skipped with a ``file:line`` warning, and the number skipped is logged
+    once the file is read. A file whose every
     non-blank line is skipped, such as one with lone-CR line endings read as
     one line, raises DataFormatError naming the first; an empty file yields
     nothing.
@@ -241,6 +256,8 @@ def sample_users(g: SocialGraph, fraction: float, seed: int) -> SocialGraph:
 
     if not (0.0 < fraction <= 1.0):
         raise DataFormatError(f"fraction must be in (0, 1], got {fraction}")
+    if seed < 0:
+        raise DataFormatError(f"seed must be >= 0, got {seed}")
     ordered = sorted(g.users)
     if not ordered:
         return SocialGraph((), ())

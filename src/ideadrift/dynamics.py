@@ -8,6 +8,7 @@ changes that arrive quickly count for more; alternatives are pluggable.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -66,11 +67,14 @@ def fg_scores(
     if np.any(np.diff(times) < 0):
         raise DataFormatError("series must be sorted by time")
     gaps = np.maximum(np.diff(times), min_gap)
-    deltas = np.diff(values)
-    weights = WEIGHTINGS[weighting](gaps, float(gaps.mean()))
-    total = float(weights.sum())
-    f = float(np.sum(weights * np.abs(deltas)) / total)
-    g = float(np.sum(weights * deltas) / total)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        deltas = np.diff(values)
+        weights = WEIGHTINGS[weighting](gaps, float(gaps.mean()))
+        total = float(weights.sum())
+        f = float(np.sum(weights * np.abs(deltas)) / total)
+        g = float(np.sum(weights * deltas) / total)
+    if not (math.isfinite(f) and math.isfinite(g)):
+        raise OverflowError("an F- or G-score overflows float64")
     return f, g
 
 
@@ -100,21 +104,15 @@ def user_dynamics(
     for user, (ecc_pts, self_pts) in sorted(series.items()):
         ecc_pts.sort()
         self_pts.sort()
-        fg_ecc = fg_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
-        fg_self = fg_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
+        f_ecc, g_ecc = (fg_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
+                        or (None, None))
+        f_self, g_self = (fg_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
+                          or (None, None))
         mean_gap = None
         if len(ecc_pts) >= 2:
             times = np.asarray([t for t, _, _ in ecc_pts], dtype=float)
             mean_gap = float(np.maximum(np.diff(times), min_gap).mean())
-        out.append(UserDynamics(
-            user=user,
-            n=len(ecc_pts),
-            f_ecc=fg_ecc[0] if fg_ecc else None,
-            g_ecc=fg_ecc[1] if fg_ecc else None,
-            f_self=fg_self[0] if fg_self else None,
-            g_self=fg_self[1] if fg_self else None,
-            mean_gap_seconds=mean_gap,
-        ))
+        out.append(UserDynamics(user, len(ecc_pts), f_ecc, g_ecc, f_self, g_self, mean_gap))
     return out
 
 

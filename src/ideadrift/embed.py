@@ -9,14 +9,13 @@ Externally computed vectors can be loaded from JSONL instead.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from hashlib import blake2b
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .corpus import json_line
+from .corpus import _json_string, json_line, utf8_lines
 from .errors import DataFormatError
 
 if TYPE_CHECKING:
@@ -64,6 +63,8 @@ def fit_vectorizer(corpus_tokens: Sequence[Sequence[str]], dim: int,
         raise DataFormatError(f"dim must be >= 1, got {dim}")
     if min_count < 1:
         raise DataFormatError(f"min_count must be >= 1, got {min_count}")
+    if not 0 <= hash_seed < 2**64:  # the BLAKE2 key is its 8 bytes
+        raise DataFormatError(f"hash_seed must be in [0, 2**64), got {hash_seed}")
     totals: Counter[str] = Counter()
     df: Counter[str] = Counter()
     n_docs = 0
@@ -125,40 +126,42 @@ def load_external_vectors(path: str | Path) -> Vectors:
     Each vec must be a non-empty list of JSON numbers (not strings or
     booleans), and all lines must share one dimension; a line that is not
     UTF-8, duplicate ids and non-finite values are fatal, each naming its line.
+    The file is read twice: its line count sizes the one matrix, which the
+    vectors then fill row by row.
     """
     import numpy as np
 
+    with open(path, "rb") as fh:
+        n_lines = sum(1 for _ in fh)
     ids: list[str] = []
     seen: set[str] = set()
-    matrix = np.empty((0, 0))   # rows beyond len(ids) are spare capacity
-    with open(path, "rb") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            try:
-                line = raw_line.decode("utf-8")
-                if not line.strip():
-                    continue
-                obj = json_line(line)
-                post_id = obj["id"]
-                raw = obj["vec"]
-                if not isinstance(post_id, str) or not isinstance(raw, list):
-                    raise ValueError("id must be a string and vec a list")
-                # type() rather than isinstance(): bool is a subclass of int
-                if not raw or not set(map(type, raw)) <= {int, float}:
-                    raise ValueError("vec must be a non-empty list of numbers")
-                if ids and len(raw) != matrix.shape[1]:
-                    raise ValueError(f"dimension {len(raw)} != {matrix.shape[1]} seen earlier")
-                if len(ids) == len(matrix):  # full: double in place; no view of it is held
-                    matrix.resize((2 * len(ids) or 1, len(raw)), refcheck=False)
-                matrix[len(ids)] = raw
-                if not np.isfinite(matrix[len(ids)]).all():
-                    raise ValueError(f"non-finite component for {post_id!r}")
-                if post_id in seen:
-                    raise ValueError(f"duplicate id {post_id!r}")
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
-            seen.add(post_id)
-            ids.append(post_id)
-    matrix.resize((len(ids), matrix.shape[1]), refcheck=False)
+    matrix = np.empty((0, 0))
+    for lineno, line in utf8_lines(path):
+        if not line.strip():
+            continue
+        try:
+            obj = json_line(line)
+            post_id = obj["id"]
+            raw = obj["vec"]
+            if not isinstance(post_id, str) or not isinstance(raw, list):
+                raise ValueError("id must be a string and vec a list")
+            # type() rather than isinstance(): bool is a subclass of int
+            if not raw or not set(map(type, raw)) <= {int, float}:
+                raise ValueError("vec must be a non-empty list of numbers")
+            if ids and len(raw) != matrix.shape[1]:
+                raise ValueError(f"dimension {len(raw)} != {matrix.shape[1]} seen earlier")
+            if not ids:  # one row per line of the file, enough for every vector
+                matrix = np.empty((n_lines, len(raw)))
+            matrix[len(ids)] = raw
+            if not np.isfinite(matrix[len(ids)]).all():
+                raise ValueError(f"non-finite component for {post_id!r}")
+            if post_id in seen:
+                raise ValueError(f"duplicate id {post_id!r}")
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
+        seen.add(post_id)
+        ids.append(post_id)
+    matrix = matrix[:len(ids)]
     if all(map(str.__lt__, ids, ids[1:])):  # already in id order, as every writer leaves it
         return ids, matrix
     order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -168,13 +171,13 @@ def load_external_vectors(path: str | Path) -> Vectors:
 def write_vectors(path: str | Path, vectors: Vectors) -> None:
     """Write vectors as vectors.jsonl, one line per id in ascending id order.
 
-    The bytes are those of ``json.dumps`` with compact separators: JSON
-    writes a finite float by its ``repr``, so the components are joined
-    directly. A non-finite component is written as ``nan``/``inf``, which
-    ``load_external_vectors`` rejects.
+    The bytes are those of ``json.dumps`` with compact separators: the id
+    is escaped by its string encoder, and JSON writes a finite float by its
+    ``repr``, so the components are joined directly. A non-finite component
+    is written as ``nan``/``inf``, which ``load_external_vectors`` rejects.
     """
     ids, matrix = vectors
     with open(path, "w", encoding="utf-8") as fh:
         for row in sorted(range(len(ids)), key=ids.__getitem__):
-            fh.write('{"id":' + json.dumps(ids[row]) + ',"vec":['
-                     + ",".join(map(repr, matrix[row].tolist())) + "]}\n")
+            fh.write('{"id":%s,"vec":[%s]}\n' % (
+                _json_string(ids[row]), ",".join(map(repr, matrix[row].tolist()))))

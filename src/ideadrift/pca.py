@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -100,10 +101,17 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
         raise DataFormatError("data needs at least one column")
     if not (0.0 < variance_fraction <= 1.0):
         raise DataFormatError(f"variance_fraction must be in (0, 1], got {variance_fraction}")
-    mean = data.mean(axis=0)
-    _, singular, vt = np.linalg.svd(_centered_r(data, mean), full_matrices=False)
-    variances = singular**2 / (n - 1)
-    total = float(variances.sum())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = data.mean(axis=0)
+        r = _centered_r(data, mean)
+    if not np.isfinite(r).all():
+        raise OverflowError("the centered data overflow float64")
+    _, singular, vt = np.linalg.svd(r, full_matrices=False)
+    with np.errstate(over="ignore"):
+        variances = singular**2 / (n - 1)
+        total = float(variances.sum())
+    if not math.isfinite(total):
+        raise OverflowError("the total variance overflows float64")
     if total <= 0.0:
         components = np.zeros((1, d))
         components[0, 0] = 1.0
@@ -131,7 +139,11 @@ def transform(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
         raise DataFormatError(
             f"vector dimension {vectors.shape[-1]} != model dimension {model.dim}"
         )
-    return (vectors - model.mean) @ model.components.T
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        projected = (vectors - model.mean) @ model.components.T
+    if not np.isfinite(projected).all():
+        raise OverflowError("the projected vectors overflow float64")
+    return projected
 
 
 def save_model(model: PcaModel, path: str | Path) -> None:

@@ -264,6 +264,8 @@ def ad_test_2sample(
         raise DataFormatError(f"unknown p_method {p_method!r}")
     if p_method == "permutation" and n_perm < 1:
         raise DataFormatError(f"n_perm must be at least 1, got {n_perm}")
+    if seed < 0:
+        raise DataFormatError(f"seed must be >= 0, got {seed}")
     pooled = _PooledSplits(np.concatenate([x, y]))
     if pooled.degenerate:
         return 0.0, 1.0
@@ -399,19 +401,24 @@ def bin_summary(
 
     arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}
     filled = [samples for samples in arrays.values() if samples.size]
-    grid = default_grid(np.concatenate(filled), bandwidth) if filled else None
     stats_rows: list[BinStats] = []
     notices: list[str] = []
     testable: list[str] = []
-    for label, samples in arrays.items():
-        n = samples.size
-        mean = float(np.mean(samples)) if n else None
-        density = kde(samples, bandwidth, grid) if n else None
-        stats_rows.append(BinStats(label=label, n=n, mean=mean, density=density))
-        if n >= 2:
-            testable.append(label)
-        else:
-            notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
+    # an overflow leaves a non-finite mean or density (through the grid), refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = default_grid(np.concatenate(filled), bandwidth) if filled else None
+        for label, samples in arrays.items():
+            n = samples.size
+            mean = float(np.mean(samples)) if n else None
+            density = kde(samples, bandwidth, grid) if n else None
+            if n and not (math.isfinite(mean) and np.isfinite(density).all()):
+                raise OverflowError(f"bin {label!r}: the mean or density overflows "
+                                    f"float64 at bandwidth {bandwidth}")
+            stats_rows.append(BinStats(label=label, n=n, mean=mean, density=density))
+            if n >= 2:
+                testable.append(label)
+            else:
+                notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
     pairs = list(itertools.combinations(testable, 2))
     tests: list[PairTest] = []
     threads = 0

@@ -90,6 +90,8 @@ class SynthConfig(_SynthFields):
             raise DataFormatError(f"effect must be one of {EFFECTS}, got {self.effect!r}")
         if self.effect_strength < 0:
             raise DataFormatError("effect_strength must be >= 0")
+        if self.seed < 0:
+            raise DataFormatError(f"seed must be >= 0, got {self.seed}")
         for name in ("user_spread", "post_noise"):
             # numpy refuses a normal scale whose sign bit is set, -0.0 included
             if math.copysign(1.0, getattr(self, name)) < 0:
@@ -155,14 +157,17 @@ def gen_corpus(cfg: SynthConfig) -> tuple[Corpus, Vectors, SynthDetails]:
     t_days = np.asarray([t for t, _ in post_meta], dtype=float) / 86400.0
     author_idx = np.asarray([i for _, i in post_meta], dtype=int)
     drift_rate = cfg.effect_strength if cfg.effect == "elevator-drift" else 0.0
-    vectors = (mu[author_idx]
-               + drift_rate * t_days[:, None] * drift_dir[None, :]
-               + noise)
-
-    nb_center = np.empty_like(mu)
-    for i in range(cfg.n_users):
-        nb_center[i] = mu[[i, *out_index[i]]].mean(axis=0)
-    deviation = np.linalg.norm(vectors - nb_center[author_idx], axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # vectors checked below
+        vectors = (mu[author_idx]
+                   + drift_rate * t_days[:, None] * drift_dir[None, :]
+                   + noise)
+        nb_center = np.empty_like(mu)
+        for i in range(cfg.n_users):
+            nb_center[i] = mu[[i, *out_index[i]]].mean(axis=0)
+        deviation = np.linalg.norm(vectors - nb_center[author_idx], axis=1)
+    if not np.isfinite(vectors).all():
+        raise DataFormatError("post vectors overflow float64: user_spread, post_noise "
+                              "or strength is too large")
     if cfg.effect == "attention-coupling" and cfg.effect_strength > 0 and n_posts:
         order = np.argsort(deviation, kind="stable")
         quantile = np.empty(n_posts)

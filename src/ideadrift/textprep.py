@@ -13,7 +13,7 @@ import re
 import unicodedata
 from pathlib import Path
 
-from .errors import DataFormatError
+from .corpus import utf8_lines
 from .porter import stem
 
 _NON_LETTER = re.compile(r"[^a-z\s]+")
@@ -29,14 +29,7 @@ def default_stopwords() -> frozenset[str]:
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
     """Load a one-word-per-line UTF-8 stopword file; an undecodable line is fatal."""
-    words = set()
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                words.add(line.decode("utf-8").strip().lower())
-            except UnicodeDecodeError as exc:
-                raise DataFormatError(f"{path}:{lineno}: not UTF-8 ({exc})") from exc
-    return frozenset(words - {""})
+    return frozenset({line.strip().lower() for _, line in utf8_lines(path)} - {""})
 
 
 def _fold_ascii(text: str) -> str:

@@ -994,3 +994,154 @@ class TestParser:
             main(["--log-level", "nope", "report", "--out-dir", str(tmp_path)])
         assert exc.value.code == 2
         assert "invalid choice: 'NOPE'" in capsys.readouterr().err
+
+
+class TestVectorReaderStages:
+    def test_vectors_from_stdin(self, worked_example):
+        # the reader opens its file twice, once to count lines; /dev/stdin
+        # redirected from a file reopens that file
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin")
+        args = [sys.executable, "-m", "ideadrift.cli", "eccentricity",
+                "--posts", "posts.jsonl", "--edges", "edges.jsonl"]
+        assert subprocess.run([*args, "--vectors", "vectors.jsonl", "--out", "plain.csv"],
+                              cwd=worked_example, env=blas_env(1)).returncode == 0
+        with open(worked_example / "vectors.jsonl", "rb") as stdin:
+            proc = subprocess.run([*args, "--vectors", "/dev/stdin", "--out", "stdin.csv"],
+                                  cwd=worked_example, env=blas_env(1), stdin=stdin,
+                                  capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert ((worked_example / "stdin.csv").read_bytes()
+                == (worked_example / "plain.csv").read_bytes())
+
+    @pytest.mark.parametrize("text", ["", '{"id":"p1","vec":[1.0,2.0]}\n'],
+                             ids=["empty", "one-line"])
+    def test_pca_under_two_rows_exit_2(self, tmp_path, caplog, text):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(text)
+        out = tmp_path / "out"
+        assert main(["pca", "--vectors", str(vectors), "--out", str(out / "reduced.jsonl"),
+                     "--model-out", str(out / "pca.json")]) == 2
+        rows = text.count("\n")
+        assert f"need at least 2 rows to fit, got {rows}" in caplog.text
+        assert not out.exists()
+
+
+class TestSeedBounds:
+    @pytest.mark.parametrize(("args", "message"), [
+        (["synth", "--seed", "-1", "--out-posts", "{out}/p.jsonl",
+          "--out-edges", "{out}/e.jsonl", "--out-vectors", "{out}/v.jsonl"],
+         "seed must be >= 0, got -1"),
+        (["sample", "--seed", "-3", "--posts", "{run}/posts.jsonl",
+          "--edges", "{run}/edges.jsonl", "--out-posts", "{out}/p.jsonl",
+          "--out-edges", "{out}/e.jsonl"],
+         "seed must be >= 0, got -3"),
+        (["distributions", "--p-method", "permutation", "--seed", "-2",
+          "--records", "{run}/records.csv", "--out-csv", "{out}/d.csv",
+          "--out-summary", "{out}/s.json"],
+         "seed must be >= 0, got -2"),
+        (["embed", "--hash-seed", "-1", "--posts", "{run}/posts.jsonl",
+          "--out", "{out}/v.jsonl"],
+         "hash_seed must be in [0, 2**64), got -1"),
+        (["embed", "--hash-seed", str(2**64), "--posts", "{run}/posts.jsonl",
+          "--out", "{out}/v.jsonl"],
+         f"hash_seed must be in [0, 2**64), got {2**64}"),
+    ], ids=["synth", "sample", "distributions", "embed-negative", "embed-65-bits"])
+    def test_bad_seed_exit_2(self, small_run, tmp_path, caplog, capsys, args, message):
+        out = tmp_path / "out"
+        assert main([arg.format(run=small_run, out=out) for arg in args]) == 2
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _overflowing_replay(root):
+    """c's cloud holds a and b, whose offsets from c overflow float64."""
+    write_jsonl(root / "posts.jsonl", [
+        {"id": "a", "author": "u", "created_at": 0, "text": "", "likes": 0},
+        {"id": "b", "author": "u", "created_at": 10, "text": "", "likes": 0},
+        {"id": "c", "author": "v", "created_at": 20, "text": "", "likes": 0},
+    ])
+    write_jsonl(root / "edges.jsonl", [{"follower": "v", "followee": "u"}])
+    write_jsonl(root / "vectors.jsonl", [
+        {"id": "a", "vec": [1e308, 0.0]}, {"id": "b", "vec": [1e308, 1.0]},
+        {"id": "c", "vec": [-1e308, 2.0]}])
+
+
+def _huge_mean_records(root):
+    cloud.write_records_csv(
+        [cloud.EccentricityRecord(f"p{i}", "a", i, 0 if i % 2 else 200,
+                                  1.5e308 if i % 2 else 1.0, None, 1, 0) for i in range(8)],
+        root / "records.csv")
+
+
+def _alternating_records(root):
+    cloud.write_records_csv(
+        [cloud.EccentricityRecord(f"p{i}", "a", 60 * i, 0, 1.7e308 if i % 2 else 1.0,
+                                  None, 1, 0) for i in range(6)],
+        root / "records.csv")
+
+
+def _infinite_summary(root):
+    (root / "summary.json").write_text(
+        '{"bins": [{"label": "low", "n": 4, "mean": Infinity}]}\n')
+    (root / "distributions.csv").write_text("bin,grid_x,density\n")
+    dynamics.write_dynamics_csv([], root / "dynamics.csv")
+
+
+def _non_finite_densities(root):
+    (root / "summary.json").write_text('{"bins": []}\n')
+    (root / "distributions.csv").write_text("bin,grid_x,density\nlow,0.5,inf\n")
+    dynamics.write_dynamics_csv([], root / "dynamics.csv")
+
+
+class TestNoNonFiniteOutput:
+    # finite inputs whose results overflow float64: each stage stops before
+    # it writes, and says which input or setting
+    @pytest.mark.parametrize(("make", "args", "named"), [
+        (_overflowing_replay,
+         ["eccentricity", "--posts", "{inp}/posts.jsonl", "--edges", "{inp}/edges.jsonl",
+          "--vectors", "{inp}/vectors.jsonl", "--out", "{out}/records.csv"],
+         "{inp}/vectors.jsonl"),
+        (_overflowing_replay,
+         ["pca", "--vectors", "{inp}/vectors.jsonl", "--out", "{out}/reduced.jsonl",
+          "--model-out", "{out}/pca.json"],
+         "{inp}/vectors.jsonl"),
+        (lambda root: None,
+         ["distributions", "--records", "{run}/records.csv", "--bandwidth", "1e308",
+          "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+         "bandwidth"),
+        (_huge_mean_records,
+         ["distributions", "--records", "{inp}/records.csv", "--bins", "10",
+          "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+         "{inp}/records.csv"),
+        (_alternating_records,
+         ["dynamics", "--records", "{inp}/records.csv", "--out", "{out}/dyn.csv"],
+         "{inp}/records.csv"),
+        (_infinite_summary,
+         ["report", "--summary", "{inp}/summary.json",
+          "--distributions", "{inp}/distributions.csv", "--dynamics", "{inp}/dynamics.csv",
+          "--out-dir", "{out}"],
+         "{inp}/summary.json"),
+        # report copies distributions.csv into densities.csv
+        (_non_finite_densities,
+         ["report", "--summary", "{inp}/summary.json",
+          "--distributions", "{inp}/distributions.csv", "--dynamics", "{inp}/dynamics.csv",
+          "--out-dir", "{out}"],
+         "{inp}/distributions.csv:2:"),
+        (lambda root: None,
+         ["synth", "--n-users", "20", "--seed", "1", "--user-spread", "1e308",
+          "--out-posts", "{out}/p.jsonl", "--out-edges", "{out}/e.jsonl",
+          "--out-vectors", "{out}/v.jsonl"],
+         "user_spread"),
+    ], ids=["eccentricity", "pca", "distributions-bandwidth", "distributions-mean",
+            "dynamics", "report", "report-densities", "synth"])
+    def test_overflow_exit_2(self, small_run, tmp_path, caplog, capsys, make, args, named):
+        inp, out = tmp_path / "in", tmp_path / "out"
+        inp.mkdir()
+        make(inp)
+        paths = dict(run=small_run, inp=inp, out=out)
+        assert main([arg.format(**paths) for arg in args]) == 2
+        assert named.format(**paths) in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()

@@ -304,6 +304,10 @@ class TestSampleUsers:
             with pytest.raises(DataFormatError):
                 sample_users(g, bad, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DataFormatError, match="seed must be >= 0, got -3"):
+            sample_users(SocialGraph("ab", []), 0.5, seed=-3)
+
 
 class TestEgoNeighborhood:
     def test_followees_plus_self(self):

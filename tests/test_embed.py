@@ -208,3 +208,45 @@ class TestVectorBytes:
         write_vectors(path, (["m", "n"], np.array([[1.0, 2.0], [1.0, np.nan]])))
         with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: "):
             load_external_vectors(path)
+
+
+class TestVectorMatrix:
+    def test_read_holds_one_matrix(self, tmp_path):
+        import tracemalloc
+
+        path = tmp_path / "vectors.jsonl"
+        matrix = np.random.default_rng(3).standard_normal((5000, 64))
+        write_vectors(path, ([f"p{i:05d}" for i in range(len(matrix))], matrix))
+        tracemalloc.start()
+        try:
+            ids, loaded = load_external_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == matrix.tobytes()
+        assert peak < 1.6 * matrix.nbytes
+
+    def test_blank_lines_leave_no_rows(self, tmp_path):
+        ids = ["p1", "p2", "p3", "p4"]
+        matrix = np.random.default_rng(4).standard_normal((4, 3))
+        lines = ['{"id":"%s","vec":[%s]}\n' % (i, ",".join(map(repr, row.tolist())))
+                 for i, row in zip(ids, matrix)]
+        compact, spaced = tmp_path / "compact.jsonl", tmp_path / "spaced.jsonl"
+        compact.write_text("".join(lines))
+        spaced.write_text("\n" + "\n \n".join(lines) + "\n\n\n")
+        for path in (compact, spaced):
+            loaded_ids, loaded = load_external_vectors(path)
+            assert loaded_ids == ids
+            assert loaded.shape == (4, 3)
+            assert loaded.tobytes() == matrix.tobytes()
+
+
+class TestHashSeedBounds:
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DataFormatError, match="hash_seed"):
+            fit_vectorizer([["a"]], dim=4, min_count=1, hash_seed=seed)
+
+    def test_largest_accepted(self):
+        model = fit_vectorizer([["a"]], dim=4, min_count=1, hash_seed=2**64 - 1)
+        assert model.hash_seed == 2**64 - 1

@@ -308,6 +308,11 @@ class TestAdTest:
         a2, p = ad_test_2sample([2.0, 2.0], [2.0, 2.0, 2.0])
         assert p == 1.0
 
+    @pytest.mark.parametrize("p_method", ["table", "permutation"])
+    def test_negative_seed_rejected(self, p_method):
+        with pytest.raises(DataFormatError, match="seed must be >= 0, got -2"):
+            ad_test_2sample([1.0, 2.0], [3.0, 4.0], p_method=p_method, seed=-2)
+
     def test_monte_carlo_path_is_seeded(self):
         rng = np.random.default_rng(5)
         x = rng.normal(0, 1, 12)

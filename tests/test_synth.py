@@ -122,6 +122,7 @@ class TestValidation:
         dict(user_spread=-1.0), dict(post_noise=-0.5), dict(user_spread=-0.0),
         dict(post_noise=-0.0), dict(n_days=1e300), dict(n_days=1e-9),
         dict(posts_per_user_per_day=1e300),
+        dict(seed=-1),
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(DataFormatError):
