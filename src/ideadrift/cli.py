@@ -254,8 +254,6 @@ def stage_embed(settings: _Settings, config: dict) -> None:
 
 
 def stage_pca(settings: _Settings, config: dict) -> None:
-    import numpy as np
-
     ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
     model = pca.fit_pca(matrix, config["variance"])
     out = settings.out_path("out")
@@ -265,7 +263,7 @@ def stage_pca(settings: _Settings, config: dict) -> None:
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
                 model.dim, model.k,
                 100 * float(model.explained_variance.sum())
-                / max(float(np.var(matrix, axis=0, ddof=1).sum()), 1e-300))
+                / max(model.total_variance, 1e-300))
     _write_manifest(out, "pca", settings, config)
 
 

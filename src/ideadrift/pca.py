@@ -19,11 +19,13 @@ _QR_VALUES = 1 << 17
 
 
 class PcaModel(NamedTuple):
-    """Mean vector plus k orthonormal component rows and their variances."""
+    """Mean vector plus k orthonormal component rows and their variances,
+    and the total variance of the data the model was fitted on."""
 
     mean: np.ndarray
     components: np.ndarray        # k x D, orthonormal rows
     explained_variance: np.ndarray  # length k, non-increasing
+    total_variance: float = 0.0     # of the fitted data; save_model does not write it
 
     @property
     def k(self) -> int:
@@ -116,7 +118,7 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
         components = np.zeros((1, d))
         components[0, 0] = 1.0
         return PcaModel(mean=mean, components=components,
-                        explained_variance=np.zeros(1))
+                        explained_variance=np.zeros(1), total_variance=total)
     # drop numerically-zero directions so fraction=1.0 recovers the rank
     keep = variances > variances[0] * 1e-12
     variances = variances[keep]
@@ -127,7 +129,7 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
     k = int(np.searchsorted(cumulative, threshold) + 1)
     k = min(k, len(variances))
     return PcaModel(mean=mean, components=rows[:k].copy(),
-                    explained_variance=variances[:k].copy())
+                    explained_variance=variances[:k].copy(), total_variance=total)
 
 
 def transform(model: PcaModel, vectors: np.ndarray) -> np.ndarray:

@@ -164,9 +164,11 @@ class _PooledSplits:
 
         n = float(self.n_total)
         size = float(side.size)
-        counts = np.bincount(self.value_index[side], minlength=self.values.size)
-        terms = counts / 2.0
-        np.subtract(np.cumsum(counts), terms, out=terms)  # M_j
+        # float counts keep the cumsum exact (below 2**53) and halve in place
+        terms = np.bincount(self.value_index[side], minlength=self.values.size).astype(float)
+        cumulative = np.cumsum(terms)
+        terms *= 0.5
+        np.subtract(cumulative, terms, out=terms)  # M_j
         terms *= n
         terms -= size * self.pooled_midcount
         np.square(terms, out=terms)
@@ -249,7 +251,8 @@ def ad_test_2sample(
     p_method "table" interpolates Scholz-Stephens critical values (p clipped
     to [0.001, 0.25]); "permutation" enumerates all pooled splits when there
     are at most EXACT_SPLIT_LIMIT of them, otherwise draws n_perm (at least 1)
-    seeded shuffles. Splits count as more extreme only when their statistic
+    seeded splits, each a uniform subset of min(x.size, y.size) pooled
+    positions. Splits count as more extreme only when their statistic
     exceeds the observed one by more than SPLIT_TIE_RTOL relative, so
     equal-valued splits are ties regardless of rounding. A pooled sample with a single
     distinct value is degenerate and reports p = 1.
@@ -283,11 +286,12 @@ def ad_test_2sample(
         )
         return observed, (greater + 1) / n_splits
     rng = np.random.default_rng(seed)
-    # each shuffle's first x.size positions form x; score the smaller side
-    smaller = slice(x.size, None) if y.size < x.size else slice(x.size)
+    # a uniform k-subset of the pooled positions is a uniform split, and the
+    # statistic is symmetric in the two sides: draw the smaller side alone
+    k = min(x.size, y.size)
     greater = 0
     for _ in range(n_perm):
-        if pooled.statistic(rng.permutation(n_total)[smaller]) > threshold:
+        if pooled.statistic(rng.choice(n_total, k, replace=False, shuffle=False)) > threshold:
             greater += 1
     return observed, (greater + 1) / (n_perm + 1)
 
@@ -376,6 +380,27 @@ class BinSummary(NamedTuple):
     threads: int  # threads the pairwise tests ran on; 0 when none ran
 
 
+def _p_bound(p: float, p_method: str, n_x: int, n_y: int, n_perm: int) -> str | None:
+    """Say which bound of its method ``p`` sits at, if any: there the
+    p-value shows only that the true one is at or beyond the bound."""
+    if p_method == "table":
+        if p == _AD_SIG[-1]:
+            return f"the table floor {p}; the true p-value may be smaller"
+        if p == _AD_SIG[0]:
+            return f"the table ceiling {p}; the true p-value may be larger"
+        return None
+    n_splits = math.comb(n_x + n_y, n_x)
+    if n_splits <= EXACT_SPLIT_LIMIT:
+        if p == 1 / n_splits:
+            return (f"the exhaustive floor 1/{n_splits}; no split of these sizes "
+                    f"gives a smaller p-value")
+        return None
+    if p == 1 / (n_perm + 1):
+        return (f"the Monte Carlo floor 1/{n_perm + 1}; no draw was as extreme, "
+                f"so more draws may give a smaller p-value")
+    return None
+
+
 def bin_summary(
     bins: dict[str, list[float]],
     bandwidth: float = DEFAULT_BANDWIDTH,
@@ -387,10 +412,11 @@ def bin_summary(
 
     Pairwise tests run between every pair of bins holding at least two
     samples and are Bonferroni-corrected by the number of tests performed;
-    smaller bins are reported but skipped with a notice.
+    smaller bins are reported but skipped with a notice. A test whose p_raw
+    sits at a bound of its method (see ``_p_bound``) gets a notice too.
 
     The pairs run concurrently on min(pairs, usable CPUs) threads; numpy
-    releases the GIL in each draw's shuffle and statistic. Every pair owns
+    releases the GIL in each draw and statistic. Every pair owns
     its pooled sample and its own ``default_rng(seed)``, and results are
     collected in pair order, so no result depends on the thread count.
     """
@@ -436,5 +462,10 @@ def bin_summary(
         corrected = bonferroni([p for _, p in raw], len(pairs))
         tests = [PairTest(a, b, a2, p, pc)
                  for (a, b), (a2, p), pc in zip(pairs, raw, corrected)]
+        for t in tests:
+            bound = _p_bound(t.p_raw, p_method, arrays[t.label_a].size,
+                             arrays[t.label_b].size, n_perm)
+            if bound:
+                notices.append(f"test {t.label_a!r} vs {t.label_b!r}: p_raw is {bound}")
     return BinSummary(grid=grid, bins=stats_rows, tests=tests, notices=notices,
                       threads=threads)

@@ -87,6 +87,14 @@ class TestFitPca:
         assert_allclose(model.explained_variance, [0.0])
         assert_allclose(np.linalg.norm(model.components[0]), 1.0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_total_variance_is_the_data_variance(self, seed):
+        data = random_data(seed) + 1e3
+        model = fit_pca(data, 0.5)
+        assert model.total_variance == pytest.approx(
+            float(np.var(data, axis=0, ddof=1).sum()), rel=1e-9)
+        assert fit_pca(np.ones((3, 2)), 0.9).total_variance == 0.0
+
 
 def svd_fit(data, fraction):
     """fit_pca's rule applied to a direct SVD of the centered matrix."""

@@ -59,16 +59,18 @@ def exhaustive_ad_p(x, y):
 
 
 def monte_carlo_ad_p(x, y, n_perm, seed):
-    """Replay the seeded draws: the first len(x) positions of each shuffle of
-    the pooled sample form x; score every split with the naive statistic and
-    the same 1e-9 tie band."""
+    """Replay the seeded draws: each draw's min(len(x), len(y)) pooled
+    positions, a subset drawn without replacement, form one sample and the
+    rest the other; score every split with the naive statistic and the same
+    1e-9 tie band."""
     pooled = list(x) + list(y)
     observed = naive_ad_statistic(x, y)
     threshold = observed + 1e-9 * (1.0 + abs(observed))
     rng = np.random.default_rng(seed)
+    k = min(len(x), len(y))
     greater = 0
     for _ in range(n_perm):
-        chosen = set(rng.permutation(len(pooled))[:len(x)].tolist())
+        chosen = set(rng.choice(len(pooled), k, replace=False, shuffle=False).tolist())
         xs = [v for i, v in enumerate(pooled) if i in chosen]
         ys = [v for i, v in enumerate(pooled) if i not in chosen]
         if naive_ad_statistic(xs, ys) > threshold:
@@ -338,6 +340,50 @@ class TestAdTest:
         _, p = ad_test_2sample(x, y, p_method="permutation", n_perm=300, seed=4)
         assert p == monte_carlo_ad_p(x, y, 300, 4)
 
+    @pytest.mark.parametrize("x,y", [
+        ([0.3, 1.9, 2.4], [0.8, 1.1, 2.9, 3.5, 4.2]),   # x the smaller side
+        ([0.8, 1.1, 2.9, 3.5, 4.2], [0.3, 1.9, 2.4]),   # y the smaller side
+        ([1.0, 2.0, 2.0, 4.0], [2.0, 3.0, 3.0, 4.0, 5.0]),  # ties across sides
+    ])
+    def test_monte_carlo_draws_are_unbiased(self, monkeypatch, x, y):
+        # with no exhaustive path, small pools go through Monte Carlo. A draw
+        # beats the observed split with probability q, the exact p less the
+        # observed split's own 1/n_splits (the exact p counts that split, a
+        # draw of it never beats it); p must sit within 4 binomial standard
+        # errors of the (n_perm q + 1) / (n_perm + 1) that this gives
+        n_perm = 20000
+        monkeypatch.setattr(stats, "EXACT_SPLIT_LIMIT", 0)
+        _, p = ad_test_2sample(x, y, p_method="permutation", n_perm=n_perm, seed=3)
+        q = exhaustive_ad_p(x, y) - 1 / math.comb(len(x) + len(y), len(x))
+        assert 0 < q < 1
+        want = (n_perm * q + 1) / (n_perm + 1)
+        assert abs(p - want) <= 4 * math.sqrt(q * (1 - q) / n_perm)
+
+    @pytest.mark.parametrize("nx,ny", [(20, 5), (5, 20)])
+    def test_no_draw_shuffles_the_whole_pool(self, monkeypatch, nx, ny):
+        # the observed split is scored from x; every draw scores exactly the
+        # smaller side's positions, drawn as a subset: the generator offers
+        # choice alone, so a shuffle (permutation, shuffle, permuted) fails
+        rng = np.random.default_rng(nx)
+        x, y = rng.normal(0, 1, nx), rng.normal(0, 1, ny)
+        assert math.comb(nx + ny, nx) > EXACT_SPLIT_LIMIT
+        sizes = []
+        real = _PooledSplits.statistic
+        real_rng = np.random.default_rng
+
+        def recording(self, side):
+            sizes.append(side.size)
+            return real(self, side)
+
+        class SubsetsOnly:
+            def __init__(self, seed):
+                self.choice = real_rng(seed).choice
+
+        monkeypatch.setattr(_PooledSplits, "statistic", recording)
+        monkeypatch.setattr(np.random, "default_rng", SubsetsOnly)
+        ad_test_2sample(x, y, p_method="permutation", n_perm=50, seed=1)
+        assert sizes == [nx] + [min(nx, ny)] * 50
+
     def test_table_p_detects_strong_separation(self):
         x = np.arange(50.0)
         y = np.arange(50.0) + 100
@@ -466,6 +512,30 @@ class TestBinSummary:
         assert any("b" in n for n in summary.notices)
         by_label = {b.label: b for b in summary.bins}
         assert by_label["b"].mean == pytest.approx(9.0)
+
+    def test_p_at_a_bound_gets_a_notice(self):
+        far = {"a": list(np.arange(50.0)), "b": list(np.arange(50.0) + 100)}
+        same = {"a": list(np.linspace(0, 8, 40)), "b": list(np.linspace(0, 8, 40))}
+        floor = bin_summary(far, bandwidth=1.0)
+        assert floor.tests[0].p_raw == 0.001
+        assert floor.notices == ["test 'a' vs 'b': p_raw is the table floor 0.001; "
+                                 "the true p-value may be smaller"]
+        ceiling = bin_summary(same, bandwidth=1.0)
+        assert ceiling.tests[0].p_raw == 0.25
+        assert ceiling.notices == ["test 'a' vs 'b': p_raw is the table ceiling 0.25; "
+                                   "the true p-value may be larger"]
+        drawn = bin_summary(far, bandwidth=1.0, p_method="permutation", n_perm=99)
+        assert drawn.tests[0].p_raw == 1 / 100
+        assert drawn.notices == ["test 'a' vs 'b': p_raw is the Monte Carlo floor 1/100; "
+                                 "no draw was as extreme, so more draws may give "
+                                 "a smaller p-value"]
+        exhaustive = bin_summary({"a": [1.0, 2.0, 3.0, 4.0], "b": [11.0, 12.0, 13.0, 14.0]},
+                                 bandwidth=1.0, p_method="permutation")
+        assert exhaustive.tests[0].p_raw == 1 / 70
+        assert exhaustive.notices == ["test 'a' vs 'b': p_raw is the exhaustive floor 1/70; "
+                                      "no split of these sizes gives a smaller p-value"]
+        assert bin_summary(same, bandwidth=1.0, p_method="permutation",
+                           n_perm=99).notices == []
 
     def test_bonferroni_uses_number_of_pairs(self):
         rng = np.random.default_rng(0)
