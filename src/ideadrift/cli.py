@@ -70,6 +70,8 @@ class _Settings(ChainMap):
     Every input file a stage resolves through ``require_path`` is recorded in
     ``inputs``, which the stage's manifest then hashes. A config file may hold
     any key some stage declares in ``STAGES``, plus ``preset`` and ``threads``.
+    ``threads`` is the number of threads a stage may compute on, None for the
+    usable CPUs; like ``preset``, it is read once here and recorded nowhere.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -83,6 +85,9 @@ class _Settings(ChainMap):
         super().__init__(cli, file, DEFAULTS)
         preset = self.values(preset=one_of(*PRESETS))["preset"]
         self.maps.insert(2, PRESETS[preset])
+        self.threads = self.values(threads=integer)["threads"] if "threads" in self else None
+        if self.threads is not None and self.threads < 1:
+            raise DataFormatError(f"threads must be at least 1, got {self.threads}")
         self.inputs: dict[str, Path] = {}
 
     def values(self, **kinds: Callable) -> dict:
@@ -299,7 +304,8 @@ class _DensityRow(NamedTuple):  # one row of distributions.csv
 def stage_distributions(settings: _Settings, config: dict) -> None:
     records = cloud.read_records_csv(settings.require_path("records"))
     bins = stats.bin_by_popularity(records, config["bins"])
-    summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"})
+    summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"},
+                                threads=settings.threads)
     out_csv = settings.out_path("out_csv")
     cloud.write_rows(out_csv, _DensityRow._fields,
                      ((row.label, x, d) for row in summary.bins if row.density is not None
@@ -436,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
                                          "flags override file values")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="default dim/min-count/bins bundle (default: social-media)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect")
+    parser.add_argument("--threads", help="threads for the pairwise tests of "
+                                          "distributions, at least 1 (default: usable CPUs)")
     parser.add_argument("--log-level", default="INFO", type=str.upper,
                         choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="stage", required=True)

@@ -407,6 +407,7 @@ def bin_summary(
     p_method: str = "table",
     n_perm: int = DEFAULT_N_PERM,
     seed: int = 0,
+    threads: int | None = None,
 ) -> BinSummary:
     """Per-bin mean and density on a shared grid, plus pairwise AD tests.
 
@@ -415,10 +416,13 @@ def bin_summary(
     smaller bins are reported but skipped with a notice. A test whose p_raw
     sits at a bound of its method (see ``_p_bound``) gets a notice too.
 
-    The pairs run concurrently on min(pairs, usable CPUs) threads; numpy
-    releases the GIL in each draw and statistic. Every pair owns
-    its pooled sample and its own ``default_rng(seed)``, and results are
-    collected in pair order, so no result depends on the thread count.
+    The pairs run concurrently on min(pairs, ``threads``) threads, where
+    None means the usable CPUs; numpy releases the GIL in each draw and
+    statistic. The caller counts as one of the threads: it takes pairs from
+    the same queue as ``threads - 1`` helpers, so at ``threads=1`` every pair
+    runs in the calling thread and no thread starts. Every pair owns its
+    pooled sample and its own ``default_rng(seed)``, and results are stored
+    by pair index, so no result depends on the thread count.
     """
     import os
     from concurrent.futures import ThreadPoolExecutor
@@ -447,18 +451,26 @@ def bin_summary(
                 notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
     pairs = list(itertools.combinations(testable, 2))
     tests: list[PairTest] = []
-    threads = 0
+    if threads is None:
+        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    threads = min(len(pairs), threads)
     if pairs:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        threads = min(len(pairs), cpus)
+        raw: list = [None] * len(pairs)
+        queue = iter(range(len(pairs)))  # shared: next() on a range iterator is atomic
 
-        def pair_test(pair: tuple[str, str]) -> tuple[float, float]:
-            return ad_test_2sample(arrays[pair[0]], arrays[pair[1]], p_method=p_method,
-                                   n_perm=n_perm, seed=seed)
+        def drain() -> None:
+            for i in queue:
+                a, b = pairs[i]
+                raw[i] = ad_test_2sample(arrays[a], arrays[b], p_method=p_method,
+                                         n_perm=n_perm, seed=seed)
 
+        # the executor starts a thread per submit only, so threads=1 starts none
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(pair_test, pairs))
+            helpers = [pool.submit(drain) for _ in range(threads - 1)]
+            drain()
+            for helper in helpers:
+                helper.result()
         corrected = bonferroni([p for _, p in raw], len(pairs))
         tests = [PairTest(a, b, a2, p, pc)
                  for (a, b), (a2, p), pc in zip(pairs, raw, corrected)]

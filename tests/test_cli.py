@@ -510,10 +510,16 @@ class TestConfigFile:
                                  "--out-csv", "d.csv", "--out-summary", "s.json"]),
         # no user, so no score is weighted
         ({"fg_weighting": "nope"}, ["dynamics", "--records", "empty.csv", "--out", "dyn.csv"]),
+        ({"threads": 1.5}, ["distributions", "--records", "records.csv",
+                            "--out-csv", "d.csv", "--out-summary", "s.json"]),
+        ({"threads": True}, ["distributions", "--records", "records.csv",
+                             "--out-csv", "d.csv", "--out-summary", "s.json"]),
+        ({"threads": "abc"}, ["distributions", "--records", "records.csv",
+                              "--out-csv", "d.csv", "--out-summary", "s.json"]),
     ], ids=["synth-seed", "synth-seed-fraction", "synth-n-users-fraction", "synth-seed-bool",
             "eccentricity-window-days", "distributions-bins-word",
             "distributions-bins-fraction", "unknown-key", "p-method-choice",
-            "fg-weighting-choice"])
+            "fg-weighting-choice", "threads-fraction", "threads-bool", "threads-word"])
     def test_bad_config_value_exit_2(self, worked_example, monkeypatch, caplog,
                                      config, args):
         monkeypatch.chdir(worked_example)
@@ -789,23 +795,42 @@ class TestPermutationCount:
     def test_bytes_do_not_depend_on_usable_cpus(self, tmp_path):
         cpus = os.sched_getaffinity(0)
         outputs = []
-        for name, pin in (("one", {min(cpus)}), ("all", None)):
+        for name, pin, flags in (("one", {min(cpus)}, []), ("all", None, []),
+                                 ("flag", None, ["--threads", "1"])):
             root = tmp_path / name
             root.mkdir()
             self.three_bins(root / "records.csv")
             proc = subprocess.run(
-                [sys.executable, "-m", "ideadrift.cli", "distributions",
+                [sys.executable, "-m", "ideadrift.cli", *flags, "distributions",
                  "--records", "records.csv", "--bins", "10,100", "--p-method", "permutation",
                  "--n-perm", "300", "--seed", "2", "--out-csv", "d.csv",
                  "--out-summary", "s.json"],
                 cwd=root, env=blas_env(1), capture_output=True, text=True,
                 preexec_fn=pin and (lambda: os.sched_setaffinity(0, pin)))
             assert proc.returncode == 0, proc.stderr[-2000:]
-            threads = 1 if pin else min(3, len(cpus))
+            threads = 1 if pin or flags else min(3, len(cpus))
             assert f"3 pairwise tests on {threads} threads" in proc.stderr
             outputs.append([(root / file).read_bytes()
                             for file in ("d.csv", "s.json", "d.csv.manifest.json")])
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_one_thread_runs_every_pair_in_the_caller(self, tmp_path, monkeypatch):
+        real = stats.ad_test_2sample
+        calls = []
+
+        def recording_test(x, y, **kwargs):
+            calls.append((threading.current_thread() is threading.main_thread(),
+                          threading.active_count()))
+            return real(x, y, **kwargs)
+
+        self.three_bins(tmp_path / "records.csv")
+        monkeypatch.setattr(stats, "ad_test_2sample", recording_test)
+        before = threading.active_count()
+        assert main(["--threads", "1", "distributions", "--records",
+                     str(tmp_path / "records.csv"), "--bins", "10,100",
+                     "--out-csv", str(tmp_path / "d.csv"),
+                     "--out-summary", str(tmp_path / "s.json")]) == 0
+        assert calls == [(True, before)] * 3
 
 
 class TestCsvBytes:
@@ -1046,7 +1071,14 @@ class TestSeedBounds:
         (["embed", "--hash-seed", str(2**64), "--posts", "{run}/posts.jsonl",
           "--out", "{out}/v.jsonl"],
          f"hash_seed must be in [0, 2**64), got {2**64}"),
-    ], ids=["synth", "sample", "distributions", "embed-negative", "embed-65-bits"])
+        (["--threads", "0", "distributions", "--records", "{run}/records.csv",
+          "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+         "threads must be at least 1, got 0"),
+        (["--threads", "-1", "distributions", "--records", "{run}/records.csv",
+          "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+         "threads must be at least 1, got -1"),
+    ], ids=["synth", "sample", "distributions", "embed-negative", "embed-65-bits",
+            "threads-zero", "threads-negative"])
     def test_bad_seed_exit_2(self, small_run, tmp_path, caplog, capsys, args, message):
         out = tmp_path / "out"
         assert main([arg.format(run=small_run, out=out) for arg in args]) == 2

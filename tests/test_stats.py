@@ -641,6 +641,10 @@ class TestBinSummaryThreads:
             bin_summary(bins)
         assert threading.active_count() == before
 
+    def test_threads_capped_at_pairs(self):
+        bins = {label: [float(i), float(i) + 0.5, float(i) + 2.0] for i, label in enumerate("abc")}
+        assert [bin_summary(bins, threads=n).threads for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
     def test_single_pair_or_none_threads(self):
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0, 5.0]}).threads == 1
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0]}).threads == 0
