@@ -5,7 +5,8 @@ with identical inputs produces byte-identical outputs, and each stage writes a
 manifest (input hashes, effective config, package version) next to its primary
 output. Logs go to stderr; data only to the declared output files.
 
-Exit codes: 0 success, 2 missing input or invalid configuration or data.
+Exit codes: 0 success, 2 missing input, an output path of the wrong kind (a
+directory for a file, a file for a directory), or invalid configuration or data.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ from typing import Callable, NamedTuple
 
 # One BLAS thread, whatever the caller set: a multithreaded SVD changes the
 # last bits of pca output with the thread count. Set before numpy loads BLAS,
-# which no module top does: each kernel imports numpy when it first runs.
+# which no import does: ``_np.np`` loads numpy when a kernel first reads it.
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
+from ._np import np  # noqa: E402
 from .errors import DataFormatError  # noqa: E402
 
 logger = logging.getLogger("ideadrift")
@@ -67,9 +69,11 @@ DEFAULTS = {
 class _Settings(ChainMap):
     """Layered parameter lookup: CLI flag > config file > preset > default.
 
-    Every input file a stage resolves through ``require_path`` is recorded in
-    ``inputs``, which the stage's manifest then hashes. A config file may hold
-    any key some stage declares in ``STAGES``, plus ``preset`` and ``threads``.
+    ``require_path`` hashes each input file as it resolves it, before the
+    stage reads it, and records its path and SHA-256 in ``inputs`` for the
+    stage's manifest; so an output written over an input does not change the
+    input's recorded hash. A config file may hold any key some stage declares
+    in ``STAGES``, plus ``preset`` and ``threads``.
     ``threads`` is the number of threads a stage may compute on, None for the
     usable CPUs; like ``preset``, it is read once here and recorded nowhere.
     """
@@ -88,7 +92,7 @@ class _Settings(ChainMap):
         self.threads = self.values(threads=integer)["threads"] if "threads" in self else None
         if self.threads is not None and self.threads < 1:
             raise DataFormatError(f"threads must be at least 1, got {self.threads}")
-        self.inputs: dict[str, Path] = {}
+        self.inputs: dict[str, dict[str, str]] = {}
 
     def values(self, **kinds: Callable) -> dict:
         """``{key: kind(setting)}``: the config a stage runs with and records."""
@@ -111,7 +115,7 @@ class _Settings(ChainMap):
             raise FileNotFoundError(f"input file not found: {path}")
         if not path.is_file():
             raise DataFormatError(f"input is not a regular file: {path}")
-        self.inputs[key] = path
+        self.inputs[key] = {"path": str(path), "sha256": _sha256(path)}
         return path
 
     def out_path(self, key: str) -> Path:
@@ -119,6 +123,8 @@ class _Settings(ChainMap):
         if value is None:
             raise DataFormatError(f"missing required output --{key.replace('_', '-')}")
         path = Path(value)
+        if path.is_dir():
+            raise DataFormatError(f"output is a directory: {path}")
         path.parent.mkdir(parents=True, exist_ok=True)
         return path
 
@@ -156,8 +162,7 @@ def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
     _write_json(Path(str(primary_output) + ".manifest.json"), {
         "stage": stage,
         "version": __version__,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in settings.inputs.items()},
+        "inputs": settings.inputs,
         "config": config,
     })
 
@@ -261,9 +266,8 @@ def stage_embed(settings: _Settings, config: dict) -> None:
 def stage_pca(settings: _Settings, config: dict) -> None:
     ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
     model = pca.fit_pca(matrix, config["variance"])
-    out = settings.out_path("out")
+    out, model_out = settings.out_path("out"), settings.out_path("model_out")
     embed.write_vectors(out, (ids, pca.transform(model, matrix)))
-    model_out = settings.out_path("model_out")
     pca.save_model(model, model_out)
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
                 model.dim, model.k,
@@ -306,11 +310,10 @@ def stage_distributions(settings: _Settings, config: dict) -> None:
     bins = stats.bin_by_popularity(records, config["bins"])
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"},
                                 threads=settings.threads)
-    out_csv = settings.out_path("out_csv")
+    out_csv, out_summary = settings.out_path("out_csv"), settings.out_path("out_summary")
     cloud.write_rows(out_csv, _DensityRow._fields,
                      ((row.label, x, d) for row in summary.bins if row.density is not None
                       for x, d in zip(summary.grid.tolist(), row.density.tolist())))
-    out_summary = settings.out_path("out_summary")
     payload = {
         "bandwidth": config["bandwidth"],
         "thresholds": config["bins"],
@@ -361,8 +364,6 @@ def stage_report(settings: _Settings, config: dict) -> None:
     g_self = [d.g_self for d in rows if d.g_self is not None]
     comparison = None
     if len(g_ecc) >= 1 and len(g_self) >= 1:
-        import numpy as np
-
         u, p = stats.mann_whitney(g_self, g_ecc)
         with np.errstate(over="ignore"):  # checked below
             mean_g_self, mean_g_ecc = float(np.mean(g_self)), float(np.mean(g_ecc))
@@ -374,6 +375,8 @@ def stage_report(settings: _Settings, config: dict) -> None:
             "mannwhitney_u": u, "p": p,
         }
     out_dir = Path(settings.get("out_dir") or ".")
+    if out_dir.exists() and not out_dir.is_dir():
+        raise DataFormatError(f"output directory is not a directory: {out_dir}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     scatter_path = out_dir / "fg_scatter.csv"
@@ -466,7 +469,8 @@ def main(argv=None) -> int:
         logger.error("%s", exc)
         return 2
     except OverflowError as exc:  # a result out of float64's range: name the inputs
-        logger.error("%s: %s", ", ".join(map(str, settings.inputs.values())) or args.stage, exc)
+        logger.error("%s: %s", ", ".join(i["path"] for i in settings.inputs.values())
+                     or args.stage, exc)
         return 2
     return 0
 

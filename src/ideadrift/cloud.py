@@ -14,14 +14,12 @@ import csv
 import itertools
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._np import np
 from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
 from .embed import Vectors
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
 
@@ -49,8 +47,6 @@ def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
     """Per post: the index range [lo, hi) of the time-sorted log that falls in
     its window [t - window, t), and the dense rank of its block
     ``(t - t0) // window``. No window spans more than two blocks."""
-    import numpy as np
-
     # offsets from the first post, exact Python ints, fit int64 unless the log
     # spans 2**63 s; a window longer than the span selects the same posts, so
     # clamping it keeps t - window inside int64 too
@@ -79,8 +75,6 @@ def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray
     ``out[b + s] - out[a + s]``. Sums restart at every segment, so their
     rounding error is bounded by one segment, not by the whole history.
     """
-    import numpy as np
-
     n_seg = len(seg_first)
     out = np.empty((len(order) + n_seg, x.shape[1]))
     out[seg_first + np.arange(n_seg)] = 0.0
@@ -99,8 +93,6 @@ def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray
 
 def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
     """``|total / count|`` per row, None where the count is zero."""
-    import numpy as np
-
     norms = np.linalg.norm(total / np.maximum(count, 1)[:, None], axis=1)
     if not np.isfinite(norms).all():
         raise OverflowError("an eccentricity overflows float64")
@@ -116,8 +108,6 @@ def _row_index(vectors: Vectors) -> dict[str, int]:
     """Map each post id to its matrix row. A matrix that is not 2-D, or whose
     row count differs from the id count, is a DataFormatError that names the
     first id left without a row."""
-    import numpy as np
-
     ids, matrix = vectors
     n_rows = len(matrix) if np.ndim(matrix) == 2 else 0
     if n_rows != len(ids):
@@ -130,8 +120,6 @@ def _row_index(vectors: Vectors) -> dict[str, int]:
 def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
     """Per post, in log order: eccentricity, self-eccentricity, cloud size and
     self-cloud size, as four lists (see ``replay``)."""
-    import numpy as np
-
     posts = corpus.posts
     row = _row_index(vectors)
     matrix = vectors[1]
@@ -215,8 +203,6 @@ def replay(
     adds ``n * (v - ref) - sum(x - ref)`` to ``sum(v - x)`` over the cloud,
     whose mean is the offset of ``v`` from the cloud's centroid.
     """
-    import numpy as np
-
     if window_seconds <= 0:
         raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
     # the kernel's arrays are freed before the records are built; a sum that

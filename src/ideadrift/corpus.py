@@ -17,6 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
+from ._np import np
 from .errors import DataFormatError
 
 logger = logging.getLogger(__name__)
@@ -252,8 +253,6 @@ def sample_users(g: SocialGraph, fraction: float, seed: int) -> SocialGraph:
     The draw is made by a seeded generator over the sorted user list, so the
     same (graph, fraction, seed) always yields the same subgraph.
     """
-    import numpy as np
-
     if not (0.0 < fraction <= 1.0):
         raise DataFormatError(f"fraction must be in (0, 1], got {fraction}")
     if seed < 0:

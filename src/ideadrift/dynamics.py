@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
+from ._np import np
 from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
 
@@ -53,8 +51,6 @@ def fg_scores(
     below by min_gap) and w_k the weights, F = sum(w|dE|)/sum(w) and
     G = sum(w dE)/sum(w). Returns None for series shorter than 2.
     """
-    import numpy as np
-
     if min_gap <= 0:
         raise DataFormatError(f"min_gap must be positive, got {min_gap}")
     if weighting not in WEIGHTINGS:
@@ -89,8 +85,6 @@ def user_dynamics(
     defined points in a series get None for that (F, G) pair. Output is
     sorted by user id.
     """
-    import numpy as np
-
     # author -> (neighborhood points, self points), each (t, post id, value)
     series: dict[str, tuple[list, list]] = {}
     for r in records:

@@ -13,13 +13,11 @@ import math
 from collections import Counter
 from hashlib import blake2b
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
+from ._np import np
 from .corpus import _json_string, json_line, utf8_lines
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_HASH_SEED = 9172023
 
@@ -90,8 +88,6 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     Each in-vocabulary token contributes tf * idf * sign to its hash bucket;
     tokens are accumulated in sorted order so the float sum is reproducible.
     """
-    import numpy as np
-
     acc = [0.0] * model.dim
     terms = model.terms
     tf = Counter(tokens)
@@ -110,8 +106,6 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
 
 def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
     """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
-    import numpy as np
-
     matrix = np.empty((len(docs), model.dim))
     for row, (_, tokens) in enumerate(docs):
         matrix[row] = embed(model, tokens)
@@ -129,8 +123,6 @@ def load_external_vectors(path: str | Path) -> Vectors:
     The file is read twice: its line count sizes the one matrix, which the
     vectors then fill row by row.
     """
-    import numpy as np
-
     with open(path, "rb") as fh:
         n_lines = sum(1 for _ in fh)
     ids: list[str] = []

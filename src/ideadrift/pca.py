@@ -5,12 +5,10 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from ._np import np
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _EV_TIE_RTOL = 1e-9
 # values in one centered row block (at least D rows), as cloud._CHUNK_VALUES;
@@ -38,8 +36,6 @@ class PcaModel(NamedTuple):
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry is positive."""
-    import numpy as np
-
     flipped = components.copy()
     for row in flipped:
         pivot = int(np.argmax(np.abs(row)))
@@ -50,8 +46,6 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 def _sort_ties(components: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Within groups of (near-)equal variances, order rows lexicographically."""
-    import numpy as np
-
     order = list(range(len(variances)))
     start = 0
     while start < len(order):
@@ -72,8 +66,6 @@ def _centered_r(data: np.ndarray, mean: np.ndarray) -> np.ndarray:
     one centered row block at a time into the R so far. It has the singular
     values and right singular vectors of the centered data, and no temporary
     grows with the row count."""
-    import numpy as np
-
     n, d = data.shape
     rows = max(d, _QR_VALUES // d)
     r = np.empty((0, d))
@@ -91,8 +83,6 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
     deterministically ordered. Data with zero total variance yields a single
     zero-variance component.
     """
-    import numpy as np
-
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise DataFormatError("data must be a 2-D matrix")
@@ -134,8 +124,6 @@ def fit_pca(data: np.ndarray, variance_fraction: float) -> PcaModel:
 
 def transform(model: PcaModel, vectors: np.ndarray) -> np.ndarray:
     """Project a D-vector (or n x D matrix) onto the model's components."""
-    import numpy as np
-
     vectors = np.asarray(vectors, dtype=float)
     if vectors.shape[-1] != model.dim:
         raise DataFormatError(

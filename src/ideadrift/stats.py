@@ -14,13 +14,11 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._np import np
 from .cloud import EccentricityRecord
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_BANDWIDTH = 5.0
 DEFAULT_GRID_POINTS = 512
@@ -81,8 +79,6 @@ def bin_by_popularity(
 def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
     """Ascending grid of DEFAULT_GRID_POINTS points covering
     [min - span*h, max + span*h] with span = DEFAULT_GRID_SPAN."""
-    import numpy as np
-
     samples = np.asarray(samples, dtype=float)
     return np.linspace(samples.min() - DEFAULT_GRID_SPAN * bandwidth,
                        samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
@@ -97,8 +93,6 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndar
     buffer, so working memory is that buffer alone. The chunk size also fixes
     the order in which kernel values are summed, and so the result's bits.
     """
-    import numpy as np
-
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if samples.size == 0:
@@ -136,8 +130,6 @@ class _PooledSplits:
     """
 
     def __init__(self, pooled: np.ndarray):
-        import numpy as np
-
         pooled = np.asarray(pooled, dtype=float)
         self.n_total = pooled.size
         self.values, self.value_index, counts = np.unique(
@@ -160,8 +152,6 @@ class _PooledSplits:
         (n M_j - size B_j)^2 equal this side's and one pass scores both.
         The terms are formed in place in one array over the distinct values.
         """
-        import numpy as np
-
         n = float(self.n_total)
         size = float(side.size)
         # float counts keep the cumsum exact (below 2**53) and halve in place
@@ -179,8 +169,6 @@ class _PooledSplits:
 
 def ad_2sample_statistic(x: Sequence[float], y: Sequence[float]) -> float:
     """Scholz-Stephens two-sample rank statistic, midrank (tie-aware) version."""
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     pooled = _PooledSplits(np.concatenate([x, y]))
@@ -199,8 +187,6 @@ _AD_B2 = (-0.105, -0.305, -0.362, -0.391, -0.396, -0.345, -0.154)
 def ad_standardized(a2: float, n_x: int, n_y: int) -> float:
     """Standardize the two-sample statistic: (A2 - 1) / sigma with sigma from
     the statistic's finite-sample variance."""
-    import numpy as np
-
     n_total = n_x + n_y
     k = 2
     h_sum = float(np.sum(1.0 / np.arange(1, n_total)))
@@ -227,8 +213,6 @@ def _ad_table_p(a2: float, n_x: int, n_y: int) -> float:
     curve; log p is interpolated linearly between table columns and clipped
     to the table's [0.001, 0.25] range.
     """
-    import numpy as np
-
     t = ad_standardized(a2, n_x, n_y)
     # b0 + b1/sqrt(m) + b2/m at m = 1, summed as arrays (tuples would concatenate)
     critical = np.array(_AD_B0) + np.array(_AD_B1) + np.array(_AD_B2)
@@ -257,8 +241,6 @@ def ad_test_2sample(
     equal-valued splits are ties regardless of rounding. A pooled sample with a single
     distinct value is degenerate and reports p = 1.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.size < 2 or y.size < 2:
@@ -320,8 +302,6 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     together; otherwise the normal approximation with tie-corrected variance
     and continuity correction is used.
     """
-    import numpy as np
-
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n, m = x.size, y.size
@@ -417,18 +397,19 @@ def bin_summary(
     sits at a bound of its method (see ``_p_bound``) gets a notice too.
 
     The pairs run concurrently on min(pairs, ``threads``) threads, where
-    None means the usable CPUs; numpy releases the GIL in each draw and
-    statistic. The caller counts as one of the threads: it takes pairs from
-    the same queue as ``threads - 1`` helpers, so at ``threads=1`` every pair
-    runs in the calling thread and no thread starts. Every pair owns its
+    None means the usable CPUs and a count below 1 raises DataFormatError;
+    numpy releases the GIL in each draw and statistic. The caller counts as
+    one of the threads: it takes pairs from the same queue as ``threads - 1``
+    helpers, so at ``threads=1`` every pair runs in the calling thread and
+    no thread starts. Every pair owns its
     pooled sample and its own ``default_rng(seed)``, and results are stored
     by pair index, so no result depends on the thread count.
     """
     import os
     from concurrent.futures import ThreadPoolExecutor
 
-    import numpy as np
-
+    if threads is not None and threads < 1:
+        raise DataFormatError(f"threads must be at least 1, got {threads}")
     arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}
     filled = [samples for samples in arrays.values() if samples.size]
     stats_rows: list[BinStats] = []

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from ._np import np
 from .corpus import (Corpus, Post, SocialGraph, build_corpus,
                      write_edges_jsonl, write_posts_jsonl)
 from .embed import Vectors, write_vectors
 from .errors import DataFormatError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 EFFECTS = ("null", "attention-coupling", "elevator-drift")
 
@@ -122,8 +120,6 @@ class SynthDetails(NamedTuple):
 def gen_corpus(cfg: SynthConfig) -> tuple[Corpus, Vectors, SynthDetails]:
     """Generate a corpus, its post vectors and the generation internals.
     Same config, same bytes."""
-    import numpy as np
-
     rng = np.random.default_rng(cfg.seed)
     users = [f"u{i:05d}" for i in range(cfg.n_users)]
 

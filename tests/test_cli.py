@@ -1,5 +1,7 @@
 import argparse
+import ast
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -446,6 +448,29 @@ def test_kernel_numpy_import_starts_no_blas_thread():
     assert proc.stdout.strip() == "1"
 
 
+def test_numpy_is_named_only_in_np_module():
+    # every module takes numpy as `from ._np import np`, which loads it lazily;
+    # a top-level `import numpy` elsewhere would load it in every stage
+    package = Path(ideadrift.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_np.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.split(".")[0] == "numpy" for a in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "numpy", path.name
+                assert "TYPE_CHECKING" not in (a.name for a in node.names), path.name
+                if node.level == 1 and node.module == "_np":
+                    imported.update(a.asname or a.name for a in node.names)
+            names = (getattr(node, "id", None), getattr(node, "attr", None))
+            assert "TYPE_CHECKING" not in names, path.name
+        uses_np = any(isinstance(node, ast.Name) and node.id == "np" for node in ast.walk(tree))
+        assert "np" in imported or not uses_np, f"{path.name} uses np without importing it"
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         config = {"n_users": 12, "follow_prob": 0.2, "n_days": 3.0,
@@ -642,6 +667,76 @@ class TestManifestInputs:
             assert entry["path"] == args[args.index(f"--{name}") + 1]
             assert len(entry["sha256"]) == 64
         assert manifest["config"] == config
+
+    def test_input_hash_is_of_the_bytes_read(self, small_run, tmp_path):
+        # ingest canonicalizes a line-reversed posts file over itself: the
+        # manifest records the bytes it read, not the ones it wrote
+        posts = tmp_path / "posts.jsonl"
+        read = b"".join(reversed((small_run / "posts.jsonl").read_bytes().splitlines(True)))
+        posts.write_bytes(read)
+        assert main(["ingest", "--posts", str(posts), "--edges", str(small_run / "edges.jsonl"),
+                     "--out-posts", str(posts), "--out-edges", str(tmp_path / "edges.jsonl")]) == 0
+        assert posts.read_bytes() != read
+        recorded = manifest_of(posts)["inputs"]["posts"]["sha256"]
+        assert recorded == hashlib.sha256(read).hexdigest()
+
+
+class TestOutputPathKind:
+    CORPUS = ["--posts", "{run}/posts.jsonl", "--edges", "{run}/edges.jsonl",
+              "--out-posts", "{out}/p.jsonl", "--out-edges", "{out}/e.jsonl"]
+    # case -> (arguments, the output flag that names an existing directory)
+    CASES = {
+        "ingest-out-posts": (["ingest", *CORPUS], "--out-posts"),
+        "ingest-out-edges": (["ingest", *CORPUS], "--out-edges"),
+        "lcc-out-edges": (["lcc", *CORPUS], "--out-edges"),
+        "sample-out-posts": (["sample", *CORPUS, "--fraction", "0.5"], "--out-posts"),
+        "embed-out": (["embed", "--posts", "{run}/posts.jsonl", "--dim", "8",
+                       "--out", "{out}/v.jsonl"], "--out"),
+        "pca-out": (["pca", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/pca.jsonl",
+                     "--model-out", "{out}/model.json"], "--out"),
+        "pca-model-out": (["pca", "--vectors", "{run}/vectors.jsonl",
+                           "--out", "{out}/pca.jsonl", "--model-out", "{out}/model.json"],
+                          "--model-out"),
+        "eccentricity-out": (["eccentricity", "--posts", "{run}/posts.jsonl",
+                              "--edges", "{run}/edges.jsonl", "--vectors", "{run}/vectors.jsonl",
+                              "--out", "{out}/r.csv"], "--out"),
+        "dynamics-out": (["dynamics", "--records", "{run}/records.csv",
+                          "--out", "{out}/dyn.csv"], "--out"),
+        "distributions-out-csv": (["distributions", "--records", "{run}/records.csv",
+                                   "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
+                                  "--out-csv"),
+        "distributions-out-summary": (["distributions", "--records", "{run}/records.csv",
+                                       "--out-csv", "{out}/d.csv",
+                                       "--out-summary", "{out}/s.json"], "--out-summary"),
+        "synth-out-vectors": (["synth", "--n-users", "3", "--out-posts", "{out}/p.jsonl",
+                               "--out-edges", "{out}/e.jsonl",
+                               "--out-vectors", "{out}/v.jsonl"], "--out-vectors"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_output_is_a_directory_exit_2(self, small_run, tmp_path, caplog, capsys, case):
+        template, flag = self.CASES[case]
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        args = [a.format(run=small_run, out=tmp_path) for a in template]
+        args[args.index(flag) + 1] = str(taken)
+        assert main(args) == 2
+        assert f"output is a directory: {taken}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert not any(taken.iterdir())
+
+    def test_report_out_dir_is_a_file_exit_2(self, small_run, tmp_path, caplog, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["report", "--summary", str(small_run / "summary.json"),
+                     "--distributions", str(small_run / "distributions.csv"),
+                     "--dynamics", str(small_run / "dynamics.csv"),
+                     "--out-dir", str(taken)]) == 2
+        assert f"output directory is not a directory: {taken}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "kept\n"
 
 
 class TestSynthManifest:

@@ -648,3 +648,11 @@ class TestBinSummaryThreads:
     def test_single_pair_or_none_threads(self):
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0, 5.0]}).threads == 1
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0]}).threads == 0
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("bins", [{"a": [1.0, 2.0], "b": [3.0, 5.0]},
+                                      {"a": [1.0, 2.0], "b": [3.0]}],
+                             ids=["testable-pair", "no-testable-pair"])
+    def test_threads_below_one_refused(self, bins, threads):
+        with pytest.raises(DataFormatError, match=f"^threads must be at least 1, got {threads}$"):
+            bin_summary(bins, threads=threads)
