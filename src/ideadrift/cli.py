@@ -125,8 +125,16 @@ class _Settings(ChainMap):
         path = Path(value)
         if path.is_dir():
             raise DataFormatError(f"output is a directory: {path}")
-        path.parent.mkdir(parents=True, exist_ok=True)
+        _make_dir(path.parent, f"output is under a file, not a directory: {path}")
         return path
+
+
+def _make_dir(path: Path, error: str) -> None:
+    """``mkdir -p path``; a file at ``path`` or above it raises DataFormatError(error)."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise DataFormatError(error) from None
 
 
 def _sha256(path: Path) -> str:
@@ -375,9 +383,7 @@ def stage_report(settings: _Settings, config: dict) -> None:
             "mannwhitney_u": u, "p": p,
         }
     out_dir = Path(settings.get("out_dir") or ".")
-    if out_dir.exists() and not out_dir.is_dir():
-        raise DataFormatError(f"output directory is not a directory: {out_dir}")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir, f"output directory is not a directory: {out_dir}")
 
     scatter_path = out_dir / "fg_scatter.csv"
     cloud.write_rows(scatter_path, ("user", "f_ecc", "g_ecc", "f_self", "g_self"),

@@ -45,8 +45,8 @@ _CHUNK_VALUES = 1 << 17
 
 def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
     """Per post: the index range [lo, hi) of the time-sorted log that falls in
-    its window [t - window, t), and the dense rank of its block
-    ``(t - t0) // window``. No window spans more than two blocks."""
+    its window [t - window, t), and its block number ``(t - t0) // window``.
+    No window spans more than two blocks."""
     # offsets from the first post, exact Python ints, fit int64 unless the log
     # spans 2**63 s; a window longer than the span selects the same posts, so
     # clamping it keeps t - window inside int64 too
@@ -59,10 +59,7 @@ def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
         raise DataFormatError(f"post times span {offsets[-1]} s, more than int64 holds") from None
     lo = np.searchsorted(t, t - window, side="left")
     hi = np.searchsorted(t, t, side="left")
-    block = t // window
-    new_block = np.ones(len(t), dtype=bool)
-    new_block[1:] = block[1:] != block[:-1]
-    return lo, hi, np.cumsum(new_block)
+    return lo, hi, t // window
 
 
 def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray,

@@ -36,28 +36,21 @@ class PcaModel(NamedTuple):
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Flip each row so its largest-magnitude entry is positive."""
-    flipped = components.copy()
-    for row in flipped:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0:
-            row *= -1.0
-    return flipped
+    pivots = components[np.arange(len(components)), np.argmax(np.abs(components), axis=1)]
+    return components * np.where(pivots < 0, -1.0, 1.0)[:, None]
 
 
 def _sort_ties(components: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Within groups of (near-)equal variances, order rows lexicographically."""
-    order = list(range(len(variances)))
-    start = 0
-    while start < len(order):
-        stop = start + 1
-        while stop < len(order) and np.isclose(
-            variances[stop], variances[start], rtol=_EV_TIE_RTOL, atol=1e-15
-        ):
-            stop += 1
-        if stop - start > 1:
-            group = sorted(order[start:stop], key=lambda i: tuple(components[i]))
-            order[start:stop] = group
-        start = stop
+    """Within groups of (near-)equal variances, order rows lexicographically.
+    A group runs from its first row through each next row whose variance is
+    close to that first row's."""
+    start, group = 0, []  # per row, the index of its group's first row
+    for i, variance in enumerate(variances):
+        if not np.isclose(variance, variances[start], rtol=_EV_TIE_RTOL, atol=1e-15):
+            start = i
+        group.append(start)
+    # lexsort's last key is its first: by group, then column by column
+    order = np.lexsort((*components.T[::-1], group))
     return components[order], variances[order]
 
 

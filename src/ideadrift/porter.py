@@ -4,65 +4,46 @@ Self-contained so that stemming needs no runtime downloads and behaves
 identically on every platform. Words of length <= 2 are returned unchanged.
 Expects lowercase alphabetic input. ``stem`` is memoized with a fixed bound,
 so a corpus pays for each distinct word once.
+
+As in the paper, a word is read as its form, a [C](VC)^m[V] string of
+consonant and vowel classes (``_form``), and steps 1a, 2, 3 and 4 are tables
+of suffix rules, of which only the longest matching one applies
+(``_replace_longest``).
 """
 
 from __future__ import annotations
 
 import functools
 
-_VOWELS = frozenset("aeiou")
 
-
-def _is_consonant(word: str, i: int) -> bool:
-    ch = word[i]
-    if ch in _VOWELS:
-        return False
-    if ch == "y":
-        # y is a consonant unless preceded by a consonant
-        return i == 0 or not _is_consonant(word, i - 1)
-    return True
+def _form(word: str) -> str:
+    """One class per letter: "v" for a, e, i, o, u and for a y that follows
+    a consonant, "c" for any other letter. The form of a prefix is a prefix
+    of the form."""
+    classes = []
+    cls = "v"  # so that a leading y is a consonant
+    for ch in word:
+        cls = "v" if ch in "aeiou" or (ch == "y" and cls == "c") else "c"
+        classes.append(cls)
+    return "".join(classes)
 
 
 def _measure(stem: str) -> int:
-    """Number of VC sequences in the [C](VC)^m[V] form of the stem."""
-    m = 0
-    prev_cons = None
-    for i in range(len(stem)):
-        cons = _is_consonant(stem, i)
-        if prev_cons is False and cons:
-            m += 1
-        prev_cons = cons
-    return m
+    """m, the number of VC sequences in the [C](VC)^m[V] form of the stem."""
+    return _form(stem).count("vc")
 
 
 def _contains_vowel(stem: str) -> bool:
-    return any(not _is_consonant(stem, i) for i in range(len(stem)))
+    return "v" in _form(stem)
 
 
 def _ends_double_consonant(word: str) -> bool:
-    return (len(word) >= 2 and word[-1] == word[-2]
-            and _is_consonant(word, len(word) - 1))
+    return len(word) >= 2 and word[-1] == word[-2] and _form(word).endswith("c")
 
 
 def _ends_cvc(word: str) -> bool:
     """consonant-vowel-consonant ending where the final consonant is not w, x, y."""
-    return (len(word) >= 3
-            and _is_consonant(word, len(word) - 3)
-            and not _is_consonant(word, len(word) - 2)
-            and _is_consonant(word, len(word) - 1)
-            and word[-1] not in "wxy")
-
-
-def _step1a(word: str) -> str:
-    if word.endswith("sses"):
-        return word[:-2]
-    if word.endswith("ies"):
-        return word[:-2]
-    if word.endswith("ss"):
-        return word
-    if word.endswith("s"):
-        return word[:-1]
-    return word
+    return _form(word).endswith("cvc") and word[-1] not in "wxy"
 
 
 def _step1b(word: str) -> str:
@@ -92,8 +73,10 @@ def _step1c(word: str) -> str:
     return word
 
 
-# (suffix, replacement) pairs, longest suffix first; within a step only the
+# (suffix, replacement) rules, longest suffix first; within a step only the
 # longest matching suffix is ever considered.
+_STEP1A_RULES = (("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", ""))
+
 _STEP2_RULES = (
     ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"),
     ("fulness", "ful"), ("ousness", "ous"),
@@ -111,15 +94,17 @@ _STEP3_RULES = (
     ("ful", ""),
 )
 
-_STEP4_SUFFIXES = (
+_STEP4_RULES = tuple((suffix, "") for suffix in (
     "ement",
     "ance", "ence", "able", "ible", "ment",
     "ant", "ent", "ion", "ism", "ate", "iti", "ous", "ive", "ize",
     "al", "er", "ic", "ou",
-)
+))
 
 
 def _replace_longest(word: str, rules, min_measure: int) -> str:
+    """Apply the first rule whose suffix ends ``word``, if what precedes the
+    suffix has a measure above ``min_measure``."""
     for suffix, repl in rules:
         if word.endswith(suffix):
             stem = word[: len(word) - len(suffix)]
@@ -129,24 +114,12 @@ def _replace_longest(word: str, rules, min_measure: int) -> str:
     return word
 
 
-def _step2(word: str) -> str:
-    return _replace_longest(word, _STEP2_RULES, 0)
-
-
-def _step3(word: str) -> str:
-    return _replace_longest(word, _STEP3_RULES, 0)
-
-
 def _step4(word: str) -> str:
-    for suffix in _STEP4_SUFFIXES:
-        if word.endswith(suffix):
-            stem = word[: len(word) - len(suffix)]
-            if _measure(stem) > 1:
-                if suffix == "ion" and not stem.endswith(("s", "t")):
-                    return word
-                return stem
-            return word
-    return word
+    # (s|t)ion is the one conditioned rule; no longer suffix ends in "ion",
+    # so checking it first leaves which rule is longest unchanged
+    if word.endswith("ion") and not word.endswith(("sion", "tion")):
+        return word
+    return _replace_longest(word, _STEP4_RULES, 1)
 
 
 def _step5a(word: str) -> str:
@@ -169,11 +142,11 @@ def stem(word: str) -> str:
     """Stem one lowercase word."""
     if len(word) <= 2:
         return word
-    word = _step1a(word)
+    word = _replace_longest(word, _STEP1A_RULES, -1)  # step 1a has no condition
     word = _step1b(word)
     word = _step1c(word)
-    word = _step2(word)
-    word = _step3(word)
+    word = _replace_longest(word, _STEP2_RULES, 0)
+    word = _replace_longest(word, _STEP3_RULES, 0)
     word = _step4(word)
     word = _step5a(word)
     word = _step5b(word)

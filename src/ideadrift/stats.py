@@ -84,6 +84,11 @@ def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
                        samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
 
 
+def _check_bandwidth(bandwidth: float) -> None:
+    if bandwidth <= 0:
+        raise DataFormatError(f"bandwidth must be positive, got {bandwidth}")
+
+
 def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate at each point of an ascending grid.
 
@@ -97,8 +102,7 @@ def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndar
     grid = np.asarray(grid, dtype=float)
     if samples.size == 0:
         raise DataFormatError("kde needs at least one sample")
-    if bandwidth <= 0:
-        raise DataFormatError(f"bandwidth must be positive, got {bandwidth}")
+    _check_bandwidth(bandwidth)
     if np.any(np.diff(grid) < 0):
         raise DataFormatError("grid must be ascending")
     density = np.zeros(grid.size)
@@ -223,6 +227,15 @@ def _ad_table_p(a2: float, n_x: int, n_y: int) -> float:
     return float(math.exp(np.interp(t, critical, np.log(_AD_SIG))))
 
 
+def _check_test_settings(p_method: str, n_perm: int, seed: int) -> None:
+    if p_method not in ("table", "permutation"):
+        raise DataFormatError(f"unknown p_method {p_method!r}")
+    if p_method == "permutation" and n_perm < 1:
+        raise DataFormatError(f"n_perm must be at least 1, got {n_perm}")
+    if seed < 0:
+        raise DataFormatError(f"seed must be >= 0, got {seed}")
+
+
 def ad_test_2sample(
     x: Sequence[float],
     y: Sequence[float],
@@ -245,12 +258,7 @@ def ad_test_2sample(
     y = np.asarray(y, dtype=float)
     if x.size < 2 or y.size < 2:
         raise DataFormatError("each sample needs at least 2 observations")
-    if p_method not in ("table", "permutation"):
-        raise DataFormatError(f"unknown p_method {p_method!r}")
-    if p_method == "permutation" and n_perm < 1:
-        raise DataFormatError(f"n_perm must be at least 1, got {n_perm}")
-    if seed < 0:
-        raise DataFormatError(f"seed must be >= 0, got {seed}")
+    _check_test_settings(p_method, n_perm, seed)
     pooled = _PooledSplits(np.concatenate([x, y]))
     if pooled.degenerate:
         return 0.0, 1.0
@@ -396,6 +404,9 @@ def bin_summary(
     smaller bins are reported but skipped with a notice. A test whose p_raw
     sits at a bound of its method (see ``_p_bound``) gets a notice too.
 
+    Every setting is checked before any work, so a bad one raises
+    DataFormatError even when no bin has a sample or no pair is testable.
+
     The pairs run concurrently on min(pairs, ``threads``) threads, where
     None means the usable CPUs and a count below 1 raises DataFormatError;
     numpy releases the GIL in each draw and statistic. The caller counts as
@@ -408,6 +419,8 @@ def bin_summary(
     import os
     from concurrent.futures import ThreadPoolExecutor
 
+    _check_bandwidth(bandwidth)
+    _check_test_settings(p_method, n_perm, seed)
     if threads is not None and threads < 1:
         raise DataFormatError(f"threads must be at least 1, got {threads}")
     arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}

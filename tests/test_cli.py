@@ -739,6 +739,59 @@ class TestOutputPathKind:
         assert taken.read_text() == "kept\n"
 
 
+class TestOutputUnderAFile:
+    @pytest.mark.parametrize("case", sorted(TestOutputPathKind.CASES))
+    @pytest.mark.parametrize("below", ["out.x", "sub/out.x"])
+    def test_output_under_a_file_exit_2(self, small_run, tmp_path, caplog, capsys, case, below):
+        template, flag = TestOutputPathKind.CASES[case]
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        args = [a.format(run=small_run, out=tmp_path) for a in template]
+        args[args.index(flag) + 1] = str(taken / below)
+        assert main(args) == 2
+        assert f"output is under a file, not a directory: {taken / below}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("below", ["rep", "sub/rep"])
+    def test_report_out_dir_under_a_file_exit_2(self, small_run, tmp_path, caplog, capsys,
+                                                below):
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        assert main(["report", "--summary", str(small_run / "summary.json"),
+                     "--distributions", str(small_run / "distributions.csv"),
+                     "--dynamics", str(small_run / "dynamics.csv"),
+                     "--out-dir", str(taken / below)]) == 2
+        assert f"output directory is not a directory: {taken / below}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "kept\n"
+
+
+class TestDistributionsSettings:
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--p-method", "permutation", "--n-perm", "0", "--seed", "-5"],
+         "n_perm must be at least 1, got 0"),
+        (["--seed", "-5"], "seed must be >= 0, got -5"),
+        (["--bandwidth", "-1"], "bandwidth must be positive, got -1.0"),
+        (["--bandwidth", "0"], "bandwidth must be positive, got 0.0"),
+    ], ids=["n-perm", "seed", "bandwidth-negative", "bandwidth-zero"])
+    @pytest.mark.parametrize("likes", [[], [0, 0, 0], [0, 0, 500, 500]],
+                             ids=["no-sample", "no-testable-pair", "testable-pair"])
+    def test_bad_setting_exit_2(self, tmp_path, caplog, capsys, likes, flags, message):
+        records = tmp_path / "records.csv"
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i}", "a", i, n, float(i), None, 1, 0)
+             for i, n in enumerate(likes)], records)
+        out = tmp_path / "out"
+        assert main(["distributions", "--records", str(records), *flags,
+                     "--out-csv", str(out / "d.csv"), "--out-summary", str(out / "s.json")]) == 2
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynthManifest:
     def test_post_noise_recorded_in_config(self, tmp_path):
         configs = []

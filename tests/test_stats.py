@@ -656,3 +656,34 @@ class TestBinSummaryThreads:
     def test_threads_below_one_refused(self, bins, threads):
         with pytest.raises(DataFormatError, match=f"^threads must be at least 1, got {threads}$"):
             bin_summary(bins, threads=threads)
+
+
+class TestBinSummarySettings:
+    # each bad setting is refused with the text of the function that would
+    # use it, whether or not any bin reaches that function
+    @pytest.mark.parametrize(("settings", "message"), [
+        ({"p_method": "bootstrap"}, "unknown p_method 'bootstrap'"),
+        ({"p_method": "permutation", "n_perm": 0}, "n_perm must be at least 1, got 0"),
+        ({"p_method": "permutation", "n_perm": -3}, "n_perm must be at least 1, got -3"),
+        ({"seed": -5}, "seed must be >= 0, got -5"),
+        ({"p_method": "permutation", "seed": -1}, "seed must be >= 0, got -1"),
+        ({"bandwidth": 0.0}, "bandwidth must be positive, got 0.0"),
+        ({"bandwidth": -1.0}, "bandwidth must be positive, got -1.0"),
+    ], ids=["p-method", "n-perm-zero", "n-perm-negative", "seed-table", "seed-permutation",
+            "bandwidth-zero", "bandwidth-negative"])
+    @pytest.mark.parametrize("bins", [{"a": [1.0, 2.0], "b": [3.0, 5.0]},
+                                      {"a": [1.0, 2.0], "b": [3.0]},
+                                      {"a": [], "b": []}],
+                             ids=["testable-pair", "no-testable-pair", "no-sample"])
+    def test_bad_setting_refused_before_any_work(self, monkeypatch, bins, settings, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the settings were checked")
+
+        for name in ("default_grid", "kde", "ad_test_2sample"):
+            monkeypatch.setattr(stats, name, no_work)
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            bin_summary(bins, **settings)
+
+    def test_unused_n_perm_not_checked_under_table(self):
+        summary = bin_summary({"a": [1.0, 2.0], "b": [3.0, 5.0]}, p_method="table", n_perm=0)
+        assert len(summary.tests) == 1

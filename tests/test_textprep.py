@@ -1,4 +1,7 @@
+import hashlib
+import random
 import re
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +48,32 @@ def test_porter_reference_vectors(word, expected):
 def test_short_words_unchanged():
     for w in ("a", "is", "as", "by"):
         assert stem(w) == w
+
+
+# every suffix some rule of the 1980 algorithm tests for, plus "ll" (step 5b)
+RULE_SUFFIXES = (
+    "sses", "ies", "ss", "s", "eed", "ed", "ing", "y", "at", "bl", "iz",
+    "ational", "tional", "enci", "anci", "izer", "abli", "alli", "entli", "eli",
+    "ousli", "ization", "ation", "ator", "alism", "iveness", "fulness",
+    "ousness", "aliti", "iviti", "biliti",
+    "icate", "ative", "alize", "iciti", "ical", "ful", "ness",
+    "al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement", "ment",
+    "ent", "ion", "ou", "ism", "ate", "iti", "ous", "ive", "ize", "e", "ll",
+)
+
+
+def test_stems_of_generated_vocabulary_are_pinned():
+    # 50,000 distinct words, each a random 1-8-letter stem plus 0-3 rule
+    # suffixes; the digest pins all their stems, so a rewrite of the rules
+    # must leave every one unchanged
+    rng = random.Random(23)
+    words = {}
+    while len(words) < 50_000:
+        word = "".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 8)))
+        word += "".join(rng.choices(RULE_SUFFIXES, k=rng.randint(0, 3)))
+        words[word] = None
+    digest = hashlib.sha256("\n".join(map(stem, words)).encode()).hexdigest()
+    assert digest == "2397b5c00cc837ae3fab6de70f8535552bbf982fcac58ceec13413a959192475"
 
 
 class TestClean:
