@@ -19,7 +19,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 from ._np import np
 from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
 from .embed import Vectors
-from .errors import DataFormatError
+from .errors import DataFormatError, check_positive
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
 
@@ -38,9 +38,11 @@ class EccentricityRecord(NamedTuple):
 RECORD_FIELDS = EccentricityRecord._fields
 
 
-# Float64 values allowed in one temporary of the replay kernel. Work is split
-# into chunks of this size, so peak memory does not grow with the corpus.
-_CHUNK_VALUES = 1 << 17
+# Float64 values allowed in one temporary of the replay kernel (256 KiB). Work
+# is split into chunks of this size, so peak memory does not grow with the
+# corpus. Chunks are cut at post and segment boundaries, so no output bit
+# depends on the size.
+_CHUNK_VALUES = 1 << 15
 
 
 def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
@@ -62,9 +64,10 @@ def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
     return lo, hi, t // window
 
 
-def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray,
+def _segment_prefix_sums(matrix: np.ndarray, rows: np.ndarray, seg_first: np.ndarray,
                          seg_len: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of ``x - ref`` within each segment of ``order``.
+    """Exclusive prefix sums of ``x - ref`` within each segment, where ``x`` is
+    ``matrix[rows]``, gathered a chunk at a time.
 
     ``ref`` is the segment's first row. Segment s owns rows ``seg_first[s] + s``
     through ``seg_first[s] + s + seg_len[s]`` of the result: a zero row, then
@@ -73,15 +76,15 @@ def _segment_prefix_sums(x: np.ndarray, order: np.ndarray, seg_first: np.ndarray
     rounding error is bounded by one segment, not by the whole history.
     """
     n_seg = len(seg_first)
-    out = np.empty((len(order) + n_seg, x.shape[1]))
+    out = np.empty((len(rows) + n_seg, matrix.shape[1]))
     out[seg_first + np.arange(n_seg)] = 0.0
     for length in np.unique(seg_len).tolist():
         segs = np.flatnonzero(seg_len == length)
-        step = max(1, _CHUNK_VALUES // max(length * x.shape[1], 1))
+        step = max(1, _CHUNK_VALUES // max(length * matrix.shape[1], 1))
         for i in range(0, len(segs), step):
             part = segs[i:i + step]
             pos = seg_first[part, None] + np.arange(length)
-            dev = x[order[pos]]
+            dev = matrix[rows[pos]]
             dev -= dev[:, :1].copy()
             np.cumsum(dev, axis=1, out=dev)
             out[pos + part[:, None] + 1] = dev
@@ -96,9 +99,10 @@ def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
     return [d if c else None for d, c in zip(norms.tolist(), count.tolist())]
 
 
-def _part_sums(x, prefix, ref, v, seg, a, b):
-    """``sum(v - x)`` over sorted positions [a, b) of segment ``seg``, row-wise."""
-    return (b - a)[:, None] * (v - x[ref[seg]]) - (prefix[b + seg] - prefix[a + seg])
+def _part_sums(matrix, prefix, ref, v, seg, a, b):
+    """``sum(v - x)`` over sorted positions [a, b) of segment ``seg``, row-wise;
+    ``ref`` holds each segment's reference row of ``matrix``."""
+    return (b - a)[:, None] * (v - matrix[ref[seg]]) - (prefix[b + seg] - prefix[a + seg])
 
 
 def _row_index(vectors: Vectors) -> dict[str, int]:
@@ -116,15 +120,19 @@ def _row_index(vectors: Vectors) -> dict[str, int]:
 
 def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
     """Per post, in log order: eccentricity, self-eccentricity, cloud size and
-    self-cloud size, as four lists (see ``replay``)."""
+    self-cloud size, as four lists (see ``replay``).
+
+    Rows are gathered from the id-ordered matrix through ``src``, each post's
+    row, a chunk at a time: no log-ordered copy of the matrix is made, so the
+    only n x D array beside the matrix is the prefix sums."""
     posts = corpus.posts
     row = _row_index(vectors)
     matrix = vectors[1]
+    n = len(posts)
     try:
-        x = matrix[[row[p.id] for p in posts]]
+        src = np.fromiter((row[p.id] for p in posts), np.int64, n)
     except KeyError as exc:
         raise DataFormatError(f"no vector for post {exc.args[0]!r}") from None
-    n = len(posts)
     if n == 0:
         return [], [], [], []
     lo, hi, block = _window_bounds(posts, window_seconds)
@@ -148,12 +156,12 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
                    | (sorted_block[1:] != sorted_block[:-1]))
     seg_first = np.flatnonzero(new_seg)
     seg_of = np.cumsum(new_seg) - 1
-    prefix = _segment_prefix_sums(x, order, seg_first, np.diff(seg_first, append=n))
-    ref = order[seg_first]
+    prefix = _segment_prefix_sums(matrix, src[order], seg_first, np.diff(seg_first, append=n))
+    ref = src[order[seg_first]]
 
     # (post, ego member) pairs, a chunk of posts at a time
     pairs_before = np.cumsum(ego_len[author]) - ego_len[author]
-    budget = max(1, _CHUNK_VALUES // max(x.shape[1], 1))
+    budget = max(1, _CHUNK_VALUES // max(matrix.shape[1], 1))
     ecc: list[float | None] = []
     self_ecc: list[float | None] = []
     sizes: list[int] = []
@@ -172,9 +180,9 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
         late = seg_of[np.maximum(hi_pos - 1, 0)]
         mid = np.clip(seg_first[late], lo_pos, hi_pos)
         early = seg_of[np.minimum(lo_pos, n - 1)]
-        v = x[post]
-        total = (_part_sums(x, prefix, ref, v, early, lo_pos, mid)
-                 + _part_sums(x, prefix, ref, v, late, mid, hi_pos))
+        v = matrix[src[post]]
+        total = (_part_sums(matrix, prefix, ref, v, early, lo_pos, mid)
+                 + _part_sums(matrix, prefix, ref, v, late, mid, hi_pos))
         size = hi_pos - lo_pos
         cloud_size = np.add.reduceat(size, first)
         ecc += _distances(np.add.reduceat(total, first), cloud_size)
@@ -198,10 +206,12 @@ def replay(
     time) and cut into segments at block edges (see ``_window_bounds``); a
     window then covers at most two segments of one author, and each part
     adds ``n * (v - ref) - sum(x - ref)`` to ``sum(v - x)`` over the cloud,
-    whose mean is the offset of ``v`` from the cloud's centroid.
+    whose mean is the offset of ``v`` from the cloud's centroid. Rows are
+    read from the id-ordered matrix as given, a chunk at a time, so the
+    prefix sums are the only n x D array made. A ``window_seconds`` that is
+    not finite and positive is a DataFormatError.
     """
-    if window_seconds <= 0:
-        raise DataFormatError(f"window_seconds must be positive, got {window_seconds}")
+    check_positive("window_seconds", window_seconds)
     # the kernel's arrays are freed before the records are built; a sum that
     # overflows leaves a non-finite distance, which _distances refuses
     with np.errstate(over="ignore", invalid="ignore"):

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._np import np
 from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
-from .errors import DataFormatError
+from .errors import DataFormatError, check_positive
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
 
@@ -51,8 +51,7 @@ def fg_scores(
     below by min_gap) and w_k the weights, F = sum(w|dE|)/sum(w) and
     G = sum(w dE)/sum(w). Returns None for series shorter than 2.
     """
-    if min_gap <= 0:
-        raise DataFormatError(f"min_gap must be positive, got {min_gap}")
+    check_positive("min_gap", min_gap)
     if weighting not in WEIGHTINGS:
         raise DataFormatError(f"unknown weighting {weighting!r}; "
                               f"expected one of {sorted(WEIGHTINGS)}")

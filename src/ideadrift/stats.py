@@ -18,7 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from ._np import np
 from .cloud import EccentricityRecord
-from .errors import DataFormatError
+from .errors import DataFormatError, check_positive
 
 DEFAULT_BANDWIDTH = 5.0
 DEFAULT_GRID_POINTS = 512
@@ -30,6 +30,10 @@ MANN_WHITNEY_EXACT_LIMIT = 12
 # two split statistics within this relative distance are tied, not "greater";
 # guards against summation-order rounding flipping strict comparisons
 SPLIT_TIE_RTOL = 1e-9
+# kde adds kernel values 4096 samples at a time (this fixes the result's bits),
+# computing each chunk in blocks of 1024 rows
+_KDE_CHUNK = 4096
+_KDE_BLOCK = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -84,38 +88,45 @@ def default_grid(samples: Sequence[float], bandwidth: float) -> np.ndarray:
                        samples.max() + DEFAULT_GRID_SPAN * bandwidth, DEFAULT_GRID_POINTS)
 
 
-def _check_bandwidth(bandwidth: float) -> None:
-    if bandwidth <= 0:
-        raise DataFormatError(f"bandwidth must be positive, got {bandwidth}")
-
-
 def kde(samples: Sequence[float], bandwidth: float, grid: np.ndarray) -> np.ndarray:
     """Gaussian kernel density estimate at each point of an ascending grid.
 
     density(x) = (1 / (n h sqrt(2 pi))) * sum_i exp(-(x - s_i)^2 / (2 h^2))
 
-    Samples are taken 4096 at a time into one reused (4096, grid.size)
-    buffer, so working memory is that buffer alone. The chunk size also fixes
-    the order in which kernel values are summed, and so the result's bits.
+    Samples are summed 4096 at a time, and that chunk size fixes the order in
+    which kernel values are added, and so the result's bits. Each chunk is
+    computed 1024 rows at a time in one reused (1024, grid.size) buffer, so
+    working memory is that buffer alone; the chunk's running column sum is
+    added into the first row of its next block, so rows are still added one
+    after another in sample order.
     """
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if samples.size == 0:
         raise DataFormatError("kde needs at least one sample")
-    _check_bandwidth(bandwidth)
+    check_positive("bandwidth", bandwidth)
     if np.any(np.diff(grid) < 0):
         raise DataFormatError("grid must be ascending")
+    # numpy sums a lone column pairwise, not row after row, so a one-point
+    # grid keeps whole chunks (its buffer is 32 KiB)
+    rows = _KDE_CHUNK if grid.size == 1 else _KDE_BLOCK
     density = np.zeros(grid.size)
-    buf = np.empty((min(samples.size, 4096), grid.size))
-    for start in range(0, samples.size, 4096):
-        chunk = samples[start:start + 4096]
-        scaled = buf[:chunk.size]
-        np.subtract(grid[None, :], chunk[:, None], out=scaled)
-        scaled /= bandwidth
-        np.square(scaled, out=scaled)
-        scaled *= -0.5
-        np.exp(scaled, out=scaled)
-        density += scaled.sum(axis=0)
+    buf = np.empty((min(samples.size, rows), grid.size))
+    for start in range(0, samples.size, _KDE_CHUNK):
+        stop = min(start + _KDE_CHUNK, samples.size)
+        running = None
+        for first in range(start, stop, rows):
+            block = samples[first:min(first + rows, stop)]
+            scaled = buf[:block.size]
+            np.subtract(grid[None, :], block[:, None], out=scaled)
+            scaled /= bandwidth
+            np.square(scaled, out=scaled)
+            scaled *= -0.5
+            np.exp(scaled, out=scaled)
+            if running is not None:
+                scaled[0] += running
+            running = scaled.sum(axis=0)
+        density += running
     density /= samples.size * bandwidth * math.sqrt(2.0 * math.pi)
     return density
 
@@ -419,7 +430,7 @@ def bin_summary(
     import os
     from concurrent.futures import ThreadPoolExecutor
 
-    _check_bandwidth(bandwidth)
+    check_positive("bandwidth", bandwidth)
     _check_test_settings(p_method, n_perm, seed)
     if threads is not None and threads < 1:
         raise DataFormatError(f"threads must be at least 1, got {threads}")

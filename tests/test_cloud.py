@@ -1,9 +1,11 @@
 import bisect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ideadrift import cloud
 from ideadrift.cloud import (
     RECORD_FIELDS, eccentricity_oracle, read_records_csv, replay, write_records_csv,
 )
@@ -104,7 +106,7 @@ class TestReplayWorkedExamples:
         with pytest.raises(DataFormatError, match=r"shape \(2,\)"):
             replay(corpus, (["p1", "p2"], np.zeros(2)), WINDOW)
 
-    @pytest.mark.parametrize("window", [0, -1])
+    @pytest.mark.parametrize("window", [0, -1, float("nan"), float("inf"), float("-inf")])
     def test_non_positive_window_fatal(self, window):
         corpus, vectors = three_user_example()
         with pytest.raises(DataFormatError, match="window"):
@@ -183,6 +185,49 @@ class TestReplayInvariants:
         corpus, vectors = self._random_case(3)
         records = replay(corpus, vectors, WINDOW)
         assert [r.post_id for r in records] == [p.id for p in corpus.posts]
+
+
+class TestChunks:
+    """The kernel works through posts and segments a chunk of
+    ``_CHUNK_VALUES`` floats at a time."""
+
+    @staticmethod
+    def _case(n_users, posts_per_user, dim, seed):
+        # about 10 followees per user, posts at random times over 10 days;
+        # vector rows are in id order, which is not the log order
+        rng = np.random.default_rng(seed)
+        users = [f"u{i:03d}" for i in range(n_users)]
+        edges = sorted({(u, users[j]) for i, u in enumerate(users)
+                        for j in rng.choice(n_users, 10, replace=False).tolist() if j != i})
+        times = rng.integers(0, 10 * DAY, (n_users, posts_per_user)).tolist()
+        posts = [Post(f"p{i:03d}_{k:03d}", u, times[i][k], "", 0)
+                 for i, u in enumerate(users) for k in range(posts_per_user)]
+        ids = sorted(p.id for p in posts)
+        return corpus_of(posts, users, edges), (ids, rng.normal(size=(len(ids), dim)))
+
+    @pytest.mark.parametrize("chunk", [1 << 8, 1 << 12])
+    def test_records_do_not_depend_on_chunk_size(self, monkeypatch, chunk):
+        # 1,200 posts with about 11 ego members each, at dim 24: a chunk holds
+        # one post at 1 << 8, about 15 at 1 << 12 and about 120 at the default,
+        # so the pairs and the segment sums are cut at many different places
+        corpus, vectors = self._case(40, 30, 24, 1)
+        want = replay(corpus, vectors, WINDOW)
+        monkeypatch.setattr(cloud, "_CHUNK_VALUES", chunk)
+        assert replay(corpus, vectors, WINDOW) == want
+
+    def test_kernel_holds_one_n_by_d_array(self):
+        # 5,000 posts at dim 256: one n x D array is 9.8 MiB, 40 chunks. The
+        # prefix sums are the one such array the kernel makes; a log-ordered
+        # copy of the matrix would be a second. Measured: 1.42 arrays, and
+        # 2.87 with the copy and 1 MiB chunks.
+        corpus, vectors = self._case(50, 100, 256, 2)
+        tracemalloc.start()
+        try:
+            cloud._clouds(corpus, vectors, WINDOW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * vectors[1].nbytes
 
 
 class TestLongHorizon:

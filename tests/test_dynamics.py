@@ -43,6 +43,17 @@ class TestFgScores:
         with pytest.raises(DataFormatError):
             fg_scores([(10.0, 1.0), (0.0, 2.0)])
 
+    @pytest.mark.parametrize(("min_gap", "message"), [
+        (0.0, "min_gap must be positive, got 0.0"),
+        (-1.0, "min_gap must be positive, got -1.0"),
+        (float("nan"), "min_gap must be finite, got nan"),
+        (float("inf"), "min_gap must be finite, got inf"),
+        (float("-inf"), "min_gap must be finite, got -inf"),
+    ], ids=["zero", "negative", "nan", "inf", "minus-inf"])
+    def test_bad_min_gap_rejected(self, min_gap, message):
+        with pytest.raises(DataFormatError, match=f"^{message}$"):
+            fg_scores(series([1.0, 2.0, 4.0]), min_gap=min_gap)
+
     def test_unknown_weighting_rejected(self):
         with pytest.raises(DataFormatError):
             fg_scores(series([1.0, 2.0]), weighting="quadratic")

@@ -189,6 +189,11 @@ class TestKde:
         with pytest.raises(DataFormatError):
             kde([1.0], 0.0, np.array([0.0]))
 
+    @pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bandwidth_rejected(self, bandwidth):
+        with pytest.raises(DataFormatError, match=f"^bandwidth must be finite, got {bandwidth}$"):
+            kde([1.0, 2.0], bandwidth, np.array([0.0, 1.0]))
+
     def test_default_grid_span(self):
         grid = default_grid([0.0, 10.0], 5.0)
         assert grid[0] == -15.0 and grid[-1] == 25.0 and grid.size == 512
@@ -208,6 +213,28 @@ class TestKde:
         want /= n * h * math.sqrt(2.0 * math.pi)
         assert kde(samples, h, grid).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("points", [512, 1])
+    @pytest.mark.parametrize("h", [0.05, 50.0], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4095, 4096, 4097, 9000])
+    def test_bits_match_single_chunk_buffer_loop(self, n, h, points):
+        # the blocked sums must add rows in the order of one (4096, points)
+        # buffer summed per chunk; a one-point grid is summed pairwise by numpy
+        samples = np.round(np.random.default_rng(n).normal(20.0, 8.0, n), 1)
+        grid = np.linspace(samples.min() - 15.0, samples.max() + 15.0, points)
+        want = np.zeros(grid.size)
+        buf = np.empty((min(n, 4096), grid.size))
+        for start in range(0, n, 4096):
+            chunk = samples[start:start + 4096]
+            scaled = buf[:chunk.size]
+            np.subtract(grid[None, :], chunk[:, None], out=scaled)
+            scaled /= h
+            np.square(scaled, out=scaled)
+            scaled *= -0.5
+            np.exp(scaled, out=scaled)
+            want += scaled.sum(axis=0)
+        want /= n * h * math.sqrt(2.0 * math.pi)
+        assert kde(samples, h, grid).tobytes() == want.tobytes()
+
     def test_peak_memory_one_chunk_buffer(self):
         samples = np.random.default_rng(23).normal(20.0, 8.0, 10_000)
         grid = default_grid(samples, 5.0)
@@ -217,7 +244,7 @@ class TestKde:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 4096 * grid.size * 8
+        assert peak < 1.25 * 1024 * grid.size * 8
 
 
 # ---------------------------------------------------------------------------
@@ -669,8 +696,12 @@ class TestBinSummarySettings:
         ({"p_method": "permutation", "seed": -1}, "seed must be >= 0, got -1"),
         ({"bandwidth": 0.0}, "bandwidth must be positive, got 0.0"),
         ({"bandwidth": -1.0}, "bandwidth must be positive, got -1.0"),
+        ({"bandwidth": math.nan}, "bandwidth must be finite, got nan"),
+        ({"bandwidth": math.inf}, "bandwidth must be finite, got inf"),
+        ({"bandwidth": -math.inf}, "bandwidth must be finite, got -inf"),
     ], ids=["p-method", "n-perm-zero", "n-perm-negative", "seed-table", "seed-permutation",
-            "bandwidth-zero", "bandwidth-negative"])
+            "bandwidth-zero", "bandwidth-negative", "bandwidth-nan", "bandwidth-inf",
+            "bandwidth-minus-inf"])
     @pytest.mark.parametrize("bins", [{"a": [1.0, 2.0], "b": [3.0, 5.0]},
                                       {"a": [1.0, 2.0], "b": [3.0]},
                                       {"a": [], "b": []}],
