@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
-from . import __version__, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
+from . import __version__, _parts, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
 from ._np import np  # noqa: E402
 from .errors import DataFormatError  # noqa: E402
 
@@ -74,8 +74,9 @@ class _Settings(ChainMap):
     stage's manifest; so an output written over an input does not change the
     input's recorded hash. A config file may hold any key some stage declares
     in ``STAGES``, plus ``preset`` and ``threads``.
-    ``threads`` is the number of threads a stage may compute on, None for the
-    usable CPUs; like ``preset``, it is read once here and recorded nowhere.
+    ``threads`` is the number of workers a stage may compute on, threads or
+    forked processes (see ``--threads``), the usable CPUs by default; like
+    ``preset``, it is read once here and recorded nowhere.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -89,8 +90,9 @@ class _Settings(ChainMap):
         super().__init__(cli, file, DEFAULTS)
         preset = self.values(preset=one_of(*PRESETS))["preset"]
         self.maps.insert(2, PRESETS[preset])
-        self.threads = self.values(threads=integer)["threads"] if "threads" in self else None
-        if self.threads is not None and self.threads < 1:
+        self.threads = (self.values(threads=integer)["threads"] if "threads" in self
+                        else _parts.usable_cpus())
+        if self.threads < 1:
             raise DataFormatError(f"threads must be at least 1, got {self.threads}")
         self.inputs: dict[str, dict[str, str]] = {}
 
@@ -261,21 +263,22 @@ def stage_embed(settings: _Settings, config: dict) -> None:
         stopwords = textprep.load_stopwords(settings.require_path("stopwords"))
     else:
         stopwords = textprep.default_stopwords()
-    docs = [(p.id, textprep.clean(p.text, stopwords)) for p in posts]
-    model = embed.fit_vectorizer([tokens for _, tokens in docs], **config)
-    vectors = embed.embed_all(model, docs)
+    tokens = textprep.clean_all([p.text for p in posts], stopwords, settings.threads)
+    model = embed.fit_vectorizer(tokens, **config)
+    vectors = embed.embed_all(model, list(zip([p.id for p in posts], tokens)))
     out = settings.out_path("out")
-    embed.write_vectors(out, vectors)
+    embed.write_vectors(out, vectors, settings.threads)
     logger.info("embed: %d posts, vocabulary %d, dim %d",
                 len(posts), len(model.vocabulary), config["dim"])
     _write_manifest(out, "embed", settings, config)
 
 
 def stage_pca(settings: _Settings, config: dict) -> None:
-    ids, matrix = embed.load_external_vectors(settings.require_path("vectors"))
+    ids, matrix = embed.load_external_vectors(settings.require_path("vectors"),
+                                              settings.threads)
     model = pca.fit_pca(matrix, config["variance"])
     out, model_out = settings.out_path("out"), settings.out_path("model_out")
-    embed.write_vectors(out, (ids, pca.transform(model, matrix)))
+    embed.write_vectors(out, (ids, pca.transform(model, matrix)), settings.threads)
     pca.save_model(model, model_out)
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
                 model.dim, model.k,
@@ -286,7 +289,7 @@ def stage_pca(settings: _Settings, config: dict) -> None:
 
 def stage_eccentricity(settings: _Settings, config: dict) -> None:
     c = _load_corpus(settings)
-    vectors = embed.load_external_vectors(settings.require_path("vectors"))
+    vectors = embed.load_external_vectors(settings.require_path("vectors"), settings.threads)
     records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
     out = settings.out_path("out")
     cloud.write_records_csv(records, out)
@@ -451,8 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                                          "flags override file values")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="default dim/min-count/bins bundle (default: social-media)")
-    parser.add_argument("--threads", help="threads for the pairwise tests of "
-                                          "distributions, at least 1 (default: usable CPUs)")
+    parser.add_argument("--threads", help="workers per stage, at least 1: threads for the "
+                                          "pairwise tests of distributions, forked processes "
+                                          "for text cleaning and vector files "
+                                          "(default: usable CPUs)")
     parser.add_argument("--log-level", default="INFO", type=str.upper,
                         choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="stage", required=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
 from pathlib import Path
@@ -121,13 +122,20 @@ def json_line(line: str) -> object:
         raise ValueError(f"nested too deeply: {exc}") from None
 
 
-def utf8_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+def utf8_lines(path: str | Path, offset: int = 0, first: int = 1,
+               count: int | None = None) -> Iterator[tuple[int, str]]:
     """``(lineno, line)`` for every line of a file, numbered from 1, blank
     lines included. Lines end at ``\n`` and are decoded strictly as UTF-8,
     one at a time; a line that is not UTF-8 raises DataFormatError with
-    file:line."""
+    file:line.
+
+    A part of the file is read from the line that starts at byte ``offset``,
+    numbered from ``first``, for ``count`` lines (None: to the end).
+    """
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        if offset:
+            fh.seek(offset)
+        for lineno, raw in enumerate(islice(fh, count), start=first):
             try:
                 line = raw.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -16,6 +16,7 @@ import math
 from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
+from . import _parts
 from ._np import np
 from .cloud import EccentricityRecord
 from .errors import DataFormatError, check_positive
@@ -427,7 +428,6 @@ def bin_summary(
     pooled sample and its own ``default_rng(seed)``, and results are stored
     by pair index, so no result depends on the thread count.
     """
-    import os
     from concurrent.futures import ThreadPoolExecutor
 
     check_positive("bandwidth", bandwidth)
@@ -456,10 +456,7 @@ def bin_summary(
                 notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
     pairs = list(itertools.combinations(testable, 2))
     tests: list[PairTest] = []
-    if threads is None:
-        threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    threads = min(len(pairs), threads)
+    threads = min(len(pairs), _parts.usable_cpus() if threads is None else threads)
     if pairs:
         raw: list = [None] * len(pairs)
         queue = iter(range(len(pairs)))  # shared: next() on a range iterator is atomic

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import ideadrift
-from ideadrift import cloud, dynamics, embed, stats
+from ideadrift import cloud, dynamics, embed, stats, textprep
 from ideadrift.cli import build_parser, main
 from ideadrift.errors import DataFormatError
 
@@ -296,6 +296,31 @@ class TestEmbedAndPcaStages:
             outputs.append([(out / f).read_bytes()
                             for f in ("reduced.jsonl", "pca_model.json")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_outputs_do_not_depend_on_threads(self, tmp_path, monkeypatch):
+        # parts as small as one byte, value or character, so every stage splits
+        monkeypatch.setattr(embed, "READ_PART_BYTES", 1)
+        monkeypatch.setattr(embed, "WRITE_PART_VALUES", 1)
+        monkeypatch.setattr(textprep, "CLEAN_PART_CHARS", 1)
+        words = "the quick brown fox jumps over lazy dogs running quickly".split()
+        write_jsonl(tmp_path / "posts.jsonl", [
+            {"id": f"p{i:02d}", "author": "a", "created_at": i, "likes": 0,
+             "text": " ".join(words[(i * j) % len(words)] for j in range(1, 8))}
+            for i in range(40)])
+        outputs = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / threads
+            out.mkdir()
+            monkeypatch.chdir(out)  # the manifests record relative input paths
+            assert main(["--threads", threads, "embed", "--posts", "../posts.jsonl",
+                         "--dim", "16", "--min-count", "2", "--out", "vectors.jsonl"]) == 0
+            assert main(["--threads", threads, "pca", "--vectors", "vectors.jsonl",
+                         "--variance", "0.9", "--out", "reduced.jsonl",
+                         "--model-out", "pca.json"]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(outputs[0]) == 5
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_embed_custom_stopwords(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [

@@ -1,15 +1,31 @@
+import functools
 import json
 import math
+import os
 from collections import Counter
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from ideadrift import embed as embed_module
 from ideadrift.embed import (
     _hash64, embed, embed_all, fit_vectorizer, load_external_vectors, write_vectors,
 )
 from ideadrift.errors import DataFormatError
+
+
+@pytest.fixture(params=[1, 2, 3], ids=["1-part", "2-parts", "3-parts"])
+def parts(request, monkeypatch):
+    """Vector reads and writes in the test on up to this many parts: the
+    minimum part sizes drop to one byte and one value, and the test module's
+    reader and writer are called with ``threads`` set to the count."""
+    monkeypatch.setattr(embed_module, "READ_PART_BYTES", 1)
+    monkeypatch.setattr(embed_module, "WRITE_PART_VALUES", 1)
+    for name in ("load_external_vectors", "write_vectors"):
+        monkeypatch.setitem(globals(), name, functools.partial(
+            getattr(embed_module, name), threads=request.param))
+    return request.param
 
 
 class TestFitVectorizer:
@@ -109,6 +125,7 @@ class TestEmbed:
         assert_array_equal(matrix, [embed(model, ["a"]), embed(model, ["b"])])
 
 
+@pytest.mark.usefixtures("parts")
 class TestExternalVectors:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
@@ -145,6 +162,17 @@ class TestExternalVectors:
                         '{"id":"p3","vec":[1.0,' + value + ']}\n'
                         '{"id":"p1","vec":[3.0,4.0]}\n')
         with pytest.raises(DataFormatError, match=r"vectors\.jsonl:3: "):
+            load_external_vectors(path)
+
+    @pytest.mark.parametrize("later", [b"{", b'{"id":"p1","vec":[1.0,2.0]}', b"\xff"],
+                             ids=["malformed", "duplicate-id", "not-utf8"])
+    def test_non_finite_row_named_before_a_later_bad_line(self, tmp_path, later):
+        # rows are checked to be finite in batches; a later bad line in the
+        # same batch must not hide the earlier row
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes(b'{"id":"p1","vec":[1.0,2.0]}\n{"id":"p2","vec":[1e400,2.0]}\n'
+                         + later + b"\n")
+        with pytest.raises(DataFormatError, match=r"vectors\.jsonl:2: .*non-finite"):
             load_external_vectors(path)
 
     @pytest.mark.parametrize("vec", [
@@ -189,6 +217,7 @@ class TestExternalVectors:
         assert ids == sorted(ids)
 
 
+@pytest.mark.usefixtures("parts")
 class TestVectorBytes:
     def test_exact_jsonl_bytes(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
@@ -210,6 +239,7 @@ class TestVectorBytes:
             load_external_vectors(path)
 
 
+@pytest.mark.usefixtures("parts")
 class TestVectorMatrix:
     def test_read_holds_one_matrix(self, tmp_path):
         import tracemalloc
@@ -239,6 +269,159 @@ class TestVectorMatrix:
             assert loaded_ids == ids
             assert loaded.shape == (4, 3)
             assert loaded.tobytes() == matrix.tobytes()
+
+
+def read_outcome(path, threads):
+    """What the reader gives at ``threads`` parts: ids and matrix bytes, or
+    the error text."""
+    try:
+        ids, matrix = embed_module.load_external_vectors(path, threads)
+    except DataFormatError as exc:
+        return str(exc)
+    return ids, matrix.tobytes()
+
+
+def part_first_lines(path, threads):
+    with open(path, "rb") as fh:
+        return [first for _, first, _ in embed_module._line_spans(fh, threads)]
+
+
+def vector_line(post_id, vec, width=40):
+    """A vectors line padded with spaces to ``width`` bytes, so that equal
+    widths put each cut where the test wants it."""
+    line = '{"id":"%s","vec":[%s]}' % (post_id, ",".join(vec))
+    assert len(line) < width
+    return line.ljust(width - 1) + "\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestVectorParts:
+    """Cases that only a read cut into parts has: each gives the bytes or
+    the error of the one-part read, at 2 and 3 parts."""
+
+    @pytest.fixture(autouse=True)
+    def small_parts(self, monkeypatch):
+        monkeypatch.setattr(embed_module, "READ_PART_BYTES", 1)
+
+    def same_at_any_part_count(self, path):
+        outcomes = [read_outcome(path, threads) for threads in (1, 2, 3)]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        return outcomes[0]
+
+    def test_id_duplicated_across_parts(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(vector_line(i, ["1.0"]) for i in ("p1", "p2", "p3", "p1")))
+        assert part_first_lines(path, 2) == [1, 3]
+        assert self.same_at_any_part_count(path) == (
+            f"{path}:4: bad vector line (duplicate id 'p1')")
+
+    def test_duplicate_comes_before_a_later_bad_line_of_its_part(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(vector_line(i, v) for i, v in (
+            ("p1", ["1.0"]), ("p2", ["2.0"]), ("p1", ["3.0"]), ("p4", ["1e400"]))))
+        assert part_first_lines(path, 2) == [1, 3]
+        assert self.same_at_any_part_count(path) == (
+            f"{path}:3: bad vector line (duplicate id 'p1')")
+
+    def test_dimension_change_at_a_parts_first_line(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(vector_line(i, v) for i, v in (
+            ("p1", ["1.0", "2.0"]), ("p2", ["1.0", "2.0"]),
+            ("p3", ["1.0", "2.0", "3.0"]), ("p4", ["1.0", "2.0", "3.0"]))))
+        assert part_first_lines(path, 2) == [1, 3]
+        assert self.same_at_any_part_count(path) == (
+            f"{path}:3: bad vector line (dimension 3 != 2 seen earlier)")
+
+    def test_dimension_change_after_an_empty_part(self, tmp_path):
+        # part 0 holds only blank lines, so part 1's dimension is the file's
+        path = tmp_path / "vectors.jsonl"
+        path.write_text(" " * 38 + "\n" + "\n" * 2 + " " * 36 + "\r\n"
+                        + vector_line("p1", ["1.0", "2.0", "3.0"])
+                        + vector_line("p2", ["4.0", "5.0", "6.0"]))
+        assert part_first_lines(path, 2) == [1, 5]
+        ids, matrix = self.same_at_any_part_count(path)
+        assert ids == ["p1", "p2"]
+        assert matrix == np.arange(1.0, 7.0).tobytes()
+
+    def test_non_finite_row_at_a_parts_first_line_before_its_duplicate_id(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(vector_line(i, v) for i, v in (
+            ("p1", ["1.0"]), ("p2", ["2.0"]), ("p1", ["1e400"]), ("p4", ["3.0"]))))
+        assert part_first_lines(path, 2) == [1, 3]
+        assert self.same_at_any_part_count(path) == (
+            f"{path}:3: bad vector line (non-finite component for 'p1')")
+
+    @pytest.mark.parametrize("pad", range(12))
+    def test_blank_and_crlf_lines_at_every_cut(self, tmp_path, pad):
+        # the padding moves the cuts across the blank lines, the space-only
+        # line and the CRLF-ended vector line
+        matrix = np.random.default_rng(pad).standard_normal((4, 2))
+        rows = ['{"id":"p%d","vec":[%s]}' % (i, ",".join(map(repr, row.tolist())))
+                for i, row in enumerate(matrix)]
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes((" " * pad + "\n\n" + rows[2] + "\r\n \n\r\n" + rows[0] + "\n\n"
+                          + rows[3] + "\r\n\n" + rows[1]).encode())
+        ids, loaded = self.same_at_any_part_count(path)
+        assert ids == ["p0", "p1", "p2", "p3"]
+        assert loaded == matrix.tobytes()
+
+    @pytest.mark.parametrize("bad, expected_line", [(1, 1), (2, 2), (3, 3)],
+                             ids=["part-0", "part-0-last-line", "child-part"])
+    def test_first_bad_line_wins(self, tmp_path, bad, expected_line):
+        # every line from ``bad`` on is bad in its own way: the first is named
+        lines = [vector_line("p1", ["1.0"]), vector_line("p2", ["2.0"]),
+                 vector_line("p3", ["3.0"]), vector_line("p4", ["4.0"])]
+        broken = [vector_line("p1", ['"x"']), vector_line("p5", ["1.0", "2.0"]),
+                  vector_line("p2", ["5.0"]), "{" + " " * 38 + "\n"]
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(lines[:bad - 1] + broken[bad - 1:]))
+        assert part_first_lines(path, 2) == [1, 3]
+        error = self.same_at_any_part_count(path)
+        assert error.startswith(f"{path}:{expected_line}: bad vector line (")
+
+    def test_not_utf8_in_a_child_part(self, tmp_path):
+        path = tmp_path / "vectors.jsonl"
+        path.write_bytes("".join(vector_line(f"p{i}", ["1.0"]) for i in range(3)).encode()
+                         + b'{"id":"\xff"}' + b" " * 25 + b"\n")
+        assert part_first_lines(path, 2) == [1, 3]
+        assert self.same_at_any_part_count(path).startswith(f"{path}:4: not UTF-8")
+
+    def test_large_file_at_every_part_count(self, tmp_path):
+        matrix = np.random.default_rng(9).standard_normal((3000, 7))
+        ids = [f"p{i:04d}" for i in range(len(matrix))]
+        path = tmp_path / "vectors.jsonl"
+        embed_module.write_vectors(path, (ids, matrix))
+        assert self.same_at_any_part_count(path) == (ids, matrix.tobytes())
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestWriteParts:
+    def test_bytes_equal_at_any_part_count(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed_module, "WRITE_PART_VALUES", 1)
+        rng = np.random.default_rng(10)
+        matrix = rng.standard_normal((1001, 5)) * 10.0 ** rng.integers(-30, 30, (1001, 1))
+        ids = [f"p{i}" for i in rng.permutation(len(matrix))]
+        outputs = []
+        for threads in (1, 2, 3):
+            path = tmp_path / f"t{threads}.jsonl"
+            embed_module.write_vectors(path, (ids, matrix), threads)
+            outputs.append(path.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        assert sorted(os.listdir(tmp_path)) == ["t1.jsonl", "t2.jsonl", "t3.jsonl"]
+
+    def test_write_error_in_a_child_part(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed_module, "WRITE_PART_VALUES", 1)
+        real = embed_module._write_rows
+
+        def failing(ids, matrix, order, part):
+            if part[1].start:
+                raise OSError("no space left")
+            real(ids, matrix, order, part)
+
+        monkeypatch.setattr(embed_module, "_write_rows", failing)
+        with pytest.raises(OSError, match="no space left"):
+            embed_module.write_vectors(tmp_path / "v.jsonl",
+                                       (["a", "b", "c"], np.ones((3, 2))), 3)
 
 
 class TestHashSeedBounds:

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import re
 import string
@@ -6,9 +7,10 @@ import string
 import pytest
 from hypothesis import given, strategies as st
 
+from ideadrift import textprep
 from ideadrift.errors import DataFormatError
 from ideadrift.porter import stem
-from ideadrift.textprep import clean, default_stopwords, load_stopwords
+from ideadrift.textprep import clean, clean_all, default_stopwords, load_stopwords
 
 # classic input/output pairs of the original algorithm, one per rule family
 PORTER_VECTORS = {
@@ -159,3 +161,15 @@ def test_load_stopwords_undecodable_line_fatal(tmp_path):
     path.write_bytes(b"foo\r\nb\xffr\r\n")
     with pytest.raises(DataFormatError, match=r"stops\.txt:2: not UTF-8"):
         load_stopwords(path)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n_texts", [0, 1, 2, 7])
+def test_clean_all_is_clean_of_each_text_at_any_part_count(monkeypatch, threads, n_texts):
+    monkeypatch.setattr(textprep, "CLEAN_PART_CHARS", 1)
+    rng = random.Random(n_texts)
+    words = ["The", "running", "café", "ponies", "2023", "agreed!", "relational", "a"]
+    texts = [" ".join(rng.choices(words, k=rng.randrange(0, 12))) for _ in range(n_texts)]
+    stopwords = default_stopwords()
+    assert clean_all(texts, stopwords, threads) == [clean(t, stopwords) for t in texts]
