@@ -74,9 +74,9 @@ class _Settings(ChainMap):
     stage's manifest; so an output written over an input does not change the
     input's recorded hash. A config file may hold any key some stage declares
     in ``STAGES``, plus ``preset`` and ``threads``.
-    ``threads`` is the number of workers a stage may compute on, threads or
-    forked processes (see ``--threads``), the usable CPUs by default; like
-    ``preset``, it is read once here and recorded nowhere.
+    ``threads`` is the number of workers a stage may compute on (see
+    ``--threads``), the usable CPUs by default; like ``preset``, it is read
+    once here and recorded nowhere.
     """
 
     def __init__(self, args: argparse.Namespace):
@@ -338,7 +338,7 @@ def stage_distributions(settings: _Settings, config: dict) -> None:
     _write_json(out_summary, payload)
     for notice in summary.notices:
         logger.warning("distributions: %s", notice)
-    logger.info("distributions: %d bins, %d pairwise tests on %d threads",
+    logger.info("distributions: %d bins, %d pairwise tests on %d workers",
                 len(summary.bins), len(summary.tests), summary.threads)
     _write_manifest(out_csv, "distributions", settings, config)
 
@@ -454,10 +454,10 @@ def build_parser() -> argparse.ArgumentParser:
                                          "flags override file values")
     parser.add_argument("--preset", choices=sorted(PRESETS),
                         help="default dim/min-count/bins bundle (default: social-media)")
-    parser.add_argument("--threads", help="workers per stage, at least 1: threads for the "
-                                          "pairwise tests of distributions, forked processes "
-                                          "for text cleaning and vector files "
-                                          "(default: usable CPUs)")
+    parser.add_argument("--threads", help="forked workers per stage, at least 1, which "
+                                          "split the pairwise tests of distributions, the "
+                                          "text cleaning of embed, and vector file reads "
+                                          "and writes (default: usable CPUs)")
     parser.add_argument("--log-level", default="INFO", type=str.upper,
                         choices=("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"))
     sub = parser.add_subparsers(dest="stage", required=True)

@@ -40,6 +40,13 @@ class UserDynamics(NamedTuple):
 DYNAMICS_FIELDS = UserDynamics._fields
 
 
+def _check_settings(min_gap: float, weighting: str) -> None:
+    check_positive("min_gap", min_gap)
+    if weighting not in WEIGHTINGS:
+        raise DataFormatError(f"unknown weighting {weighting!r}; "
+                              f"expected one of {sorted(WEIGHTINGS)}")
+
+
 def fg_scores(
     series: Sequence[tuple[float, float]],
     min_gap: float = DEFAULT_MIN_GAP_SECONDS,
@@ -51,10 +58,7 @@ def fg_scores(
     below by min_gap) and w_k the weights, F = sum(w|dE|)/sum(w) and
     G = sum(w dE)/sum(w). Returns None for series shorter than 2.
     """
-    check_positive("min_gap", min_gap)
-    if weighting not in WEIGHTINGS:
-        raise DataFormatError(f"unknown weighting {weighting!r}; "
-                              f"expected one of {sorted(WEIGHTINGS)}")
+    _check_settings(min_gap, weighting)
     if len(series) < 2:
         return None
     times = np.asarray([t for t, _ in series], dtype=float)
@@ -82,8 +86,11 @@ def user_dynamics(
 
     Only defined eccentricities enter a series; users with fewer than two
     defined points in a series get None for that (F, G) pair. Output is
-    sorted by user id.
+    sorted by user id. ``min_gap`` and ``weighting`` are checked before any
+    record is read, so a bad one raises DataFormatError even when no user
+    has two points.
     """
+    _check_settings(min_gap, weighting)
     # author -> (neighborhood points, self points), each (t, post id, value)
     series: dict[str, tuple[list, list]] = {}
     for r in records:

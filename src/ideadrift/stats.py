@@ -377,7 +377,7 @@ class BinSummary(NamedTuple):
     bins: list[BinStats]
     tests: list[PairTest]
     notices: list[str]
-    threads: int  # threads the pairwise tests ran on; 0 when none ran
+    threads: int  # processes the pairwise tests ran on; 0 when none ran
 
 
 def _p_bound(p: float, p_method: str, n_x: int, n_y: int, n_perm: int) -> str | None:
@@ -407,7 +407,7 @@ def bin_summary(
     p_method: str = "table",
     n_perm: int = DEFAULT_N_PERM,
     seed: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> BinSummary:
     """Per-bin mean and density on a shared grid, plus pairwise AD tests.
 
@@ -417,22 +417,18 @@ def bin_summary(
     sits at a bound of its method (see ``_p_bound``) gets a notice too.
 
     Every setting is checked before any work, so a bad one raises
-    DataFormatError even when no bin has a sample or no pair is testable.
+    DataFormatError even when no bin has a sample or no pair is testable;
+    so does a ``threads`` below 1.
 
-    The pairs run concurrently on min(pairs, ``threads``) threads, where
-    None means the usable CPUs and a count below 1 raises DataFormatError;
-    numpy releases the GIL in each draw and statistic. The caller counts as
-    one of the threads: it takes pairs from the same queue as ``threads - 1``
-    helpers, so at ``threads=1`` every pair runs in the calling thread and
-    no thread starts. Every pair owns its
-    pooled sample and its own ``default_rng(seed)``, and results are stored
-    by pair index, so no result depends on the thread count.
+    The pairs are cut into min(pairs, ``threads``) contiguous parts, run by
+    ``_parts.run``: part 0 in the calling process, each later part in a
+    forked child, so ``threads=1`` forks nothing. Every pair owns its pooled
+    sample and its own ``default_rng(seed)``, and the parts' results are
+    joined in pair order, so no result depends on ``threads``.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     check_positive("bandwidth", bandwidth)
     _check_test_settings(p_method, n_perm, seed)
-    if threads is not None and threads < 1:
+    if threads < 1:
         raise DataFormatError(f"threads must be at least 1, got {threads}")
     arrays = {label: np.asarray(samples, dtype=float) for label, samples in bins.items()}
     filled = [samples for samples in arrays.values() if samples.size]
@@ -456,23 +452,16 @@ def bin_summary(
                 notices.append(f"bin {label!r} has {n} sample(s); tests skipped")
     pairs = list(itertools.combinations(testable, 2))
     tests: list[PairTest] = []
-    threads = min(len(pairs), _parts.usable_cpus() if threads is None else threads)
+    workers = 0
     if pairs:
-        raw: list = [None] * len(pairs)
-        queue = iter(range(len(pairs)))  # shared: next() on a range iterator is atomic
+        parts = _parts.slices(len(pairs), _parts.count(threads, len(pairs), 1))
 
-        def drain() -> None:
-            for i in queue:
-                a, b = pairs[i]
-                raw[i] = ad_test_2sample(arrays[a], arrays[b], p_method=p_method,
-                                         n_perm=n_perm, seed=seed)
+        def score(part: slice) -> list[tuple[float, float]]:
+            return [ad_test_2sample(arrays[a], arrays[b], p_method=p_method,
+                                    n_perm=n_perm, seed=seed) for a, b in pairs[part]]
 
-        # the executor starts a thread per submit only, so threads=1 starts none
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            helpers = [pool.submit(drain) for _ in range(threads - 1)]
-            drain()
-            for helper in helpers:
-                helper.result()
+        raw = [result for scored in _parts.run(score, parts) for result in scored]
+        workers = len(parts)
         corrected = bonferroni([p for _, p in raw], len(pairs))
         tests = [PairTest(a, b, a2, p, pc)
                  for (a, b), (a2, p), pc in zip(pairs, raw, corrected)]
@@ -482,4 +471,4 @@ def bin_summary(
             if bound:
                 notices.append(f"test {t.label_a!r} vs {t.label_b!r}: p_raw is {bound}")
     return BinSummary(grid=grid, bins=stats_rows, tests=tests, notices=notices,
-                      threads=threads)
+                      threads=workers)

@@ -817,6 +817,25 @@ class TestDistributionsSettings:
         assert not out.exists()
 
 
+class TestDynamicsSettings:
+    @pytest.mark.parametrize(("flags", "message"), [
+        (["--min-gap", "-1"], "min_gap must be positive, got -1.0"),
+        (["--min-gap", "0"], "min_gap must be positive, got 0.0"),
+    ], ids=["min-gap-negative", "min-gap-zero"])
+    @pytest.mark.parametrize("times", [[], [0, 60]], ids=["header-only", "two-points"])
+    def test_bad_setting_exit_2(self, tmp_path, caplog, capsys, times, flags, message):
+        records = tmp_path / "records.csv"
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i}", "a", t, 0, 1.0, None, 1, 0)
+             for i, t in enumerate(times)], records)
+        out = tmp_path / "out"
+        assert main(["dynamics", "--records", str(records), *flags,
+                     "--out", str(out / "dyn.csv")]) == 2
+        assert message in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSynthManifest:
     def test_post_noise_recorded_in_config(self, tmp_path):
         configs = []
@@ -982,7 +1001,7 @@ class TestPermutationCount:
                 preexec_fn=pin and (lambda: os.sched_setaffinity(0, pin)))
             assert proc.returncode == 0, proc.stderr[-2000:]
             threads = 1 if pin or flags else min(3, len(cpus))
-            assert f"3 pairwise tests on {threads} threads" in proc.stderr
+            assert f"3 pairwise tests on {threads} workers" in proc.stderr
             outputs.append([(root / file).read_bytes()
                             for file in ("d.csv", "s.json", "d.csv.manifest.json")])
         assert outputs[0] == outputs[1] == outputs[2]
@@ -992,7 +1011,7 @@ class TestPermutationCount:
         calls = []
 
         def recording_test(x, y, **kwargs):
-            calls.append((threading.current_thread() is threading.main_thread(),
+            calls.append((os.getpid(), threading.current_thread() is threading.main_thread(),
                           threading.active_count()))
             return real(x, y, **kwargs)
 
@@ -1003,7 +1022,7 @@ class TestPermutationCount:
                      str(tmp_path / "records.csv"), "--bins", "10,100",
                      "--out-csv", str(tmp_path / "d.csv"),
                      "--out-summary", str(tmp_path / "s.json")]) == 0
-        assert calls == [(True, before)] * 3
+        assert calls == [(os.getpid(), True, before)] * 3
 
 
 class TestCsvBytes:

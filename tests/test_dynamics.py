@@ -162,6 +162,17 @@ class TestUserDynamics:
                               record("p2", "ann", 0, 1.0, None)])
         assert [r.user for r in rows] == ["ann", "zed"]
 
+    @pytest.mark.parametrize(("settings", "message"), [
+        ({"min_gap": -1.0}, "min_gap must be positive, got -1.0"),
+        ({"min_gap": float("nan")}, "min_gap must be finite, got nan"),
+        ({"weighting": "quadratic"}, "unknown weighting 'quadratic'"),
+    ], ids=["min-gap-negative", "min-gap-nan", "weighting"])
+    @pytest.mark.parametrize("records", [[], [record("p1", "u", 0, 1.0, 0.5)]],
+                             ids=["no-record", "one-point"])
+    def test_bad_setting_refused_without_a_series(self, records, settings, message):
+        with pytest.raises(DataFormatError, match=f"^{message}"):
+            user_dynamics(records, **settings)
+
     def test_csv_roundtrip(self, tmp_path):
         rows = user_dynamics([record("p1", "u", 0, 1.0, 0.5),
                               record("p2", "u", DAY, 2.0, 1.5),

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -600,41 +601,25 @@ class TestBinSummary:
         assert all(0 < t.p_raw <= 1 for t in summary.tests)
 
 
-def usable_cpus():
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
 class TestBinSummaryThreads:
-    @pytest.mark.skipif(usable_cpus() < 2, reason="needs 2 usable CPUs")
-    def test_pairs_run_concurrently(self, monkeypatch):
-        # the first pair's test waits until a second one starts; run one
-        # after the other, it would wait the full timeout
-        second_started = threading.Event()
-        lock = threading.Lock()
-        waits = []
-        real = stats.ad_test_2sample
+    BINS = {label: [float(i), float(i) + 0.5, float(i) + 2.0] for i, label in enumerate("abc")}
 
-        def waiting_test(x, y, **kwargs):
-            with lock:
-                first = not waits
-                waits.append(None)
-            if first:
-                waits[0] = second_started.wait(timeout=10)
-            else:
-                second_started.set()
-            return real(x, y, **kwargs)
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.parametrize(("threads", "same_as_pair"), [(2, [0, 1, 1]), (3, [0, 1, 2])],
+                             ids=["2-parts", "3-parts"])
+    def test_later_parts_run_in_child_processes(self, monkeypatch, threads, same_as_pair):
+        # each pair's a2 is the pid that scored it; pair 0 is in part 0
+        monkeypatch.setattr(stats, "ad_test_2sample",
+                            lambda x, y, **kwargs: (float(os.getpid()), 0.5))
+        summary = bin_summary(self.BINS, threads=threads)
+        pids = [int(t.a2) for t in summary.tests]
+        assert pids[0] == os.getpid()
+        assert os.getpid() not in pids[1:]
+        assert [pids.index(pid) for pid in pids] == same_as_pair
+        assert summary.threads == threads
 
-        monkeypatch.setattr(stats, "ad_test_2sample", waiting_test)
-        rng = np.random.default_rng(3)
-        summary = bin_summary({label: list(rng.normal(loc, 1, 20))
-                               for label, loc in (("a", 0.0), ("b", 1.0), ("c", 2.0))})
-        assert waits[0] is True
-        assert len(summary.tests) == 3
-        assert summary.threads == 2
-
-    @pytest.mark.parametrize("cpus", [1, 2, 6])
-    def test_tests_equal_sequential_calls_at_any_worker_count(self, monkeypatch, cpus):
+    @pytest.mark.parametrize("threads", [1, 2, 6])
+    def test_tests_equal_sequential_calls_at_any_worker_count(self, threads):
         # 4 bins of unequal size: pairs among a, b, c enumerate splits
         # exhaustively, pairs with d draw Monte Carlo shuffles, so the last
         # pairs finish before the first
@@ -642,35 +627,48 @@ class TestBinSummaryThreads:
         bins = {"d": list(rng.normal(0, 1, 400).round(1)), "a": list(rng.normal(1, 1, 5)),
                 "b": list(rng.normal(0, 1, 7)), "c": list(rng.normal(2, 1, 4).round(0))}
         kwargs = dict(p_method="permutation", n_perm=199, seed=5)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                            raising=False)
-        summary = bin_summary(bins, bandwidth=1.0, **kwargs)
+        summary = bin_summary(bins, bandwidth=1.0, **kwargs, threads=threads)
         pairs = list(itertools.combinations(bins, 2))
         raw = [ad_test_2sample(bins[a], bins[b], **kwargs) for a, b in pairs]
         assert [math.comb(len(bins[a]) + len(bins[b]), len(bins[a])) <= EXACT_SPLIT_LIMIT
                 for a, b in pairs] == [False, False, False, True, True, True]
-        assert summary.threads == min(6, cpus)
+        assert summary.threads == min(6, threads)
         assert [(t.label_a, t.label_b) for t in summary.tests] == pairs
         assert [(t.a2, t.p_raw) for t in summary.tests] == raw
         assert [t.p_bonferroni for t in summary.tests] == bonferroni([p for _, p in raw], 6)
 
-    def test_no_thread_outlives_the_call(self, monkeypatch):
-        bins = {label: [float(i), float(i) + 0.5, float(i) + 2.0] for i, label in enumerate("abc")}
-        before = threading.active_count()
-        assert len(bin_summary(bins).tests) == 3
-        assert threading.active_count() == before
+    def test_starts_no_thread(self, monkeypatch):
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert len(bin_summary(self.BINS, threads=3).tests) == 3
 
         def failing_test(x, y, **kwargs):
             raise DataFormatError("bad pair")
 
         monkeypatch.setattr(stats, "ad_test_2sample", failing_test)
         with pytest.raises(DataFormatError, match="bad pair"):
-            bin_summary(bins)
-        assert threading.active_count() == before
+            bin_summary(self.BINS, threads=3)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_first_failure_in_pair_order_raised(self, monkeypatch, threads):
+        # pairs (a, c) and (b, c) fail; (a, c) fails last but comes first
+        def failing_test(x, y, **kwargs):
+            pair = (float(x[0]), float(y[0]))
+            if pair == (0.0, 2.0):
+                time.sleep(0.2)
+                raise DataFormatError("pair a-c failed")
+            if pair == (1.0, 2.0):
+                raise OverflowError("pair b-c failed")
+            return 1.0, 0.5
+
+        monkeypatch.setattr(stats, "ad_test_2sample", failing_test)
+        with pytest.raises(DataFormatError, match="^pair a-c failed$"):
+            bin_summary(self.BINS, threads=threads)
 
     def test_threads_capped_at_pairs(self):
-        bins = {label: [float(i), float(i) + 0.5, float(i) + 2.0] for i, label in enumerate("abc")}
-        assert [bin_summary(bins, threads=n).threads for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        assert [bin_summary(self.BINS, threads=n).threads for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
 
     def test_single_pair_or_none_threads(self):
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0, 5.0]}).threads == 1
