@@ -12,8 +12,8 @@ A fork and reap cost 3-6 ms on a 2-vCPU x86-64 VM for a 28-84 MB process,
 and a child's first write to each page it shares with the parent copies
 that page, even a reference count's. So each caller sets a minimum part
 size, and ``count`` turns the caller's worker count and input size into a
-number of parts. ``stats.bin_summary`` sets none: each of its pairwise tests
-can be a part of its own.
+number of parts. ``stats.bin_summary`` counts its input in split statistics,
+so that one costly pairwise test can be a part of its own.
 """
 
 from __future__ import annotations

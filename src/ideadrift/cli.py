@@ -30,7 +30,7 @@ os.environ.update(dict.fromkeys(
     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 from . import __version__, _parts, cloud, corpus, dynamics, embed, pca, stats, synth, textprep  # noqa: E402
-from ._np import np  # noqa: E402
+from ._np import pairwise_sum  # noqa: E402
 from .errors import DataFormatError  # noqa: E402
 
 logger = logging.getLogger("ideadrift")
@@ -358,16 +358,30 @@ def stage_synth(settings: _Settings, config: dict) -> None:
     _write_manifest(out_posts, "synth", settings, cfg._asdict())
 
 
+def _bin_means(path: Path, bins) -> list[tuple[str, int, float | None]]:
+    """(label, n, mean) of each entry of a summary's ``bins`` list, as
+    ``distributions`` writes them: a str label, an int n of at least 0 and a
+    float or null mean; anything else raises DataFormatError."""
+    if not isinstance(bins, list):
+        raise DataFormatError(f"{path}: bins must be a list")
+    rows = []
+    for index, entry in enumerate(bins):
+        if not (isinstance(entry, dict) and {"label", "n", "mean"} <= entry.keys()
+                and isinstance(entry["label"], str)
+                and type(entry["n"]) is int and entry["n"] >= 0
+                and (entry["mean"] is None or type(entry["mean"]) is float)):
+            raise DataFormatError(f"{path}: bins entry {index} needs a str label, an int "
+                                  f"n >= 0 and a float or null mean")
+        rows.append((entry["label"], entry["n"], entry["mean"]))
+    return rows
+
+
 def stage_report(settings: _Settings, config: dict) -> None:
     summary_path = settings.require_path("summary")
     distributions_path = settings.require_path("distributions")
     dynamics_path = settings.require_path("dynamics")
     popularity = _read_json_object(summary_path)
-    try:
-        bin_means = [(b["label"], b["n"], b["mean"]) for b in popularity.get("bins", [])]
-    except (KeyError, TypeError) as exc:
-        raise DataFormatError(f"{summary_path}: bins entries need label, n and mean "
-                              f"({exc!r})") from exc
+    bin_means = _bin_means(summary_path, popularity.get("bins", []))
     rows = dynamics.read_dynamics_csv(dynamics_path)
     # checked, then copied byte for byte into densities.csv
     cloud.read_rows(distributions_path, _DensityRow, (str, finite, finite))
@@ -376,8 +390,8 @@ def stage_report(settings: _Settings, config: dict) -> None:
     comparison = None
     if len(g_ecc) >= 1 and len(g_self) >= 1:
         u, p = stats.mann_whitney(g_self, g_ecc)
-        with np.errstate(over="ignore"):  # checked below
-            mean_g_self, mean_g_ecc = float(np.mean(g_self)), float(np.mean(g_ecc))
+        mean_g_self = pairwise_sum(g_self) / len(g_self)
+        mean_g_ecc = pairwise_sum(g_ecc) / len(g_ecc)
         if not (math.isfinite(mean_g_self) and math.isfinite(mean_g_ecc)):
             raise OverflowError("a mean G-score overflows float64")
         comparison = {

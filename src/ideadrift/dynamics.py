@@ -12,18 +12,18 @@ import math
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from ._np import np
+from ._np import pairwise_sum
 from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
 from .errors import DataFormatError, check_positive
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
 
-WeightFn = Callable[["np.ndarray", float], "np.ndarray"]
+WeightFn = Callable[[float, float], float]  # (gap, mean gap) -> weight
 
 WEIGHTINGS: dict[str, WeightFn] = {
-    "inverse-gap": lambda gaps, mean_gap: mean_gap / gaps,
-    "proportional-gap": lambda gaps, mean_gap: gaps / mean_gap,
-    "uniform": lambda gaps, mean_gap: gaps ** 0,  # ones, one per gap
+    "inverse-gap": lambda gap, mean_gap: mean_gap / gap,
+    "proportional-gap": lambda gap, mean_gap: gap / mean_gap,
+    "uniform": lambda gap, mean_gap: 1.0,
 }
 
 
@@ -59,22 +59,36 @@ def fg_scores(
     G = sum(w dE)/sum(w). Returns None for series shorter than 2.
     """
     _check_settings(min_gap, weighting)
+    scores = _scores(series, min_gap, weighting)
+    return None if scores is None else scores[:2]
+
+
+def _scores(series: Sequence[tuple[float, float]], min_gap: float,
+            weighting: str) -> tuple[float, float, float] | None:
+    """(F, G, mean clamped gap) of a (t, value) series, or None below 2
+    points. Sums run in numpy's order (``pairwise_sum``), so that every bit
+    is the one numpy gave."""
     if len(series) < 2:
         return None
-    times = np.asarray([t for t, _ in series], dtype=float)
-    values = np.asarray([e for _, e in series], dtype=float)
-    if np.any(np.diff(times) < 0):
+    times = [float(t) for t, _ in series]
+    values = [float(e) for _, e in series]
+    gaps = [later - earlier for earlier, later in zip(times, times[1:])]
+    if any(gap < 0 for gap in gaps):
         raise DataFormatError("series must be sorted by time")
-    gaps = np.maximum(np.diff(times), min_gap)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        deltas = np.diff(values)
-        weights = WEIGHTINGS[weighting](gaps, float(gaps.mean()))
-        total = float(weights.sum())
-        f = float(np.sum(weights * np.abs(deltas)) / total)
-        g = float(np.sum(weights * deltas) / total)
+    gaps = [max(gap, min_gap) for gap in gaps]
+    mean_gap = pairwise_sum(gaps) / len(gaps)
+    weight = WEIGHTINGS[weighting]
+    weights = [weight(gap, mean_gap) for gap in gaps]
+    deltas = [later - earlier for earlier, later in zip(values, values[1:])]
+    total = pairwise_sum(weights)
+    try:
+        f = pairwise_sum([w * abs(d) for w, d in zip(weights, deltas)]) / total
+        g = pairwise_sum([w * d for w, d in zip(weights, deltas)]) / total
+    except ZeroDivisionError:  # every weight is 0 only when the mean gap overflows
+        f = g = math.nan
     if not (math.isfinite(f) and math.isfinite(g)):
         raise OverflowError("an F- or G-score overflows float64")
-    return f, g
+    return f, g, mean_gap
 
 
 def user_dynamics(
@@ -104,14 +118,10 @@ def user_dynamics(
     for user, (ecc_pts, self_pts) in sorted(series.items()):
         ecc_pts.sort()
         self_pts.sort()
-        f_ecc, g_ecc = (fg_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
-                        or (None, None))
-        f_self, g_self = (fg_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
-                          or (None, None))
-        mean_gap = None
-        if len(ecc_pts) >= 2:
-            times = np.asarray([t for t, _, _ in ecc_pts], dtype=float)
-            mean_gap = float(np.maximum(np.diff(times), min_gap).mean())
+        f_ecc, g_ecc, mean_gap = (_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
+                                  or (None, None, None))
+        f_self, g_self, _ = (_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
+                             or (None, None, None))
         out.append(UserDynamics(user, len(ecc_pts), f_ecc, g_ecc, f_self, g_self, mean_gap))
     return out
 

@@ -17,7 +17,7 @@ from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _parts
-from ._np import np
+from ._np import np, pairwise_sum
 from .cloud import EccentricityRecord
 from .errors import DataFormatError, check_positive
 
@@ -31,6 +31,10 @@ MANN_WHITNEY_EXACT_LIMIT = 12
 # two split statistics within this relative distance are tied, not "greater";
 # guards against summation-order rounding flipping strict comparisons
 SPLIT_TIE_RTOL = 1e-9
+# the split statistics a forked part of bin_summary's pairwise tests computes,
+# at least, on average: on 14,700 perfbench records, cutting the three pairs'
+# 153 statistics (n_perm 50) in two parts gained nothing, and 303 gained 8 ms
+_MIN_PART_STATISTICS = 100
 # kde adds kernel values 4096 samples at a time (this fixes the result's bits),
 # computing each chunk in blocks of 1024 rows
 _KDE_CHUNK = 4096
@@ -141,8 +145,7 @@ class _PooledSplits:
 
     The distinct values, their multiplicities, and the per-value weights of
     the midrank statistic depend only on the pooled sample, so they are
-    shared across all splits during permutation. ``mann_whitney`` takes its
-    midranks (B_j + 1/2) and tie counts from the same table.
+    shared across all splits during permutation.
     """
 
     def __init__(self, pooled: np.ndarray):
@@ -239,6 +242,32 @@ def _ad_table_p(a2: float, n_x: int, n_y: int) -> float:
     return float(math.exp(np.interp(t, critical, np.log(_AD_SIG))))
 
 
+def _exhaustive_splits(n_x: int, n_y: int) -> int | None:
+    """C(n_x + n_y, n_x), the number of splits of the pooled sample, when it
+    is at most EXACT_SPLIT_LIMIT; else None.
+
+    It builds C(larger + i, i) for i = 1 up to the smaller size, which grows
+    with i, and stops once that passes the limit, where ``math.comb`` would
+    spend tens of ms on a count of 10^4 digits for 100,000 pooled values.
+    """
+    smaller, larger = sorted((n_x, n_y))
+    splits = 1
+    for i in range(1, smaller + 1):
+        splits = splits * (larger + i) // i
+        if splits > EXACT_SPLIT_LIMIT:
+            return None
+    return splits
+
+
+def _statistic_count(n_x: int, n_y: int, p_method: str, n_perm: int) -> int:
+    """The split statistics ``ad_test_2sample`` computes for samples of
+    these sizes: the observed one, plus every split or n_perm draws."""
+    if p_method == "table":
+        return 1
+    n_splits = _exhaustive_splits(n_x, n_y)
+    return 1 + (n_perm if n_splits is None else n_splits)
+
+
 def _check_test_settings(p_method: str, n_perm: int, seed: int) -> None:
     if p_method not in ("table", "permutation"):
         raise DataFormatError(f"unknown p_method {p_method!r}")
@@ -280,8 +309,8 @@ def ad_test_2sample(
 
     n_total = x.size + y.size
     threshold = observed + SPLIT_TIE_RTOL * (1.0 + abs(observed))
-    n_splits = math.comb(n_total, x.size)
-    if n_splits <= EXACT_SPLIT_LIMIT:
+    n_splits = _exhaustive_splits(x.size, y.size)
+    if n_splits is not None:
         greater = sum(
             1 for combo in itertools.combinations(range(n_total), x.size)
             if pooled.statistic(np.asarray(combo)) > threshold
@@ -314,6 +343,25 @@ def bonferroni(pvals: Sequence[float], m: int) -> list[float]:
 # Mann-Whitney U test
 # ---------------------------------------------------------------------------
 
+def _midranks(values: list[float]) -> tuple[list[float], list[float]]:
+    """Each value's 1-based rank, ties given their mean rank, and the size of
+    each group of ties in ascending order, all as floats. NaNs tie with each
+    other above every number, as ``np.unique`` groups them."""
+    keys = [(math.isnan(v), 0.0 if math.isnan(v) else v) for v in values]
+    ranks = [0.0] * len(values)
+    counts = []
+    below = 0
+    for _, group in itertools.groupby(sorted(range(len(values)), key=keys.__getitem__),
+                                      key=keys.__getitem__):
+        group = list(group)
+        rank = below + len(group) / 2.0 + 0.5
+        for k in group:
+            ranks[k] = rank
+        counts.append(float(len(group)))
+        below += len(group)
+    return ranks, counts
+
+
 def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     """Two-sided Mann-Whitney test; returns (U, p) with U counted for x.
 
@@ -322,30 +370,28 @@ def mann_whitney(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     together; otherwise the normal approximation with tie-corrected variance
     and continuity correction is used.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, m = x.size, y.size
+    x = [float(v) for v in x]
+    y = [float(v) for v in y]
+    n, m = len(x), len(y)
     if n < 1 or m < 1:
         raise DataFormatError("each sample needs at least 1 observation")
-    pooled = _PooledSplits(np.concatenate([x, y]))
-    ranks = (pooled.pooled_midcount + 0.5)[pooled.value_index]
-    u = float(ranks[:n].sum() - n * (n + 1) / 2.0)
+    ranks, counts = _midranks(x + y)
+    u = pairwise_sum(ranks[:n]) - n * (n + 1) / 2.0
     mu = n * m / 2.0
 
     if n + m <= MANN_WHITNEY_EXACT_LIMIT:
         observed_dev = abs(u - mu)
         count = 0
         total = 0
-        for combo in itertools.combinations(range(n + m), n):
-            u_split = float(ranks[list(combo)].sum() - n * (n + 1) / 2.0)
+        for combo in itertools.combinations(ranks, n):
+            u_split = pairwise_sum(combo) - n * (n + 1) / 2.0
             if abs(u_split - mu) >= observed_dev - 1e-12:
                 count += 1
             total += 1
         return u, count / total
 
     n_total = n + m
-    counts = pooled.multiplicity
-    tie_term = float(np.sum(counts**3 - counts)) / (n_total * (n_total - 1.0))
+    tie_term = pairwise_sum([c**3 - c for c in counts]) / (n_total * (n_total - 1.0))
     variance = n * m / 12.0 * ((n_total + 1.0) - tie_term)
     if variance <= 0.0:
         return u, 1.0
@@ -389,8 +435,8 @@ def _p_bound(p: float, p_method: str, n_x: int, n_y: int, n_perm: int) -> str | 
         if p == _AD_SIG[0]:
             return f"the table ceiling {p}; the true p-value may be larger"
         return None
-    n_splits = math.comb(n_x + n_y, n_x)
-    if n_splits <= EXACT_SPLIT_LIMIT:
+    n_splits = _exhaustive_splits(n_x, n_y)
+    if n_splits is not None:
         if p == 1 / n_splits:
             return (f"the exhaustive floor 1/{n_splits}; no split of these sizes "
                     f"gives a smaller p-value")
@@ -420,11 +466,14 @@ def bin_summary(
     DataFormatError even when no bin has a sample or no pair is testable;
     so does a ``threads`` below 1.
 
-    The pairs are cut into min(pairs, ``threads``) contiguous parts, run by
-    ``_parts.run``: part 0 in the calling process, each later part in a
-    forked child, so ``threads=1`` forks nothing. Every pair owns its pooled
-    sample and its own ``default_rng(seed)``, and the parts' results are
-    joined in pair order, so no result depends on ``threads``.
+    The pairs are cut into contiguous parts, run by ``_parts.run``: part 0
+    in the calling process, each later part in a forked child. There are at
+    most ``threads`` parts and at most one per pair, and the parts have on
+    average at least _MIN_PART_STATISTICS split statistics to compute (see
+    ``_statistic_count``). So ``threads=1`` forks nothing, and neither does
+    the table method, one statistic per pair, below 200 pairs. Every pair
+    owns its pooled sample and its own ``default_rng(seed)``, and the parts'
+    results are joined in pair order, so no result depends on ``threads``.
     """
     check_positive("bandwidth", bandwidth)
     _check_test_settings(p_method, n_perm, seed)
@@ -454,7 +503,10 @@ def bin_summary(
     tests: list[PairTest] = []
     workers = 0
     if pairs:
-        parts = _parts.slices(len(pairs), _parts.count(threads, len(pairs), 1))
+        statistics = sum(_statistic_count(arrays[a].size, arrays[b].size, p_method, n_perm)
+                         for a, b in pairs)
+        parts = _parts.slices(len(pairs),
+                              _parts.count(threads, statistics, _MIN_PART_STATISTICS))
 
         def score(part: slice) -> list[tuple[float, float]]:
             return [ad_test_2sample(arrays[a], arrays[b], p_method=p_method,

@@ -192,6 +192,31 @@ class TestGraphStages:
         assert (tmp_path / "lcc_posts.jsonl").read_text().count("\n") == 4
         assert proc.stdout.strip() == "False"
 
+    def test_dynamics_and_report_never_import_numpy(self, tmp_path):
+        cloud.write_records_csv(
+            [cloud.EccentricityRecord(f"p{i}", f"u{i % 3}", 3600 * i, i, 0.5 * i,
+                                      None if i % 4 else 0.25 * i, 1, int(i % 4 == 0))
+             for i in range(30)], tmp_path / "records.csv")
+        (tmp_path / "summary.json").write_text(
+            '{"bins": [{"label": "all", "n": 30, "mean": 7.25}], "tests": []}')
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        script = (
+            "import sys\n"
+            "from ideadrift.cli import main\n"
+            "assert main(['dynamics', '--records', 'records.csv', '--out', 'dynamics.csv']) == 0\n"
+            "print('numpy' in sys.modules)\n"
+            "assert main(['report', '--summary', 'summary.json', '--distributions',\n"
+            "             'distributions.csv', '--dynamics', 'dynamics.csv',\n"
+            "             '--out-dir', 'report']) == 0\n"
+            "print('numpy' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=blas_env(1),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.split() == ["False", "False"]
+        comparison = json.loads((tmp_path / "report" / "report.json").read_text())[
+            "gscore_comparison"]
+        assert (comparison["n_ecc"], comparison["n_self"]) == (3, 3)
+
     def test_corpus_stages_never_import_dataclasses(self, tmp_path):
         write_jsonl(tmp_path / "posts.jsonl", [
             {"id": f"p{i}", "author": f"u{i % 3}", "created_at": i, "text": "x", "likes": i}
@@ -1100,6 +1125,42 @@ class TestReportSummary:
                      "--dynamics", str(tmp_path / "dynamics.csv"),
                      "--out-dir", str(tmp_path / "report")]) == 2
         assert str(summary) in caplog.text
+
+    @pytest.mark.parametrize(("bins", "index"), [
+        ('[{"label": {"x": 1}, "n": "many", "mean": [1, 2]}]', 0),
+        ('[{"label": "low", "n": 2, "mean": 0.5}, {"label": "high", "n": -3, "mean": true}]', 1),
+        ('[{"label": "low", "n": true, "mean": 0.5}]', 0),
+        ('[{"label": "low", "n": 2.0, "mean": 0.5}]', 0),
+        ('[{"label": "low", "n": 2, "mean": "0.5"}]', 0),
+        ('[{"label": "low", "n": 2, "mean": 1}]', 0),
+        ('[{"label": "low", "n": 2}]', 0),
+        ('[{"label": "low", "n": 2, "mean": null}, ["low", 2, 0.5]]', 1),
+    ], ids=["wrong-types", "negative-n-bool-mean", "bool-n", "float-n", "str-mean",
+            "int-mean", "no-mean", "not-an-object"])
+    def test_mistyped_bin_entry_exit_2(self, tmp_path, caplog, bins, index):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"bins": ' + bins + ', "tests": []}')
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        dynamics.write_dynamics_csv([], tmp_path / "dynamics.csv")
+        assert main(["report", "--summary", str(summary),
+                     "--distributions", str(tmp_path / "distributions.csv"),
+                     "--dynamics", str(tmp_path / "dynamics.csv"),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        assert f"{summary}: bins entry {index} needs a str label" in caplog.text
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("bins", ['{"label": "low"}', '"low"', "3"],
+                             ids=["object", "string", "number"])
+    def test_bins_not_a_list_exit_2(self, tmp_path, caplog, bins):
+        summary = tmp_path / "summary.json"
+        summary.write_text('{"bins": ' + bins + "}")
+        (tmp_path / "distributions.csv").write_text("bin,grid_x,density\n")
+        dynamics.write_dynamics_csv([], tmp_path / "dynamics.csv")
+        assert main(["report", "--summary", str(summary),
+                     "--distributions", str(tmp_path / "distributions.csv"),
+                     "--dynamics", str(tmp_path / "dynamics.csv"),
+                     "--out-dir", str(tmp_path / "report")]) == 2
+        assert f"{summary}: bins must be a list" in caplog.text
 
     @pytest.mark.parametrize("field", ["nan", "-inf"])
     def test_non_finite_dynamics_field_exit_2(self, tmp_path, caplog, field):

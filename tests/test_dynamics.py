@@ -192,3 +192,118 @@ class TestUserDynamics:
         path.write_text(",".join(DYNAMICS_FIELDS) + "\nu,1,,,,,\n" + row + "\n")
         with pytest.raises(DataFormatError, match=f"{path}:3:"):
             read_dynamics_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# the numpy implementation fg_scores and user_dynamics replaced, kept as their
+# bitwise reference: every output digit must stay the same
+# ---------------------------------------------------------------------------
+
+NUMPY_WEIGHTINGS = {
+    "inverse-gap": lambda gaps, mean_gap: mean_gap / gaps,
+    "proportional-gap": lambda gaps, mean_gap: gaps / mean_gap,
+    "uniform": lambda gaps, mean_gap: gaps ** 0,
+}
+
+
+def numpy_fg_scores(series, min_gap=1.0, weighting="inverse-gap"):
+    # numpy warned where a gap overflowed; the values are what is compared
+    if len(series) < 2:
+        return None
+    times = np.asarray([t for t, _ in series], dtype=float)
+    values = np.asarray([e for _, e in series], dtype=float)
+    with np.errstate(all="ignore"):
+        if np.any(np.diff(times) < 0):
+            raise DataFormatError("series must be sorted by time")
+        gaps = np.maximum(np.diff(times), min_gap)
+        deltas = np.diff(values)
+        weights = NUMPY_WEIGHTINGS[weighting](gaps, float(gaps.mean()))
+        total = float(weights.sum())
+        f = float(np.sum(weights * np.abs(deltas)) / total)
+        g = float(np.sum(weights * deltas) / total)
+    if not (np.isfinite(f) and np.isfinite(g)):
+        raise OverflowError("an F- or G-score overflows float64")
+    return f, g
+
+
+def numpy_user_dynamics(records, min_gap=1.0, weighting="inverse-gap"):
+    series = {}
+    for r in records:
+        ecc_pts, self_pts = series.setdefault(r.author, ([], []))
+        if r.eccentricity is not None:
+            ecc_pts.append((r.created_at, r.post_id, r.eccentricity))
+        if r.self_eccentricity is not None:
+            self_pts.append((r.created_at, r.post_id, r.self_eccentricity))
+    out = []
+    for user, (ecc_pts, self_pts) in sorted(series.items()):
+        ecc_pts.sort()
+        self_pts.sort()
+        f_ecc, g_ecc = (numpy_fg_scores([(t, e) for t, _, e in ecc_pts], min_gap, weighting)
+                        or (None, None))
+        f_self, g_self = (numpy_fg_scores([(t, e) for t, _, e in self_pts], min_gap, weighting)
+                          or (None, None))
+        mean_gap = None
+        if len(ecc_pts) >= 2:
+            times = np.asarray([t for t, _, _ in ecc_pts], dtype=float)
+            mean_gap = float(np.maximum(np.diff(times), min_gap).mean())
+        out.append((user, len(ecc_pts), f_ecc, g_ecc, f_self, g_self, mean_gap))
+    return out
+
+
+def outcome(function, *args, **kwargs):
+    """The repr of what ``function`` returns, which is its bits, or the
+    type of what it raises."""
+    try:
+        return repr(function(*args, **kwargs))
+    except (DataFormatError, OverflowError) as exc:
+        return type(exc).__name__
+
+
+def random_series(rng, n):
+    # gaps from same-second posts to days, values over several magnitudes
+    times = np.cumsum(rng.choice([0, 1, 7, 600, 86_400, 400_000], n)
+                      * rng.integers(1, 5, n)).tolist()
+    values = (rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-3, 4, n)).tolist()
+    return list(zip(times, values))
+
+
+WEIGHTING_NAMES = ["inverse-gap", "proportional-gap", "uniform"]
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+@pytest.mark.parametrize("min_gap", [1.0, 0.25, 3600.0])
+def test_fg_scores_equal_numpy_bitwise(weighting, min_gap):
+    rng = np.random.default_rng(int(min_gap * 4) + len(weighting))
+    for n in [*range(2, 140), 200, 257, 500]:
+        series = random_series(rng, n)
+        assert (outcome(fg_scores, series, min_gap, weighting)
+                == outcome(numpy_fg_scores, series, min_gap, weighting)), n
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+@pytest.mark.parametrize("series", [
+    [(0.0, 0.0), (1.0, 1e308), (2.0, -1e308)],          # a delta overflows
+    [(-1e308, 0.0), (0.0, 1.0), (1e308, 2.0)],          # the mean gap overflows
+    [(-1e308, 0.0), (1e308, 1.0)],                      # a gap overflows
+    [(0.0, -0.0), (1.0, 0.0), (2.0, -0.0)],             # signed zeros
+    [(0.0, 1.0), (1.0, 1.0 + 2 ** -52), (1e9, 1.0)],    # last-bit changes
+    [(5.0, 2.0), (3.0, 1.0)],                           # unsorted
+], ids=["delta-overflow", "mean-gap-overflow", "gap-overflow", "signed-zeros",
+        "last-bits", "unsorted"])
+def test_fg_scores_edge_cases_equal_numpy(weighting, series):
+    assert (outcome(fg_scores, series, 1.0, weighting)
+            == outcome(numpy_fg_scores, series, 1.0, weighting))
+
+
+@pytest.mark.parametrize("weighting", WEIGHTING_NAMES)
+def test_user_dynamics_equal_numpy_bitwise(weighting):
+    rng = np.random.default_rng(len(weighting))
+    records = []
+    for u in range(60):
+        for k, (t, value) in enumerate(random_series(rng, int(rng.integers(1, 150)))):
+            ecc = None if rng.random() < 0.1 else value
+            self_ecc = None if rng.random() < 0.3 else abs(value) / 3
+            records.append(record(f"u{u}-{k}", f"u{u}", t, ecc, self_ecc))
+    rng.shuffle(records)
+    got = [tuple(row) for row in user_dynamics(records, 1.0, weighting)]
+    assert repr(got) == repr(numpy_user_dynamics(records, 1.0, weighting))

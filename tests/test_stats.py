@@ -313,6 +313,14 @@ class TestAdStatistic:
 
 
 class TestAdTest:
+    def test_exhaustive_splits_match_comb(self):
+        for n_x in range(0, 45):
+            for n_y in range(0, 45):
+                splits = math.comb(n_x + n_y, n_x)
+                assert stats._exhaustive_splits(n_x, n_y) == (
+                    splits if splits <= EXACT_SPLIT_LIMIT else None), (n_x, n_y)
+        assert stats._exhaustive_splits(122_725, 12_402) is None
+
     def test_identical_multisets_high_p(self):
         x = [1.0, 2.0, 3.0]
         _, p = ad_test_2sample(x, list(x), p_method="permutation")
@@ -516,6 +524,65 @@ class TestMannWhitney:
         assert p == 1.0
 
 
+def numpy_mann_whitney(x, y):
+    """The numpy implementation mann_whitney replaced, kept as its bitwise
+    reference: midranks and tie counts from np.unique, sums by np.sum."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, m = x.size, y.size
+    _, index, counts = np.unique(np.concatenate([x, y]), return_inverse=True,
+                                 return_counts=True)
+    multiplicity = counts.astype(float)
+    less = np.concatenate(([0.0], np.cumsum(counts)[:-1]))
+    ranks = (less + multiplicity / 2.0 + 0.5)[index]
+    u = float(ranks[:n].sum() - n * (n + 1) / 2.0)
+    mu = n * m / 2.0
+    if n + m <= 12:
+        observed_dev = abs(u - mu)
+        count = total = 0
+        for combo in itertools.combinations(range(n + m), n):
+            u_split = float(ranks[list(combo)].sum() - n * (n + 1) / 2.0)
+            if abs(u_split - mu) >= observed_dev - 1e-12:
+                count += 1
+            total += 1
+        return u, count / total
+    n_total = n + m
+    tie_term = float(np.sum(multiplicity**3 - multiplicity)) / (n_total * (n_total - 1.0))
+    variance = n * m / 12.0 * ((n_total + 1.0) - tie_term)
+    if variance <= 0.0:
+        return u, 1.0
+    z = max(abs(u - mu) - 0.5, 0.0) / math.sqrt(variance)
+    return u, min(1.0, math.erfc(z / math.sqrt(2.0)))
+
+
+class TestMannWhitneyEqualsNumpy:
+    @pytest.mark.parametrize("kind", ["continuous", "ties", "few-values"])
+    def test_both_branches_bitwise(self, kind):
+        rng = np.random.default_rng(len(kind))
+        sizes = [(n, m) for n in range(1, 12) for m in range(1, 13 - n)]  # exact
+        sizes += [(int(n), int(m)) for n, m in rng.integers(1, 400, (60, 2))]
+        sizes += [(3000, 3000), (1, 2000)]
+        for n, m in sizes:
+            if kind == "continuous":
+                x, y = rng.normal(0, 1, n), rng.normal(0.3, 2, m)
+            elif kind == "ties":
+                x, y = rng.normal(0, 1, n).round(1), rng.normal(0.2, 1, m).round(1)
+            else:
+                x, y = rng.integers(0, 3, n).astype(float), rng.integers(0, 4, m).astype(float)
+            assert repr(mann_whitney(x.tolist(), y.tolist())) == repr(numpy_mann_whitney(x, y))
+
+    @pytest.mark.parametrize(("x", "y"), [
+        ([0.0, -0.0, 1.0], [-0.0, 2.0]),
+        ([float("nan"), 1.0, float("nan")], [2.0, float("nan"), 0.5]),
+        ([float("nan")] * 8, [1.0] * 9),
+        ([float("inf"), 1.0] * 5, [-float("inf"), 3.0] * 6),
+        ([5.0] * 10, [5.0] * 20),
+        ([1, 2, 3], [2, 2]),
+    ], ids=["signed-zeros", "nans", "nans-asymptotic", "infinities", "all-tied", "ints"])
+    def test_special_values_bitwise(self, x, y):
+        assert repr(mann_whitney(x, y)) == repr(numpy_mann_whitney(x, y))
+
+
 # ---------------------------------------------------------------------------
 # bin summaries
 # ---------------------------------------------------------------------------
@@ -602,7 +669,11 @@ class TestBinSummary:
 
 
 class TestBinSummaryThreads:
-    BINS = {label: [float(i), float(i) + 0.5, float(i) + 2.0] for i, label in enumerate("abc")}
+    # under permutation each pair enumerates C(10, 5) = 252 splits exhaustively,
+    # so three pairs compute 759 statistics, enough for three parts
+    BINS = {label: [float(i), float(i) + 0.5, float(i) + 2.0, float(i) + 3.25,
+                    float(i) + 4.5] for i, label in enumerate("abc")}
+    SPLIT = {"p_method": "permutation"}
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     @pytest.mark.parametrize(("threads", "same_as_pair"), [(2, [0, 1, 1]), (3, [0, 1, 2])],
@@ -611,7 +682,7 @@ class TestBinSummaryThreads:
         # each pair's a2 is the pid that scored it; pair 0 is in part 0
         monkeypatch.setattr(stats, "ad_test_2sample",
                             lambda x, y, **kwargs: (float(os.getpid()), 0.5))
-        summary = bin_summary(self.BINS, threads=threads)
+        summary = bin_summary(self.BINS, **self.SPLIT, threads=threads)
         pids = [int(t.a2) for t in summary.tests]
         assert pids[0] == os.getpid()
         assert os.getpid() not in pids[1:]
@@ -642,14 +713,15 @@ class TestBinSummaryThreads:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading.Thread, "start", no_thread)
-        assert len(bin_summary(self.BINS, threads=3).tests) == 3
+        summary = bin_summary(self.BINS, **self.SPLIT, threads=3)
+        assert (len(summary.tests), summary.threads) == (3, 3)
 
         def failing_test(x, y, **kwargs):
             raise DataFormatError("bad pair")
 
         monkeypatch.setattr(stats, "ad_test_2sample", failing_test)
         with pytest.raises(DataFormatError, match="bad pair"):
-            bin_summary(self.BINS, threads=3)
+            bin_summary(self.BINS, **self.SPLIT, threads=3)
 
     @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_first_failure_in_pair_order_raised(self, monkeypatch, threads):
@@ -665,10 +737,25 @@ class TestBinSummaryThreads:
 
         monkeypatch.setattr(stats, "ad_test_2sample", failing_test)
         with pytest.raises(DataFormatError, match="^pair a-c failed$"):
-            bin_summary(self.BINS, threads=threads)
+            bin_summary(self.BINS, **self.SPLIT, threads=threads)
 
     def test_threads_capped_at_pairs(self):
-        assert [bin_summary(self.BINS, threads=n).threads for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+        assert [bin_summary(self.BINS, **self.SPLIT, threads=n).threads
+                for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+
+    @pytest.mark.parametrize(("settings", "threads"), [
+        ({"p_method": "table"}, 1),                          # 3 statistics
+        ({"p_method": "permutation", "n_perm": 65}, 1),      # 3 x 66 = 198 statistics
+        ({"p_method": "permutation", "n_perm": 66}, 2),      # 3 x 67 = 201
+        ({"p_method": "permutation", "n_perm": 98}, 2),      # 297
+        ({"p_method": "permutation", "n_perm": 99}, 3),      # 300
+    ], ids=["table", "198", "201", "297", "300"])
+    def test_parts_average_100_statistics(self, monkeypatch, settings, threads):
+        # 30 values a bin: C(60, 30) splits are too many to enumerate, so a
+        # pair computes the observed statistic and n_perm draws
+        monkeypatch.setattr(stats, "ad_test_2sample", lambda x, y, **kwargs: (1.0, 0.5))
+        bins = {label: [i + k / 30 for k in range(30)] for i, label in enumerate("abc")}
+        assert bin_summary(bins, **settings, threads=8).threads == threads
 
     def test_single_pair_or_none_threads(self):
         assert bin_summary({"a": [1.0, 2.0], "b": [3.0, 5.0]}).threads == 1
