@@ -105,28 +105,35 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     Each in-vocabulary token contributes tf * idf * sign to its hash bucket;
     tokens are accumulated in sorted order so the float sum is reproducible.
     """
-    acc = [0.0] * model.dim
+    return _embed_into(np.zeros(model.dim), model, tokens)
+
+
+def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
+    """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
+    matrix = np.zeros((len(docs), model.dim))
+    for row, (_, tokens) in zip(matrix, docs):
+        _embed_into(row, model, tokens)
+    return [doc_id for doc_id, _ in docs], matrix
+
+
+def _embed_into(row: np.ndarray, model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
+    """``embed`` written into ``row``, a zeroed float64 vector: the sums of
+    the buckets the tokens hash to are set, then the row is normalized."""
     terms = model.terms
+    sums: dict[int, float] = {}
     tf = Counter(tokens)
     for token in sorted(tf):
         term = terms.get(token)
         if term is not None:
             bucket, weight = term
             # weight is idf * (+-1), so this is bitwise tf * idf * sign
-            acc[bucket] += tf[token] * weight
-    vec = np.array(acc)
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
-
-
-def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
-    """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
-    matrix = np.empty((len(docs), model.dim))
-    for row, (_, tokens) in enumerate(docs):
-        matrix[row] = embed(model, tokens)
-    return [doc_id for doc_id, _ in docs], matrix
+            sums[bucket] = sums.get(bucket, 0.0) + tf[token] * weight
+    if sums:
+        row[list(sums)] = list(sums.values())
+        norm = math.sqrt(row.dot(row))  # as np.linalg.norm computes it
+        if norm > 0.0:
+            row /= norm
+    return row
 
 
 class _Part(NamedTuple):
@@ -308,6 +315,9 @@ def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
     is escaped by its string encoder, and JSON writes a finite float by its
     ``repr``, so the components are joined directly. A non-finite component
     is written as ``nan``/``inf``, which ``load_external_vectors`` rejects.
+    In a float64 matrix of which fewer than half the values are nonzero, the
+    zeros are written as one shared ``0.0`` string and only the nonzero
+    values are formatted.
 
     The id-ordered rows are cut into ``_parts.count(threads, matrix.size,
     WRITE_PART_VALUES)`` parts. Part 0 is written here; each later part is
@@ -317,22 +327,37 @@ def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
     """
     ids, matrix = vectors
     order = sorted(range(len(ids)), key=ids.__getitem__)
+    # the int64 view tells -0.0 from 0.0, so only the zeros repr writes as
+    # "0.0" are shared
+    sparse = (matrix.dtype == np.float64
+              and 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size)
     parts = _parts.slices(len(order), _parts.count(threads, matrix.size, WRITE_PART_VALUES))
     with open(path, "wb") as out, ExitStack() as stack:
         spools = [out, *(stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
                          for _ in parts[1:])]
-        _parts.run(functools.partial(_write_rows, ids, matrix, order), list(zip(spools, parts)))
+        _parts.run(functools.partial(_write_rows, ids, matrix, order, sparse),
+                   list(zip(spools, parts)))
         for spool in spools[1:]:
             spool.seek(0)
             shutil.copyfileobj(spool, out)
 
 
-def _write_rows(ids: Sequence[str], matrix: np.ndarray, order: list[int],
+def _write_rows(ids: Sequence[str], matrix: np.ndarray, order: list[int], sparse: bool,
                 part: tuple[BinaryIO, slice]) -> None:
-    """Write the lines of ``order[rows]`` to ``out``, as text."""
+    """Write the lines of ``order[rows]`` to ``out``, as text. With
+    ``sparse``, each row is a copy of a row of ``0.0`` strings with its
+    nonzero cells (by their int64 view) set to their ``repr``."""
     out, rows = part
     text = io.TextIOWrapper(out, encoding="utf-8")
+    zeros = ["0.0"] * matrix.shape[1]
     for row in order[rows]:
-        text.write('{"id":%s,"vec":[%s]}\n' % (
-            _json_string(ids[row]), ",".join(map(repr, matrix[row].tolist()))))
+        if sparse:
+            values = matrix[row]
+            cols = np.flatnonzero(values.view(np.int64))
+            cells = zeros.copy()
+            for col, cell in zip(cols.tolist(), map(repr, values[cols].tolist())):
+                cells[col] = cell
+        else:
+            cells = map(repr, matrix[row].tolist())
+        text.write('{"id":%s,"vec":[%s]}\n' % (_json_string(ids[row]), ",".join(cells)))
     text.detach()  # flushed into out, which stays open

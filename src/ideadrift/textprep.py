@@ -19,10 +19,10 @@ from .corpus import utf8_lines
 from .porter import stem
 
 _NON_LETTER = re.compile(r"[^a-z\s]+")
-# the fewest characters of text cleaned on a process of their own: about
-# 30 ms of cleaning with a cold stem cache on the VM ``_parts`` names,
-# several times what a fork costs there
-CLEAN_PART_CHARS = 1 << 17
+# the fewest characters of text cleaned on a process of their own: 25-60 ms
+# of cleaning with a cold stem cache on the VM ``_parts`` names, several
+# times what a fork costs there
+CLEAN_PART_CHARS = 1 << 18
 
 TokenList = list[str]
 

@@ -232,6 +232,42 @@ class TestVectorBytes:
             rb'{"id":"x\"\\\u00e9","vec":[1e+16,1e+22,1.0]}' b"\n"
         )
 
+    def test_mostly_zero_matrix_writes_json_dumps_lines(self, tmp_path):
+        rng = np.random.default_rng(28)
+        matrix = np.where(rng.random((40, 9)) < 0.1, rng.standard_normal((40, 9)), 0.0)
+        matrix[3] = 0.0
+        for row, value in ((5, -0.0), (6, 5e-324), (7, -5e-324), (8, 0.0)):
+            matrix[row] = 0.0
+            matrix[row, 4] = value
+        assert 2 * np.count_nonzero(matrix) < matrix.size
+        ids = [f"p{i:02d}" for i in range(len(matrix))]
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (ids, matrix))
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps({"id": i, "vec": row}, separators=(",", ":"))
+                         for i, row in zip(ids, matrix.tolist())]
+        assert lines[3].endswith('"vec":[%s]}' % ",".join(["0.0"] * 9))
+        assert "-0.0" in lines[5] and "5e-324" in lines[6] and "-5e-324" in lines[7]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    def test_other_dtypes_keep_their_bytes(self, tmp_path, dtype):
+        # each component is written as the repr of its Python scalar: ints
+        # as ints, float32 values widened to the double they hold
+        matrix = np.zeros((4, 6), dtype=dtype)
+        matrix[1, 2] = 3
+        matrix[2, 0] = -7
+        if dtype is np.float32:
+            matrix[3, 5] = 0.1
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (["a", "b", "c", "d"], matrix))
+        assert path.read_text() == "".join(
+            '{"id":"%s","vec":[%s]}\n' % (i, ",".join(map(repr, row)))
+            for i, row in zip("abcd", matrix.tolist()))
+        if dtype is np.int64:
+            assert path.read_text().splitlines()[0] == '{"id":"a","vec":[0,0,0,0,0,0]}'
+        else:
+            assert "0.10000000149011612" in path.read_text()
+
     def test_nan_row_is_rejected_on_read(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         write_vectors(path, (["m", "n"], np.array([[1.0, 2.0], [1.0, np.nan]])))
@@ -413,10 +449,10 @@ class TestWriteParts:
         monkeypatch.setattr(embed_module, "WRITE_PART_VALUES", 1)
         real = embed_module._write_rows
 
-        def failing(ids, matrix, order, part):
-            if part[1].start:
+        def failing(*args):
+            if args[-1][1].start:  # the part's slice of rows
                 raise OSError("no space left")
-            real(ids, matrix, order, part)
+            real(*args)
 
         monkeypatch.setattr(embed_module, "_write_rows", failing)
         with pytest.raises(OSError, match="no space left"):

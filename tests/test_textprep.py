@@ -64,18 +64,130 @@ RULE_SUFFIXES = (
 )
 
 
-def test_stems_of_generated_vocabulary_are_pinned():
-    # 50,000 distinct words, each a random 1-8-letter stem plus 0-3 rule
-    # suffixes; the digest pins all their stems, so a rewrite of the rules
-    # must leave every one unchanged
+def golden_vocabulary() -> list[str]:
+    """50,000 distinct words, each a random 1-8-letter stem plus 0-3 rule
+    suffixes."""
     rng = random.Random(23)
     words = {}
     while len(words) < 50_000:
         word = "".join(rng.choices(string.ascii_lowercase, k=rng.randint(1, 8)))
         word += "".join(rng.choices(RULE_SUFFIXES, k=rng.randint(0, 3)))
         words[word] = None
-    digest = hashlib.sha256("\n".join(map(stem, words)).encode()).hexdigest()
+    return list(words)
+
+
+def test_stems_of_generated_vocabulary_are_pinned():
+    # the digest pins the stems of the golden vocabulary, so a rewrite of
+    # the rules must leave every one unchanged
+    digest = hashlib.sha256("\n".join(map(stem, golden_vocabulary())).encode()).hexdigest()
     assert digest == "2397b5c00cc837ae3fab6de70f8535552bbf982fcac58ceec13413a959192475"
+
+
+# The oracle: the 1980 rules applied one by one, each condition reading the
+# form of the word as it stands, rebuilt letter by letter at every call.
+def oracle_form(word: str) -> str:
+    classes = []
+    cls = "v"  # so that a leading y is a consonant
+    for ch in word:
+        cls = "v" if ch in "aeiou" or (ch == "y" and cls == "c") else "c"
+        classes.append(cls)
+    return "".join(classes)
+
+
+def oracle_measure(stem: str) -> int:
+    return oracle_form(stem).count("vc")
+
+
+def oracle_ends_double_consonant(word: str) -> bool:
+    return len(word) >= 2 and word[-1] == word[-2] and oracle_form(word).endswith("c")
+
+
+def oracle_ends_cvc(word: str) -> bool:
+    return oracle_form(word).endswith("cvc") and word[-1] not in "wxy"
+
+
+def oracle_replace_longest(word: str, rules, min_measure: int) -> str:
+    for suffix, repl in rules:  # longest suffix first
+        if word.endswith(suffix):
+            stem = word[: len(word) - len(suffix)]
+            return stem + repl if oracle_measure(stem) > min_measure else word
+    return word
+
+
+def oracle_step1b(word: str) -> str:
+    if word.endswith("eed"):
+        return word[:-1] if oracle_measure(word[:-3]) > 0 else word
+    if word.endswith("ed") and "v" in oracle_form(word[:-2]):
+        stripped = word[:-2]
+    elif word.endswith("ing") and "v" in oracle_form(word[:-3]):
+        stripped = word[:-3]
+    else:
+        return word
+    if stripped.endswith(("at", "bl", "iz")):
+        return stripped + "e"
+    if oracle_ends_double_consonant(stripped) and stripped[-1] not in "lsz":
+        return stripped[:-1]
+    if oracle_measure(stripped) == 1 and oracle_ends_cvc(stripped):
+        return stripped + "e"
+    return stripped
+
+
+ORACLE_STEP1A = (("sses", "ss"), ("ies", "i"), ("ss", "ss"), ("s", ""))
+ORACLE_STEP2 = (
+    ("ational", "ate"), ("ization", "ize"), ("iveness", "ive"), ("fulness", "ful"),
+    ("ousness", "ous"), ("tional", "tion"), ("biliti", "ble"), ("entli", "ent"),
+    ("ousli", "ous"), ("ation", "ate"), ("alism", "al"), ("aliti", "al"),
+    ("iviti", "ive"), ("enci", "ence"), ("anci", "ance"), ("izer", "ize"),
+    ("abli", "able"), ("alli", "al"), ("ator", "ate"), ("eli", "e"),
+)
+ORACLE_STEP3 = (("icate", "ic"), ("ative", ""), ("alize", "al"), ("iciti", "ic"),
+                ("ical", "ic"), ("ness", ""), ("ful", ""))
+ORACLE_STEP4 = tuple((suffix, "") for suffix in (
+    "ement", "ance", "ence", "able", "ible", "ment", "ant", "ent", "ion", "ism",
+    "ate", "iti", "ous", "ive", "ize", "al", "er", "ic", "ou"))
+
+
+def oracle_stem(word: str) -> str:
+    if len(word) <= 2:
+        return word
+    word = oracle_replace_longest(word, ORACLE_STEP1A, -1)
+    word = oracle_step1b(word)
+    if word.endswith("y") and "v" in oracle_form(word[:-1]):
+        word = word[:-1] + "i"
+    word = oracle_replace_longest(word, ORACLE_STEP2, 0)
+    word = oracle_replace_longest(word, ORACLE_STEP3, 0)
+    # (s|t)ion is the one conditioned rule of step 4
+    if not word.endswith("ion") or word.endswith(("sion", "tion")):
+        word = oracle_replace_longest(word, ORACLE_STEP4, 1)
+    if word.endswith("e"):
+        m = oracle_measure(word[:-1])
+        if m > 1 or (m == 1 and not oracle_ends_cvc(word[:-1])):
+            word = word[:-1]
+    if oracle_measure(word) > 1 and oracle_ends_double_consonant(word) and word.endswith("l"):
+        word = word[:-1]
+    return word
+
+
+Y_EDGE_WORDS = ("y", "yy", "yyy", "syzygy", "sayyid", "toyed", "enjoying", "happily",
+                "cry", "yelled")
+
+
+def test_stem_equals_oracle_on_golden_vocabulary():
+    words = golden_vocabulary()
+    assert [stem.__wrapped__(w) for w in words] == [oracle_stem(w) for w in words]
+
+
+@pytest.mark.parametrize("word", Y_EDGE_WORDS)
+def test_stem_equals_oracle_on_y_edges(word):
+    # y is the one letter whose class depends on the letter before it
+    assert stem.__wrapped__(word) == oracle_stem(word)
+    for suffix in ("s", "ed", "ing", "ness", "ful", "ement"):
+        assert stem.__wrapped__(word + suffix) == oracle_stem(word + suffix)
+
+
+@given(st.text(alphabet="abcdeilnostyz", max_size=14) | st.text(max_size=8))
+def test_stem_equals_oracle_on_generated_words(word):
+    assert stem.__wrapped__(word) == oracle_stem(word)
 
 
 class TestClean:
