@@ -274,11 +274,15 @@ def stage_embed(settings: _Settings, config: dict) -> None:
 
 
 def stage_pca(settings: _Settings, config: dict) -> None:
-    ids, matrix = embed.load_external_vectors(settings.require_path("vectors"),
-                                              settings.threads)
+    vectors_path = settings.require_path("vectors")
+    ids, matrix = embed.load_external_vectors(vectors_path, settings.threads)
+    if len(ids) < 2:
+        raise DataFormatError(f"{vectors_path}: need at least 2 rows to fit, got {len(ids)}")
     model = pca.fit_pca(matrix, config["variance"])
+    reduced = pca.transform(model, matrix)
+    del matrix  # not held while the outputs are written
     out, model_out = settings.out_path("out"), settings.out_path("model_out")
-    embed.write_vectors(out, (ids, pca.transform(model, matrix)), settings.threads)
+    embed.write_vectors(out, (ids, reduced), settings.threads)
     pca.save_model(model, model_out)
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
                 model.dim, model.k,
@@ -289,8 +293,12 @@ def stage_pca(settings: _Settings, config: dict) -> None:
 
 def stage_eccentricity(settings: _Settings, config: dict) -> None:
     c = _load_corpus(settings)
-    vectors = embed.load_external_vectors(settings.require_path("vectors"), settings.threads)
-    records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
+    vectors_path = settings.require_path("vectors")
+    vectors = embed.load_external_vectors(vectors_path, settings.threads)
+    try:
+        records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
+    except cloud.MissingVectorError as exc:
+        raise DataFormatError(f"{vectors_path}: {exc}") from None
     out = settings.out_path("out")
     cloud.write_records_csv(records, out)
     defined = sum(1 for r in records if r.eccentricity is not None)

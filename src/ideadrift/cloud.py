@@ -18,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._np import np
 from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
-from .embed import Vectors
+from .embed import Vectors, dense_rows
 from .errors import DataFormatError, check_positive
 
 DEFAULT_WINDOW_SECONDS = 5 * 86400
@@ -36,6 +36,10 @@ class EccentricityRecord(NamedTuple):
 
 
 RECORD_FIELDS = EccentricityRecord._fields
+
+
+class MissingVectorError(DataFormatError):
+    """A post of the corpus has no row in the vectors."""
 
 
 # Float64 values allowed in one temporary of the replay kernel (256 KiB). Work
@@ -64,7 +68,7 @@ def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
     return lo, hi, t // window
 
 
-def _segment_prefix_sums(matrix: np.ndarray, rows: np.ndarray, seg_first: np.ndarray,
+def _segment_prefix_sums(matrix, rows: np.ndarray, seg_first: np.ndarray,
                          seg_len: np.ndarray) -> np.ndarray:
     """Exclusive prefix sums of ``x - ref`` within each segment, where ``x`` is
     ``matrix[rows]``, gathered a chunk at a time.
@@ -84,7 +88,7 @@ def _segment_prefix_sums(matrix: np.ndarray, rows: np.ndarray, seg_first: np.nda
         for i in range(0, len(segs), step):
             part = segs[i:i + step]
             pos = seg_first[part, None] + np.arange(length)
-            dev = matrix[rows[pos]]
+            dev = dense_rows(matrix, rows[pos])
             dev -= dev[:, :1].copy()
             np.cumsum(dev, axis=1, out=dev)
             out[pos + part[:, None] + 1] = dev
@@ -102,7 +106,8 @@ def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
 def _part_sums(matrix, prefix, ref, v, seg, a, b):
     """``sum(v - x)`` over sorted positions [a, b) of segment ``seg``, row-wise;
     ``ref`` holds each segment's reference row of ``matrix``."""
-    return (b - a)[:, None] * (v - matrix[ref[seg]]) - (prefix[b + seg] - prefix[a + seg])
+    return ((b - a)[:, None] * (v - dense_rows(matrix, ref[seg]))
+            - (prefix[b + seg] - prefix[a + seg]))
 
 
 def _row_index(vectors: Vectors) -> dict[str, int]:
@@ -132,7 +137,7 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
     try:
         src = np.fromiter((row[p.id] for p in posts), np.int64, n)
     except KeyError as exc:
-        raise DataFormatError(f"no vector for post {exc.args[0]!r}") from None
+        raise MissingVectorError(f"no vector for post {exc.args[0]!r}") from None
     if n == 0:
         return [], [], [], []
     lo, hi, block = _window_bounds(posts, window_seconds)
@@ -180,7 +185,7 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
         late = seg_of[np.maximum(hi_pos - 1, 0)]
         mid = np.clip(seg_first[late], lo_pos, hi_pos)
         early = seg_of[np.minimum(lo_pos, n - 1)]
-        v = matrix[src[post]]
+        v = dense_rows(matrix, src[post])
         total = (_part_sums(matrix, prefix, ref, v, early, lo_pos, mid)
                  + _part_sums(matrix, prefix, ref, v, late, mid, hi_pos))
         size = hi_pos - lo_pos
@@ -241,14 +246,14 @@ def eccentricity_oracle(
     neighborhood = ego_neighborhood(corpus.graph, target.author)
     t = target.created_at
     lo = t - window_seconds
-    cloud = [matrix[row[p.id]] for p in corpus.posts
-             if lo <= p.created_at < t and p.author in neighborhood]
-    own = [matrix[row[p.id]] for p in corpus.posts
-           if lo <= p.created_at < t and p.author == target.author]
-    vec = matrix[row[target.id]]
+    cloud = dense_rows(matrix, [row[p.id] for p in corpus.posts
+                                if lo <= p.created_at < t and p.author in neighborhood])
+    own = dense_rows(matrix, [row[p.id] for p in corpus.posts
+                              if lo <= p.created_at < t and p.author == target.author])
+    vec = dense_rows(matrix, row[target.id])
 
-    def distance(members: list[np.ndarray]) -> float | None:
-        if not members:
+    def distance(members: np.ndarray) -> float | None:
+        if not len(members):
             return None
         mean = [math.fsum(d) / len(members) for d in zip(*(vec - x for x in members))]
         return math.sqrt(math.fsum(m * m for m in mean))

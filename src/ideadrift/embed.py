@@ -34,12 +34,82 @@ DEFAULT_HASH_SEED = 9172023
 # fork costs there.
 READ_PART_BYTES = 1 << 20
 WRITE_PART_VALUES = 1 << 15
-# values a reader checks to be finite at once
+# values a reader checks to be finite at once, and embed_all holds dense
 _CHECK_VALUES = 1 << 15
 _BLOCK = 1 << 20  # bytes read at a time to count lines
 
-# vectors: post ids and a 2-D float64 matrix with one row per id
-Vectors = tuple[Sequence[str], "np.ndarray"]
+# rows of a CsrMatrix that the writer formats at a time: the floats and
+# strings of 1,024 rows of perfbench's text took 4.4 MB, of 128 rows 0.6 MB
+_WRITE_BATCH_ROWS = 128
+
+
+class CsrMatrix:
+    """A float64 matrix in compressed sparse row form: row i holds the values
+    ``data[indptr[i]:indptr[i + 1]]`` at the ascending columns
+    ``indices[indptr[i]:indptr[i + 1]]`` and 0.0 everywhere else. No stored
+    value is 0.0 by its int64 view, so a stored -0.0 keeps its sign."""
+
+    __slots__ = ("data", "indices", "indptr", "shape")
+    ndim = 2
+
+    def __init__(self, data: np.ndarray, indices: np.ndarray, indptr: np.ndarray,
+                 shape: tuple[int, int]):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = shape
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    @classmethod
+    def from_dense(cls, dense: np.ndarray) -> CsrMatrix:
+        """The rows of a 2-D float64 array, keeping each value whose int64
+        view is nonzero."""
+        stored = dense.view(np.int64) != 0
+        indptr = np.zeros(len(dense) + 1, dtype=np.intp)
+        np.cumsum(np.count_nonzero(stored, axis=1), out=indptr[1:])
+        return cls(dense[stored], np.nonzero(stored)[1], indptr, dense.shape)
+
+    @classmethod
+    def stack(cls, parts: Sequence[CsrMatrix], dim: int) -> CsrMatrix:
+        """The rows of ``parts``, one after another, of ``dim`` columns."""
+        indptr = np.cumsum(np.concatenate(
+            [np.zeros(1, np.intp), *(np.diff(part.indptr) for part in parts)]))
+        return cls(np.concatenate([np.zeros(0), *(part.data for part in parts)]),
+                   np.concatenate([np.zeros(0, np.intp), *(part.indices for part in parts)]),
+                   indptr, (len(indptr) - 1, dim))
+
+    def take(self, rows: np.ndarray) -> CsrMatrix:
+        """The rows at the 1-D integer index ``rows``, in its order."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(counts, out=indptr[1:])
+        at = np.repeat(starts - indptr[:-1], counts) + np.arange(indptr[-1])
+        return CsrMatrix(self.data[at], self.indices[at], indptr, (len(rows), self.shape[1]))
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[np.repeat(np.arange(len(self)), np.diff(self.indptr)), self.indices] = self.data
+        return dense
+
+
+# vectors: post ids and a matrix with one row per id, either a 2-D float64
+# array or, for mostly-zero rows, a CsrMatrix; read rows with dense_rows
+Vectors = tuple[Sequence[str], "np.ndarray | CsrMatrix"]
+
+
+def dense_rows(matrix: np.ndarray | CsrMatrix, rows) -> np.ndarray:
+    """``matrix[rows]`` as a float64 array, for either kind of vector matrix.
+
+    ``rows`` is a slice, an int or an integer index array of any shape; a
+    slice of a float64 array is a view. This is the one reader of rows that
+    knows both kinds.
+    """
+    if not isinstance(matrix, CsrMatrix):
+        return np.asarray(matrix[rows], dtype=float)
+    index = (np.arange(*rows.indices(len(matrix))) if isinstance(rows, slice)
+             else np.asarray(rows, dtype=np.intp))
+    return matrix.take(index.ravel()).toarray().reshape(*index.shape, matrix.shape[1])
 
 
 def _hash64(token: str, seed: int, person: bytes) -> int:
@@ -105,20 +175,48 @@ def embed(model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
     Each in-vocabulary token contributes tf * idf * sign to its hash bucket;
     tokens are accumulated in sorted order so the float sum is reproducible.
     """
-    return _embed_into(np.zeros(model.dim), model, tokens)
+    row = np.zeros(model.dim)
+    sums = _bucket_sums(model, tokens)
+    if sums:
+        row[list(sums)] = list(sums.values())
+        norm = math.sqrt(row.dot(row))  # as np.linalg.norm computes it
+        if norm > 0.0:
+            row /= norm
+    return row
 
 
 def embed_all(model: VectorizerModel, docs: Sequence[tuple[str, Sequence[str]]]) -> Vectors:
-    """Embed (id, tokens) pairs as vectors: the ids and one row per id."""
-    matrix = np.zeros((len(docs), model.dim))
-    for row, (_, tokens) in zip(matrix, docs):
-        _embed_into(row, model, tokens)
-    return [doc_id for doc_id, _ in docs], matrix
+    """Embed (id, tokens) pairs as vectors: the ids and a CsrMatrix with one
+    row per id, each bitwise the dense row ``embed`` gives.
+
+    The rows are summed into one reused dense block of ``_CHECK_VALUES``
+    values at a time, where each row's norm is taken (the order in which BLAS
+    adds a dot product depends on the columns of its values) and its
+    normalized nonzero values are kept.
+    """
+    block = np.zeros((max(1, _CHECK_VALUES // model.dim), model.dim))
+    pieces = []
+    for start in range(0, len(docs), len(block)):
+        batch = docs[start:start + len(block)]
+        chunk = block[:len(batch)]
+        counts: list[int] = []
+        cols: list[int] = []
+        sums: list[float] = []
+        for _, tokens in batch:
+            bucket_sums = _bucket_sums(model, tokens)
+            counts.append(len(bucket_sums))
+            cols += bucket_sums
+            sums += bucket_sums.values()
+        chunk[np.repeat(np.arange(len(batch)), counts), cols] = sums
+        norms = [math.sqrt(values.dot(values)) for values in chunk]  # as np.linalg.norm
+        chunk /= np.array([norm if norm > 0.0 else 1.0 for norm in norms])[:, None]
+        pieces.append(CsrMatrix.from_dense(chunk))
+        chunk.fill(0.0)
+    return [doc_id for doc_id, _ in docs], CsrMatrix.stack(pieces, model.dim)
 
 
-def _embed_into(row: np.ndarray, model: VectorizerModel, tokens: Sequence[str]) -> np.ndarray:
-    """``embed`` written into ``row``, a zeroed float64 vector: the sums of
-    the buckets the tokens hash to are set, then the row is normalized."""
+def _bucket_sums(model: VectorizerModel, tokens: Sequence[str]) -> dict[int, float]:
+    """Per hash bucket the tokens reach, the sum of their tf * idf * sign."""
     terms = model.terms
     sums: dict[int, float] = {}
     tf = Counter(tokens)
@@ -128,12 +226,7 @@ def _embed_into(row: np.ndarray, model: VectorizerModel, tokens: Sequence[str]) 
             bucket, weight = term
             # weight is idf * (+-1), so this is bitwise tf * idf * sign
             sums[bucket] = sums.get(bucket, 0.0) + tf[token] * weight
-    if sums:
-        row[list(sums)] = list(sums.values())
-        norm = math.sqrt(row.dot(row))  # as np.linalg.norm computes it
-        if norm > 0.0:
-            row /= norm
-    return row
+    return sums
 
 
 class _Part(NamedTuple):
@@ -143,45 +236,54 @@ class _Part(NamedTuple):
     lines: list[int]  # the line number of each id
     first: tuple[int, int] | None  # the line and dimension of the part's first vector
     error: str | None  # the DataFormatError text of its first bad line
-    rows: np.ndarray | None  # part 0's matrix; a later part leaves its rows in its spool
+    nonzero: int  # values read that are not 0.0 by their int64 view
+    # the part's rows: a CsrMatrix, part 0's dense matrix, or None for a later
+    # part's dense rows, left in its spool
+    rows: np.ndarray | CsrMatrix | None
 
 
 def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
     """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines as vectors:
-    the ids and a float64 matrix with one row per id, in ascending id order
-    whatever the order of the lines.
+    the ids and a matrix with one row per id, in ascending id order whatever
+    the order of the lines. The matrix is a CsrMatrix when fewer than half
+    the values are nonzero by their int64 view, as ``write_vectors`` decides,
+    and a float64 array otherwise.
 
     Each vec must be a non-empty list of JSON numbers (not strings or
     booleans), and all lines must share one dimension; a line that is not
     UTF-8, duplicate ids and non-finite values are fatal, each naming its
     line. With several bad lines, the first one is named, at any ``threads``.
 
-    A first pass counts the lines, which size the one matrix, and cuts the
-    file at line starts into ``_parts.count(threads, file size,
-    READ_PART_BYTES)`` parts. Part 0 is parsed here straight into the matrix;
-    each later part is parsed by a forked process, which sends back its ids,
-    their line numbers and its first bad line and leaves its rows in an
-    unlinked temporary file, read from there into the matrix.
+    A first pass counts the lines and cuts the file at line starts into
+    ``_parts.count(threads, file size, READ_PART_BYTES)`` parts. Part 0 is
+    parsed here; each later part is parsed by a forked process, which sends
+    back its ids, their line numbers and its first bad line. A part parses
+    about ``_CHECK_VALUES`` values at a time into one buffer, and its first
+    buffer decides how it keeps them: as CSR if that buffer is mostly zero,
+    else dense (in the one matrix for part 0; in an unlinked temporary file,
+    read from there, for a later part). Parts that kept the other kind are
+    converted when they are joined, so a mostly-zero file is never held as
+    a dense matrix unless a part of it starts dense.
     """
     with open(path, "rb") as fh:
         spans = _line_spans(fh, threads)
     n_lines = sum(count for _, _, count in spans)
     ids: list[str] = []
     seen: set[str] = set()
-    matrix = np.empty((0, 0))  # also loads numpy before the parts fork
+    dim = 0
+    np.empty(0)  # loads numpy before the parts fork
     with ExitStack() as stack:
         spools = [None, *(stack.enter_context(tempfile.TemporaryFile()) for _ in spans[1:])]
         parts = _parts.run(functools.partial(_read_part, path), [
             (*span, n_lines if k == 0 else span[2], spool)
             for k, (span, spool) in enumerate(zip(spans, spools))])
-        for k, (part, spool) in enumerate(zip(parts, spools)):
+        for k, part in enumerate(parts):
             if part.first is not None:
-                lineno, dim = part.first
-                if ids and dim != matrix.shape[1]:
+                lineno, part_dim = part.first
+                if ids and part_dim != dim:
                     raise DataFormatError(f"{path}:{lineno}: bad vector line "
-                                          f"(dimension {dim} != {matrix.shape[1]} seen earlier)")
-                if not ids:
-                    matrix = part.rows if part.rows is not None else np.empty((n_lines, dim))
+                                          f"(dimension {part_dim} != {dim} seen earlier)")
+                dim = part_dim
             if not seen.isdisjoint(part.ids):
                 post_id, lineno = next(
                     (i, line) for i, line in zip(part.ids, part.lines) if i in seen)
@@ -189,19 +291,48 @@ def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
                                       f"(duplicate id {post_id!r})")
             if part.error is not None:
                 raise DataFormatError(part.error)
-            if spool is not None and part.ids:
-                rows = matrix[len(ids):len(ids) + len(part.ids)]
-                spool.seek(0)
-                if spool.readinto(rows.data) != rows.nbytes:
-                    raise ChildProcessError(f"{path}: part {k} left too few rows")
             if k + 1 < len(parts):  # later parts are checked against it
                 seen.update(part.ids)
             ids += part.ids
-    matrix = matrix[:len(ids)]
+        if not ids:
+            return [], np.empty((0, 0))
+        sparse = 2 * sum(part.nonzero for part in parts) < len(ids) * dim
+        matrix = _join(path, parts, spools, n_lines, dim, sparse)
     if all(map(str.__lt__, ids, ids[1:])):  # already in id order, as every writer leaves it
         return ids, matrix
     order = sorted(range(len(ids)), key=ids.__getitem__)
+    if sparse:
+        return [ids[i] for i in order], matrix.take(np.array(order, dtype=np.intp))
     return [ids[i] for i in order], matrix[order]
+
+
+def _join(path: str | Path, parts: list[_Part], spools: list, n_lines: int, dim: int,
+          sparse: bool) -> np.ndarray | CsrMatrix:
+    """The rows of every part, one after another, as a CsrMatrix if
+    ``sparse`` and else as one dense matrix."""
+    def spooled(k: int, rows: np.ndarray) -> np.ndarray:
+        spools[k].seek(0)
+        if spools[k].readinto(rows.data) != rows.nbytes:
+            raise ChildProcessError(f"{path}: part {k} left too few rows")
+        return rows
+
+    if sparse:
+        return CsrMatrix.stack([
+            part.rows if isinstance(part.rows, CsrMatrix)
+            else CsrMatrix.from_dense(part.rows[:len(part.ids)] if k == 0
+                                      else spooled(k, np.empty((len(part.ids), dim))))
+            for k, part in enumerate(parts) if part.ids], dim)
+    first = parts[0].rows
+    matrix = first if isinstance(first, np.ndarray) else np.empty((n_lines, dim))
+    start = 0
+    for k, part in enumerate(parts):
+        rows = matrix[start:start + len(part.ids)]
+        if isinstance(part.rows, CsrMatrix):
+            rows[:] = part.rows.toarray()
+        elif k and part.ids:
+            spooled(k, rows)
+        start += len(part.ids)
+    return matrix[:start]
 
 
 def _line_spans(fh: BinaryIO, threads: int) -> list[tuple[int, int, int]]:
@@ -232,33 +363,49 @@ def _line_spans(fh: BinaryIO, threads: int) -> list[tuple[int, int, int]]:
 def _read_part(path: str | Path,
                span: tuple[int, int, int, int, BinaryIO | None]) -> _Part:
     """Read ``count`` lines of a vectors file from byte ``offset``, numbered
-    from ``first``, into a matrix of ``n_rows`` rows; a part with a ``spool``
-    writes its rows there and returns none.
+    from ``first``; part 0 (with no ``spool``) keeps dense rows in a matrix
+    of ``n_rows`` rows, a later part writes them to its ``spool``.
 
-    Rows are checked to be finite about ``_CHECK_VALUES`` values at a time.
-    Before a bad line is reported, the rows read ahead of it are checked, so
-    the error and the ids returned are those of a line-by-line read that
-    stops at the first bad line.
+    Rows are parsed into a buffer and checked to be finite about
+    ``_CHECK_VALUES`` values at a time, then kept (see
+    ``load_external_vectors``). Before a bad line is reported, the rows read
+    ahead of it are checked, so the error and the ids returned are those of
+    a line-by-line read that stops at the first bad line.
     """
     offset, first_line, count, n_rows, spool = span
     ids: list[str] = []
     lines: list[int] = []
     seen: set[str] = set()
-    first = rows = error = None
-    checked = 0  # rows checked to be finite
+    first = buffer = dense = error = None
+    pieces: list[CsrMatrix] | None = None  # the kept rows, when kept as CSR
+    kept = nonzero = 0  # rows checked and kept; their nonzero values
 
     def check() -> None:
-        """Check the rows read since the last check; for the first one with a
+        """Check and keep the rows in the buffer; for the first one with a
         non-finite value, drop the ids from its line on and raise."""
-        nonlocal checked
-        finite = np.isfinite(rows[checked:len(ids)]).all(axis=1)
+        nonlocal kept, nonzero, dense, pieces
+        rows = buffer[:len(ids) - kept]
+        finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
-            bad = checked + int(finite.argmin())
+            bad = kept + int(finite.argmin())
             lineno, post_id = lines[bad], ids[bad]
             del ids[bad:], lines[bad:]
             raise DataFormatError(f"{path}:{lineno}: bad vector line "
                                   f"(non-finite component for {post_id!r})")
-        checked = len(ids)
+        rows_nonzero = int(np.count_nonzero(rows.view(np.int64)))
+        if not kept:  # the first rows decide the kind
+            if 2 * rows_nonzero < rows.size:
+                pieces = []
+            elif spool is None:
+                dense = np.empty((n_rows, rows.shape[1]))
+        if pieces is not None:
+            pieces.append(CsrMatrix.from_dense(rows))
+        elif spool is None:
+            dense[kept:len(ids)] = rows
+        else:
+            spool.write(rows.data)
+        nonzero += rows_nonzero
+        kept = len(ids)
 
     try:
         for lineno, line in utf8_lines(path, offset, first_line, count):
@@ -275,10 +422,10 @@ def _read_part(path: str | Path,
                     raise ValueError("vec must be a non-empty list of numbers")
                 if first is None:
                     first = (lineno, len(raw))
-                    rows = np.empty((n_rows, len(raw)))
+                    buffer = np.empty((max(1, _CHECK_VALUES // len(raw)), len(raw)))
                 elif len(raw) != first[1]:
                     raise ValueError(f"dimension {len(raw)} != {first[1]} seen earlier")
-                rows[len(ids)] = raw  # OverflowError for an int beyond float64
+                buffer[len(ids) - kept] = raw  # OverflowError for an int beyond float64
             except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
             ids.append(post_id)
@@ -289,23 +436,24 @@ def _read_part(path: str | Path,
                 raise DataFormatError(f"{path}:{lineno}: bad vector line "
                                       f"(duplicate id {post_id!r})")
             seen.add(post_id)
-            if (len(ids) - checked) * first[1] >= _CHECK_VALUES:
+            if len(ids) - kept == len(buffer):
                 check()
-        if checked < len(ids):
+        if kept < len(ids):
             check()
     except DataFormatError as exc:
         error = str(exc)
-        if checked < len(ids):  # rows read before the bad line come first
+        if kept < len(ids):  # rows read before the bad line come first
             try:
                 check()
             except DataFormatError as earlier:
                 error = str(earlier)
-    if spool is None:  # part 0: its rows are the matrix
-        return _Part(ids, lines, first, error, rows)
-    if error is None and ids:
-        spool.write(rows[:len(ids)].data)
+    if error is not None or not ids:
+        return _Part(ids, lines, first, error, nonzero, None)
+    if pieces is not None:
+        return _Part(ids, lines, first, error, nonzero, CsrMatrix.stack(pieces, first[1]))
+    if spool is not None:
         spool.flush()
-    return _Part(ids, lines, first, error, None)
+    return _Part(ids, lines, first, error, nonzero, dense)
 
 
 def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
@@ -315,49 +463,59 @@ def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
     is escaped by its string encoder, and JSON writes a finite float by its
     ``repr``, so the components are joined directly. A non-finite component
     is written as ``nan``/``inf``, which ``load_external_vectors`` rejects.
-    In a float64 matrix of which fewer than half the values are nonzero, the
-    zeros are written as one shared ``0.0`` string and only the nonzero
-    values are formatted.
+    A float64 array of which fewer than half the values are nonzero is
+    written as a CsrMatrix: each row is a row of shared ``0.0`` strings with
+    only its stored values formatted.
 
-    The id-ordered rows are cut into ``_parts.count(threads, matrix.size,
-    WRITE_PART_VALUES)`` parts. Part 0 is written here; each later part is
-    written by a forked process to an unlinked temporary file beside
-    ``path``, which is then appended, so the bytes do not depend on
-    ``threads``.
+    The id-ordered rows are cut into ``_parts.count(threads, values,
+    WRITE_PART_VALUES)`` parts, where ``values`` are the values formatted:
+    the stored values of a CsrMatrix, else every value. Part 0 is written
+    here; each later part is written by a forked process to an unlinked
+    temporary file beside ``path``, which is then appended, so the bytes do
+    not depend on ``threads``.
     """
     ids, matrix = vectors
     order = sorted(range(len(ids)), key=ids.__getitem__)
     # the int64 view tells -0.0 from 0.0, so only the zeros repr writes as
     # "0.0" are shared
-    sparse = (matrix.dtype == np.float64
-              and 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size)
-    parts = _parts.slices(len(order), _parts.count(threads, matrix.size, WRITE_PART_VALUES))
+    if (not isinstance(matrix, CsrMatrix) and matrix.dtype == np.float64
+            and 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size):
+        matrix = CsrMatrix.from_dense(matrix)
+    values = len(matrix.data) if isinstance(matrix, CsrMatrix) else matrix.size
+    parts = _parts.slices(len(order), _parts.count(threads, values, WRITE_PART_VALUES))
     with open(path, "wb") as out, ExitStack() as stack:
         spools = [out, *(stack.enter_context(tempfile.TemporaryFile(dir=Path(path).parent))
                          for _ in parts[1:])]
-        _parts.run(functools.partial(_write_rows, ids, matrix, order, sparse),
+        _parts.run(functools.partial(_write_rows, ids, matrix, order),
                    list(zip(spools, parts)))
         for spool in spools[1:]:
             spool.seek(0)
             shutil.copyfileobj(spool, out)
 
 
-def _write_rows(ids: Sequence[str], matrix: np.ndarray, order: list[int], sparse: bool,
+def _write_rows(ids: Sequence[str], matrix: np.ndarray | CsrMatrix, order: list[int],
                 part: tuple[BinaryIO, slice]) -> None:
-    """Write the lines of ``order[rows]`` to ``out``, as text. With
-    ``sparse``, each row is a copy of a row of ``0.0`` strings with its
-    nonzero cells (by their int64 view) set to their ``repr``."""
+    """Write the lines of ``order[rows]`` to ``out``, as text. The rows of a
+    CsrMatrix are taken ``_WRITE_BATCH_ROWS`` at a time, and each line is a
+    copy of a row of ``0.0`` strings with its stored cells set to their
+    ``repr``."""
     out, rows = part
     text = io.TextIOWrapper(out, encoding="utf-8")
-    zeros = ["0.0"] * matrix.shape[1]
-    for row in order[rows]:
-        if sparse:
-            values = matrix[row]
-            cols = np.flatnonzero(values.view(np.int64))
-            cells = zeros.copy()
-            for col, cell in zip(cols.tolist(), map(repr, values[cols].tolist())):
-                cells[col] = cell
-        else:
-            cells = map(repr, matrix[row].tolist())
-        text.write('{"id":%s,"vec":[%s]}\n' % (_json_string(ids[row]), ",".join(cells)))
+    if isinstance(matrix, CsrMatrix):
+        zeros = ["0.0"] * matrix.shape[1]
+        part_order = order[rows]
+        for start in range(0, len(part_order), _WRITE_BATCH_ROWS):
+            batch = part_order[start:start + _WRITE_BATCH_ROWS]
+            block = matrix.take(np.array(batch, dtype=np.intp))
+            bounds = block.indptr.tolist()
+            cols, cells = block.indices.tolist(), list(map(repr, block.data.tolist()))
+            for row, lo, hi in zip(batch, bounds, bounds[1:]):
+                line = zeros.copy()
+                for col, cell in zip(cols[lo:hi], cells[lo:hi]):
+                    line[col] = cell
+                text.write('{"id":%s,"vec":[%s]}\n' % (_json_string(ids[row]), ",".join(line)))
+    else:
+        for row in order[rows]:
+            text.write('{"id":%s,"vec":[%s]}\n' % (
+                _json_string(ids[row]), ",".join(map(repr, matrix[row].tolist()))))
     text.detach()  # flushed into out, which stays open

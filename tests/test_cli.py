@@ -100,6 +100,16 @@ class TestEccentricityStage:
                      "--out", str(tmp_path / "out.csv")])
         assert code == 2
 
+    def test_missing_vector_names_the_vectors_file(self, worked_example, tmp_path, caplog):
+        partial = worked_example / "partial.jsonl"
+        write_jsonl(partial, [{"id": "p2", "vec": [0.0]}, {"id": "p3", "vec": [1.0]}])
+        code = main(["eccentricity",
+                     "--posts", str(worked_example / "posts.jsonl"),
+                     "--edges", str(worked_example / "edges.jsonl"),
+                     "--vectors", str(partial), "--out", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert f"{partial}: no vector for post 'p1'" in caplog.text
+
     def test_rerun_byte_identical(self, worked_example):
         args = ["eccentricity",
                 "--posts", str(worked_example / "posts.jsonl"),
@@ -1303,6 +1313,16 @@ class TestVectorReaderStages:
         rows = text.count("\n")
         assert f"need at least 2 rows to fit, got {rows}" in caplog.text
         assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["", '{"id":"p1","vec":[1.0,2.0]}\n'],
+                             ids=["empty", "one-line"])
+    def test_pca_under_two_rows_names_the_vectors_file(self, tmp_path, caplog, text):
+        vectors = tmp_path / "vectors.jsonl"
+        vectors.write_text(text)
+        out = tmp_path / "out"
+        assert main(["pca", "--vectors", str(vectors), "--out", str(out / "reduced.jsonl"),
+                     "--model-out", str(out / "pca.json")]) == 2
+        assert f"{vectors}: need at least 2 rows to fit, got {text.count(chr(10))}" in caplog.text
 
 
 class TestSeedBounds:

@@ -10,6 +10,7 @@ from ideadrift.cloud import (
     RECORD_FIELDS, eccentricity_oracle, read_records_csv, replay, write_records_csv,
 )
 from ideadrift.corpus import Post, SocialGraph, build_corpus, ego_neighborhood
+from ideadrift.embed import CsrMatrix
 from ideadrift.errors import DataFormatError
 from ideadrift.synth import SynthConfig, gen_corpus
 
@@ -93,6 +94,11 @@ class TestReplayWorkedExamples:
     def test_missing_vector_fatal_with_id(self):
         corpus = corpus_of([Post("p9", "a", 0, "", 0)], ["a"], [])
         with pytest.raises(DataFormatError, match="p9"):
+            replay(corpus, (["p1"], np.zeros((1, 2))), WINDOW)
+
+    def test_missing_vector_is_a_missing_vector_error(self):
+        corpus = corpus_of([Post("p9", "a", 0, "", 0)], ["a"], [])
+        with pytest.raises(cloud.MissingVectorError, match="no vector for post 'p9'"):
             replay(corpus, (["p1"], np.zeros((1, 2))), WINDOW)
 
     def test_dimension_mismatch_fatal_with_id(self):
@@ -361,3 +367,28 @@ class TestRecordsCsv:
         path.write_text(",".join(RECORD_FIELDS) + "\np1,a,0,0,,,0,0\n" + row + "\n")
         with pytest.raises(DataFormatError, match=f"{path}:3:"):
             read_records_csv(path)
+
+
+class TestCsrVectors:
+    """Replay and the oracle read a CsrMatrix as they read its dense rows."""
+
+    @staticmethod
+    def sparse_corpus():
+        cfg = SynthConfig(n_users=25, follow_prob=0.2, n_days=6,
+                          posts_per_user_per_day=3, dim=12, seed=31, effect="null")
+        corpus, (ids, matrix), _ = gen_corpus(cfg)
+        rng = np.random.default_rng(31)
+        dense = np.where(rng.random(matrix.shape) < 0.2, matrix, 0.0)
+        dense[::7] = 0.0  # all-zero rows
+        dense[3::11, 5] = -0.0
+        return corpus, (ids, dense), (ids, CsrMatrix.from_dense(dense))
+
+    def test_replay_records_equal(self):
+        corpus, dense, csr = self.sparse_corpus()
+        assert replay(corpus, csr, WINDOW) == replay(corpus, dense, WINDOW)
+
+    def test_oracle_equal(self):
+        corpus, dense, csr = self.sparse_corpus()
+        for post in corpus.posts[::9]:
+            assert (eccentricity_oracle(corpus, csr, WINDOW, post.id)
+                    == eccentricity_oracle(corpus, dense, WINDOW, post.id))

@@ -121,8 +121,8 @@ class TestEmbed:
         model = fit_vectorizer([["a"], ["b"]], dim=8, min_count=1)
         ids, matrix = embed_all(model, [("d1", ["a"]), ("d2", ["b"])])
         assert ids == ["d1", "d2"]
-        assert matrix.shape == (2, 8)
-        assert_array_equal(matrix, [embed(model, ["a"]), embed(model, ["b"])])
+        assert isinstance(matrix, embed_module.CsrMatrix) and matrix.shape == (2, 8)
+        assert_array_equal(matrix.toarray(), [embed(model, ["a"]), embed(model, ["b"])])
 
 
 @pytest.mark.usefixtures("parts")
@@ -469,3 +469,187 @@ class TestHashSeedBounds:
     def test_largest_accepted(self):
         model = fit_vectorizer([["a"]], dim=4, min_count=1, hash_seed=2**64 - 1)
         assert model.hash_seed == 2**64 - 1
+
+
+def mostly_zero(rng, n, d, density=0.1):
+    """An n x d float64 matrix about ``density`` nonzero, with a stored -0.0,
+    an all-zero row and a row of one denormal, if n allows."""
+    matrix = np.where(rng.random((n, d)) < density, rng.standard_normal((n, d)), 0.0)
+    for row, value in ((0, -0.0), (1, None), (2, 5e-324)):
+        if row < n:
+            matrix[row] = 0.0
+            if value is not None:
+                matrix[row, d // 2] = value
+    return matrix
+
+
+def as_dense(matrix):
+    return embed_module.dense_rows(matrix, slice(None))
+
+
+class TestCsrMatrix:
+    def test_from_dense_matches_scipy(self):
+        sparse = pytest.importorskip("scipy.sparse")
+        dense = mostly_zero(np.random.default_rng(40), 50, 13)
+        csr = embed_module.CsrMatrix.from_dense(dense)
+        oracle = sparse.csr_array(dense)  # drops 0.0 and -0.0 alike
+        assert csr.shape == oracle.shape and len(csr) == 50
+        assert np.signbit(csr.data).sum() == np.signbit(dense).sum()  # -0.0 is stored
+        keep = csr.data != 0.0
+        assert_array_equal(csr.data[keep], oracle.data)
+        assert_array_equal(csr.indices[keep], oracle.indices)
+        assert csr.toarray().tobytes() == dense.tobytes()
+
+    def test_take_and_stack(self):
+        dense = mostly_zero(np.random.default_rng(41), 30, 7)
+        csr = embed_module.CsrMatrix.from_dense(dense)
+        rows = np.array([29, 0, 1, 1, 17])
+        assert csr.take(rows).toarray().tobytes() == dense[rows].tobytes()
+        halves = [embed_module.CsrMatrix.from_dense(dense[:12]),
+                  embed_module.CsrMatrix.from_dense(dense[12:])]
+        assert embed_module.CsrMatrix.stack(halves, 7).toarray().tobytes() == dense.tobytes()
+        assert embed_module.CsrMatrix.stack([], 7).shape == (0, 7)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(3, 9), 4,
+                                      np.array([[5, 0], [2, 2]]), np.array([], dtype=int)],
+                             ids=["all", "slice", "int", "2-d", "empty"])
+    def test_dense_rows_reads_either_kind_alike(self, rows):
+        dense = mostly_zero(np.random.default_rng(42), 12, 5)
+        csr = embed_module.CsrMatrix.from_dense(dense)
+        got = embed_module.dense_rows(csr, rows)
+        assert got.shape == dense[rows].shape
+        assert got.tobytes() == embed_module.dense_rows(dense, rows).tobytes()
+
+
+class TestSparseEmbed:
+    def test_rows_are_bitwise_embed(self):
+        docs = [["apple", "pie", "apple"], ["unseen"], [], ["pie", "crust", "apple"],
+                ["crust"] * 3]
+        model = fit_vectorizer([docs[0], docs[3]], dim=4, min_count=1)
+        ids, matrix = embed_all(model, [(f"d{i}", doc) for i, doc in enumerate(docs)])
+        want = np.array([embed(model, doc) for doc in docs])
+        assert matrix.toarray().tobytes() == want.tobytes()
+        assert np.diff(matrix.indptr)[1] == 0  # an out-of-vocabulary row stores nothing
+
+    def test_cancelled_bucket_is_not_stored(self):
+        # dim 1 puts every term in bucket 0; two terms of opposite sign and
+        # equal idf cancel to 0.0, which the dense row holds and CSR leaves out
+        model = fit_vectorizer([["a", "b", "c", "d", "e", "f"]], dim=1, min_count=1)
+        signs = {t: w > 0 for t, (_, w) in model.terms.items()}
+        plus = next(t for t, s in signs.items() if s)
+        minus = next(t for t, s in signs.items() if not s)
+        _, matrix = embed_all(model, [("d", [plus, minus])])
+        assert embed(model, [plus, minus]).tobytes() == np.zeros(1).tobytes()
+        assert len(matrix.data) == 0 and matrix.toarray().tobytes() == np.zeros((1, 1)).tobytes()
+
+    def test_peak_memory_below_a_quarter_of_the_dense_matrix(self):
+        import tracemalloc
+
+        rng = np.random.default_rng(43)
+        vocabulary = [f"w{i}" for i in range(2000)]
+        docs = [(f"p{i:05d}", [vocabulary[j] for j in rng.integers(0, 2000, 6)])
+                for i in range(5000)]
+        model = fit_vectorizer([tokens for _, tokens in docs], dim=300, min_count=1)
+        tracemalloc.start()
+        try:
+            _, matrix = embed_all(model, docs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5000 * 300 * 8 / 4
+
+
+@pytest.mark.usefixtures("parts")
+class TestSparseVectorFiles:
+    def test_mostly_zero_file_reads_as_csr(self, tmp_path):
+        dense = mostly_zero(np.random.default_rng(44), 200, 9)
+        ids = [f"p{i:03d}" for i in range(len(dense))]
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (ids, dense))
+        loaded_ids, matrix = load_external_vectors(path)
+        assert loaded_ids == ids and isinstance(matrix, embed_module.CsrMatrix)
+        assert matrix.toarray().tobytes() == dense.tobytes()
+        assert np.signbit(matrix.data).any()  # the -0.0 kept its sign
+
+    def test_half_nonzero_file_reads_dense(self, tmp_path):
+        dense = np.zeros((4, 2))
+        dense[:, 0] = [1.0, -0.0, 2.0, 3.0]  # half the values, -0.0 among them
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (list("abcd"), dense))
+        _, matrix = load_external_vectors(path)
+        assert isinstance(matrix, np.ndarray) and matrix.tobytes() == dense.tobytes()
+
+    @pytest.mark.parametrize("dense_rows", ["first", "last"])
+    def test_parts_that_start_the_other_kind(self, tmp_path, monkeypatch, dense_rows):
+        # a few checked values at a time, so each part's first rows decide
+        # its kind, and the whole file decides the matrix's
+        monkeypatch.setattr(embed_module, "_CHECK_VALUES", 8)
+        rng = np.random.default_rng(45)
+        dense = mostly_zero(rng, 60, 4)
+        full = rng.standard_normal((20, 4))
+        for matrix in (np.concatenate((full, dense)) if dense_rows == "first"
+                       else np.concatenate((dense, full)),
+                       np.concatenate((dense[:10], rng.standard_normal((60, 4))))):
+            ids = [f"p{i:03d}" for i in range(len(matrix))]
+            path = tmp_path / "vectors.jsonl"
+            write_vectors(path, (ids, matrix))
+            loaded_ids, loaded = load_external_vectors(path)
+            sparse = 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size
+            assert isinstance(loaded, embed_module.CsrMatrix) == sparse
+            assert loaded_ids == ids and as_dense(loaded).tobytes() == matrix.tobytes()
+
+    def test_csr_lines_out_of_order_come_back_in_id_order(self, tmp_path):
+        dense = mostly_zero(np.random.default_rng(46), 30, 8)
+        ids = [f"p{i:02d}" for i in range(len(dense))]
+        order = np.random.default_rng(47).permutation(len(dense))
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(
+            json.dumps({"id": ids[i], "vec": dense[i].tolist()}, separators=(",", ":")) + "\n"
+            for i in order))
+        loaded_ids, loaded = load_external_vectors(path)
+        assert loaded_ids == ids and loaded.toarray().tobytes() == dense.tobytes()
+
+    def test_csr_and_dense_write_the_same_bytes(self, tmp_path):
+        dense = mostly_zero(np.random.default_rng(48), 70, 11)
+        ids = [f"p{i}" for i in np.random.default_rng(49).permutation(len(dense))]
+        csr = embed_module.CsrMatrix.from_dense(dense)
+        write_vectors(tmp_path / "csr.jsonl", (ids, csr))
+        lines = (tmp_path / "csr.jsonl").read_text().splitlines()
+        by_id = dict(zip(ids, dense.tolist()))
+        assert lines == [json.dumps({"id": i, "vec": by_id[i]}, separators=(",", ":"))
+                         for i in sorted(ids)]
+
+    def test_reader_peak_below_a_quarter_of_the_dense_matrix(self, tmp_path):
+        import tracemalloc
+
+        dense = mostly_zero(np.random.default_rng(50), 5000, 300, density=0.02)
+        ids = [f"p{i:05d}" for i in range(len(dense))]
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (ids, dense))
+        tracemalloc.start()
+        try:
+            _, matrix = load_external_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense.nbytes / 4
+        assert as_dense(matrix).tobytes() == dense.tobytes()
+
+
+class TestWritePartSizes:
+    def test_csr_parts_count_stored_values(self, tmp_path, monkeypatch):
+        counted = []
+        real = embed_module._parts.count
+
+        def count(threads, size, min_size):
+            counted.append(size)
+            return real(threads, size, min_size)
+
+        monkeypatch.setattr(embed_module._parts, "count", count)
+        dense = mostly_zero(np.random.default_rng(51), 40, 30)
+        ids = [f"p{i}" for i in range(len(dense))]
+        write_vectors(tmp_path / "a.jsonl", (ids, dense), threads=2)
+        write_vectors(tmp_path / "b.jsonl", (ids, embed_module.CsrMatrix.from_dense(dense)),
+                      threads=2)
+        write_vectors(tmp_path / "c.jsonl", (ids, dense + 1.0), threads=2)
+        assert counted == [np.count_nonzero(dense.view(np.int64))] * 2 + [dense.size]

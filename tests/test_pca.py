@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ideadrift import pca
+from ideadrift.embed import CsrMatrix
 from ideadrift.errors import DataFormatError
 from ideadrift.pca import PcaModel, fit_pca, save_model, transform
 
@@ -226,3 +227,100 @@ class TestPersistence:
             b'{"mean": [0.30000000000000004, -0.0], '
             b'"components": [[1.0, -0.0], [0.0, 1.0]], '
             b'"explained_variance": [1e+16, 5e-324]}\n')
+
+
+def sparse_data(seed, n, d, density=0.15):
+    """A mostly-zero n x d matrix with a stored -0.0 and an all-zero row."""
+    rng = np.random.default_rng(seed)
+    data = np.where(rng.random((n, d)) < density, rng.standard_normal((n, d)), 0.0)
+    data[0] = 0.0
+    data[0, d // 2] = -0.0
+    data[n // 2] = 0.0
+    return data
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def full_fit_reference(data):
+    """The mean and R factor as one dense matrix gives them: ``mean(axis=0)``
+    and the fold over ``data[start:start + rows] - mean``."""
+    n, d = data.shape
+    mean = data.mean(axis=0)
+    rows = max(d, pca._QR_VALUES // d)
+    r = np.empty((0, d))
+    for start in range(0, n, rows):
+        r = np.linalg.qr(np.concatenate((r, data[start:start + rows] - mean)), mode="r")
+    return mean, r
+
+
+class TestCsrAgainstDense:
+    """A CsrMatrix fits and projects bit for bit as its dense matrix does,
+    and the dense path as one full matrix does."""
+
+    @pytest.fixture(params=[(2, 3), (7, 5), (40, 5), (41, 5), (97, 5), (300, 1)],
+                    ids=["two-rows", "below-one-block", "two-blocks", "one-row-tail",
+                         "many-blocks", "one-column"])
+    def shape(self, request, monkeypatch):
+        # 40 values a block: 8 rows of 5 columns, so 41 rows end in one row
+        monkeypatch.setattr(pca, "_QR_VALUES", 40)
+        return request.param
+
+    def test_fit(self, shape):
+        data = sparse_data(sum(shape), *shape)
+        mean, r = full_fit_reference(data)
+        csr = CsrMatrix.from_dense(data)
+        assert same_bits(pca._column_means(csr, *shape), mean)
+        assert same_bits(pca._column_means(data, *shape), mean)
+        assert same_bits(pca._centered_r(csr, mean), r)
+        dense_model, csr_model = fit_pca(data, 0.9), fit_pca(csr, 0.9)
+        for field in ("mean", "components", "explained_variance"):
+            assert same_bits(getattr(csr_model, field), getattr(dense_model, field))
+        assert same_bits(dense_model.mean, mean)
+        assert csr_model.total_variance == dense_model.total_variance
+        assert same_bits(transform(csr_model, csr), transform(dense_model, data))
+
+    def test_all_zero_rows(self):
+        data = np.zeros((6, 4))
+        data[2, 1] = 3.0
+        model = fit_pca(CsrMatrix.from_dense(data), 1.0)
+        assert same_bits(model.mean, data.mean(axis=0))
+        assert same_bits(transform(model, CsrMatrix.from_dense(data)), transform(model, data))
+
+
+def orthonormal(seed, k, d):
+    return np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0][:k]
+
+
+class TestBlockedProjection:
+    @pytest.mark.parametrize("d, k", [(5, 1), (5, 3), (24, 2), (24, 24), (300, 2),
+                                      (300, 5), (300, 59), (300, 300)])
+    def test_bitwise_the_full_product(self, d, k):
+        model = PcaModel(np.random.default_rng(d).standard_normal(d), orthonormal(k, k, d),
+                         np.ones(k))
+        rows = pca._projection_blocks(10**9, d, k)[0].stop
+        rng = np.random.default_rng(k)
+        for n in sorted({1, 2, 3, rows - 1, rows, rows + 1, 2 * rows - 1, 2 * rows + 1,
+                         3 * rows + 7}):
+            data = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+            assert same_bits(transform(model, data), (data - model.mean) @ model.components.T), n
+
+    @pytest.mark.parametrize("n", [0, 1, 431, 432, 433, 864, 865, 1000])
+    def test_blocks_cover_the_rows_once(self, n):
+        blocks = pca._projection_blocks(n, 300, 59)
+        assert [i for b in blocks for i in range(n)[b]] == list(range(n))
+        assert all(b.stop - b.start >= 432 for b in blocks[:-1])
+        assert n < 432 or blocks[-1].stop - blocks[-1].start >= 432
+
+    def test_peak_memory_below_output_plus_half_the_matrix(self):
+        data = np.random.default_rng(23).normal(0, 1, (20_000, 50))
+        model = fit_pca(data, 0.9)
+        tracemalloc.start()
+        try:
+            reduced = transform(model, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < reduced.nbytes + data.nbytes / 2
