@@ -307,9 +307,15 @@ def stage_eccentricity(settings: _Settings, config: dict) -> None:
     _write_manifest(out, "eccentricity", settings, config)
 
 
+def _records(settings: _Settings):
+    """The rows of ``--records``, parsed one at a time as the stage asks for
+    them, so that no stage holds a record per post."""
+    return cloud.iter_rows(settings.require_path("records"), cloud.EccentricityRecord,
+                           cloud.RECORD_PARSERS)
+
+
 def stage_dynamics(settings: _Settings, config: dict) -> None:
-    records = cloud.read_records_csv(settings.require_path("records"))
-    rows = dynamics.user_dynamics(records, min_gap=config["min_gap"],
+    rows = dynamics.user_dynamics(_records(settings), min_gap=config["min_gap"],
                                   weighting=config["fg_weighting"])
     out = settings.out_path("out")
     dynamics.write_dynamics_csv(rows, out)
@@ -325,8 +331,7 @@ class _DensityRow(NamedTuple):  # one row of distributions.csv
 
 
 def stage_distributions(settings: _Settings, config: dict) -> None:
-    records = cloud.read_records_csv(settings.require_path("records"))
-    bins = stats.bin_by_popularity(records, config["bins"])
+    bins = stats.bin_by_popularity(_records(settings), config["bins"])
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"},
                                 threads=settings.threads)
     out_csv, out_summary = settings.out_path("out_csv"), settings.out_path("out_summary")
@@ -391,8 +396,9 @@ def stage_report(settings: _Settings, config: dict) -> None:
     popularity = _read_json_object(summary_path)
     bin_means = _bin_means(summary_path, popularity.get("bins", []))
     rows = dynamics.read_dynamics_csv(dynamics_path)
-    # checked, then copied byte for byte into densities.csv
-    cloud.read_rows(distributions_path, _DensityRow, (str, finite, finite))
+    # checked row by row, keeping none, then copied byte for byte into densities.csv
+    for _ in cloud.iter_rows(distributions_path, _DensityRow, (str, finite, finite)):
+        pass
     g_ecc = [d.g_ecc for d in rows if d.g_ecc is not None]
     g_self = [d.g_self for d in rows if d.g_self is not None]
     comparison = None

@@ -14,7 +14,7 @@ import csv
 import itertools
 import math
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from ._np import np
 from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
@@ -285,14 +285,16 @@ def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]
         writer.writerows(rows)
 
 
-def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], object]]) -> list:
-    """Rows of a CSV file headed ``row_type._fields``, each field parsed by the
-    matching entry of ``parsers``; blank lines are skipped. Lines come from
-    ``utf8_lines``, so a line that is not UTF-8 raises DataFormatError with
-    file:line, as do a row the CSV reader rejects (such as a field over its
-    size limit), a row with the wrong field count and an unparsable field."""
+def iter_rows(path: str | Path, row_type,
+              parsers: Sequence[Callable[[str], object]]) -> Iterator:
+    """Rows of a CSV file headed ``row_type._fields``, one at a time as they
+    are asked for, each field parsed by the matching entry of ``parsers``;
+    blank lines are skipped. Lines come from ``utf8_lines``, so a line that
+    is not UTF-8 raises DataFormatError with file:line, as do a header that
+    is not ``row_type._fields``, a row the CSV reader rejects (such as a
+    field over its size limit), a row with the wrong field count and an
+    unparsable field. The rows before a bad one have been yielded by then."""
     fields = row_type._fields
-    rows = []
     reader = csv.reader(line for _, line in utf8_lines(path))
     try:
         header = next(reader, None)
@@ -303,15 +305,17 @@ def read_rows(path: str | Path, row_type, parsers: Sequence[Callable[[str], obje
                 continue
             if len(row) != len(fields):
                 raise ValueError(f"{len(row)} fields, expected {len(fields)}")
-            rows.append(row_type._make([parse(cell) for parse, cell in zip(parsers, row)]))
+            yield row_type._make([parse(cell) for parse, cell in zip(parsers, row)])
     except DataFormatError:
         raise
     except (csv.Error, ValueError) as exc:
         raise DataFormatError(
             f"{path}:{reader.line_num}: bad {row_type.__name__} row ({exc})") from exc
-    return rows
+
+
+# the parser of each field of records.csv, in RECORD_FIELDS order
+RECORD_PARSERS = (str, str, int, int, optional_float, optional_float, int, int)
 
 
 def read_records_csv(path: str | Path) -> list[EccentricityRecord]:
-    return read_rows(path, EccentricityRecord, (str, str, int, int, optional_float,
-                                                optional_float, int, int))
+    return list(iter_rows(path, EccentricityRecord, RECORD_PARSERS))

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._np import pairwise_sum
-from .cloud import EccentricityRecord, optional_float, read_rows, write_rows
+from .cloud import EccentricityRecord, iter_rows, optional_float, write_rows
 from .errors import DataFormatError, check_positive
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
@@ -102,7 +102,8 @@ def user_dynamics(
     defined points in a series get None for that (F, G) pair. Output is
     sorted by user id. ``min_gap`` and ``weighting`` are checked before any
     record is read, so a bad one raises DataFormatError even when no user
-    has two points.
+    has two points. ``records`` is read once and only each author's series
+    is kept, so it may be a generator such as ``cloud.iter_rows``.
     """
     _check_settings(min_gap, weighting)
     # author -> (neighborhood points, self points), each (t, post id, value)
@@ -131,4 +132,4 @@ def write_dynamics_csv(rows: Iterable[UserDynamics], path: str | Path) -> None:
 
 
 def read_dynamics_csv(path: str | Path) -> list[UserDynamics]:
-    return read_rows(path, UserDynamics, (str, int, *[optional_float] * 5))
+    return list(iter_rows(path, UserDynamics, (str, int, *[optional_float] * 5)))

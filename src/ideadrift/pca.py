@@ -12,6 +12,7 @@ from .embed import dense_rows
 from .errors import DataFormatError
 
 _EV_TIE_RTOL = 1e-9
+_EV_TIE_ATOL = 1e-15
 # values in one centered row block (at least D rows), as cloud._CHUNK_VALUES;
 # np.linalg.qr factors a copy of the stacked R and block, so a fold holds two
 _QR_VALUES = 1 << 17
@@ -52,11 +53,14 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 def _sort_ties(components: np.ndarray, variances: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Within groups of (near-)equal variances, order rows lexicographically.
     A group runs from its first row through each next row whose variance is
-    close to that first row's."""
-    start, group = 0, []  # per row, the index of its group's first row
-    for i, variance in enumerate(variances):
-        if not np.isclose(variance, variances[start], rtol=_EV_TIE_RTOL, atol=1e-15):
-            start = i
+    close to that first row's: ``|v - first| <= atol + rtol * |first|``, the
+    test ``np.isclose`` makes on finite float64, made here on Python floats
+    in one pass (``fit_pca``'s variances are finite)."""
+    group = []  # per row, the index of its group's first row
+    start, first = 0, math.nan  # no value is close to NaN, so row 0 opens a group
+    for i, variance in enumerate(variances.tolist()):
+        if not abs(variance - first) <= _EV_TIE_ATOL + _EV_TIE_RTOL * abs(first):
+            start, first = i, variance
         group.append(start)
     # lexsort's last key is its first: by group, then column by column
     order = np.lexsort((*components.T[::-1], group))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -971,6 +972,90 @@ class TestBadRecordRows:
         assert main(["dynamics", "--out", str(tmp_path / "dyn.csv"),
                      "--records", str(records)]) == 2
         assert f"{records}:1:" in caplog.text
+
+
+def _many_records(path, n):
+    """``n`` records of 40 authors, each eccentricity defined, likes in every
+    default bin; written as ``eccentricity`` writes them."""
+    rng = np.random.default_rng(5)
+    cloud.write_records_csv(
+        [cloud.EccentricityRecord(f"post{i:06d}", f"user{i % 40:03d}", 1_700_000_000 + 97 * i,
+                                  int(likes), float(e), float(se), 9, 3)
+         for i, (likes, e, se) in enumerate(zip(rng.integers(0, 300, n),
+                                                rng.uniform(0.0, 20.0, n),
+                                                rng.uniform(0.0, 20.0, n)))], path)
+    return path
+
+
+STREAMED_STAGES = {
+    "dynamics": ["dynamics", "--out", "{out}/dyn.csv"],
+    "distributions": ["distributions", "--out-csv", "{out}/d.csv",
+                      "--out-summary", "{out}/s.json"],
+}
+
+
+class TestStreamedRecords:
+    """``dynamics`` and ``distributions`` read records.csv a row at a time."""
+
+    # Both stages' peaks hold the 1 MiB block the input hash reads. On 6,000
+    # records, streaming dynamics peaked at 1.6 MB, and reading every record
+    # first at 2.9 MB; distributions at 1.6 MB, against 6.4 MB when it held
+    # the records and summed the kde in 4 MiB blocks.
+    @pytest.mark.parametrize("stage", sorted(STREAMED_STAGES))
+    def test_peak_memory_holds_no_record_per_post(self, tmp_path, stage):
+        records = _many_records(tmp_path / "records.csv", 6000)
+        args = ["--log-level", "ERROR", "--threads", "1",
+                *(arg.format(out=tmp_path / "out") for arg in STREAMED_STAGES[stage]),
+                "--records", str(records)]
+        assert main(args) == 0  # first-call caches are not counted below
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 1024 * 1024
+
+    @pytest.mark.parametrize("stage", sorted(STREAMED_STAGES))
+    def test_bad_row_mid_file_exit_2_and_write_nothing(self, tmp_path, caplog, stage):
+        records = _many_records(tmp_path / "records.csv", 3000)
+        lines = records.read_bytes().splitlines(keepends=True)
+        lines[1500] = b"post001499,user019,5,0,notafloat,,1,0\n"
+        records.write_bytes(b"".join(lines))
+        out = tmp_path / "out"
+        assert main([*(arg.format(out=out) for arg in STREAMED_STAGES[stage]),
+                     "--records", str(records)]) == 2
+        assert f"{records}:1501: bad EccentricityRecord row" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("stage", "flags", "message"), [
+        ("distributions", ["--bins", "100,10"], "thresholds must be strictly ascending"),
+        ("dynamics", ["--min-gap", "0"], "min_gap must be positive"),
+    ], ids=["bins", "min-gap"])
+    def test_bad_setting_reported_before_a_bad_row(self, tmp_path, caplog, stage, flags,
+                                                   message):
+        records = tmp_path / "records.csv"
+        records.write_text(",".join(cloud.RECORD_FIELDS) + "\np1,a,notanint,0,,,0,0\n")
+        out = tmp_path / "out"
+        assert main([*(arg.format(out=out) for arg in STREAMED_STAGES[stage]), *flags,
+                     "--records", str(records)]) == 2
+        assert message in caplog.text
+        assert "bad EccentricityRecord row" not in caplog.text
+
+    def test_report_bad_density_row_mid_file_exit_2(self, tmp_path, caplog):
+        summary, densities = tmp_path / "summary.json", tmp_path / "distributions.csv"
+        summary.write_text('{"bins": []}\n')
+        densities.write_text("bin,grid_x,density\n"
+                             + "".join(f"low,{i}.5,0.25\n" for i in range(2000))
+                             + "low,7.5,x\n"
+                             + "".join(f"high,{i}.5,0.25\n" for i in range(2000)))
+        dynamics.write_dynamics_csv([], tmp_path / "dynamics.csv")
+        out = tmp_path / "report"
+        assert main(["report", "--summary", str(summary), "--distributions", str(densities),
+                     "--dynamics", str(tmp_path / "dynamics.csv"),
+                     "--out-dir", str(out)]) == 2
+        assert f"{densities}:2002: bad _DensityRow row" in caplog.text
+        assert not out.exists()
 
 
 class TestPermutationCount:

@@ -112,6 +112,54 @@ def svd_fit(data, fraction):
     return rows[:k], variances[:k]
 
 
+def sort_ties_loop(components, variances):
+    """The group rule with one ``np.isclose`` call per row, as ``_sort_ties``
+    once found it: each row joins the group of the last row that opened one
+    when its variance is close to that row's."""
+    start, group = 0, []
+    for i, variance in enumerate(variances):
+        if not np.isclose(variance, variances[start], rtol=pca._EV_TIE_RTOL, atol=1e-15):
+            start = i
+        group.append(start)
+    order = np.lexsort((*components.T[::-1], group))
+    return components[order], variances[order]
+
+
+class TestSortTies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_isclose_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        # descending groups: exact ties, steps within 1e-9 relative of the
+        # group's first value (a chain of them drifts past it), values near
+        # the absolute tolerance 1e-15, zeros, and lone values
+        values = []
+        for top in np.sort(rng.uniform(1e-3, 1e3, 8))[::-1]:
+            kind = rng.integers(4)
+            if kind == 0:
+                values += [top] * int(rng.integers(2, 4))
+            elif kind == 1:
+                values += list(top * (1.0 - 4e-10 * np.arange(int(rng.integers(2, 6)))))
+            elif kind == 2:
+                values.append(top)
+            else:
+                values += [top, np.nextafter(top, 0.0)]
+        values += [2e-15, 1.5e-15, 1e-15, 0.5e-15, 0.0, 0.0]
+        variances = np.array(values)
+        components = rng.integers(-1, 2, (variances.size, 3)).astype(float)
+        got = pca._sort_ties(components, variances)
+        want = sort_ties_loop(components, variances)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_groups_start_at_their_first_row(self):
+        # 1.0 - 1.4e-9 is within 1e-9 of 1.0 - 7e-10 but not of 1.0, the
+        # row that opened the group, so it opens a group of its own
+        variances = np.array([1.0, 1.0 - 7e-10, 1.0 - 1.4e-9, 1.0 - 1.4e-9])
+        components = np.array([[3.0], [2.0], [1.0], [0.0]])
+        rows, _ = pca._sort_ties(components, variances)
+        assert rows[:, 0].tolist() == [2.0, 3.0, 0.0, 1.0]
+
+
 class TestStreamedQr:
     # a budget of 36 values over 6 columns folds in 6-row blocks
     @pytest.mark.parametrize(("n", "d", "budget"), [

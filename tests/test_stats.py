@@ -236,6 +236,15 @@ class TestKde:
         want /= n * h * math.sqrt(2.0 * math.pi)
         assert kde(samples, h, grid).tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("points", [512, 1])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 4095, 4096, 4097])
+    def test_bits_same_at_1024_and_256_row_blocks(self, monkeypatch, n, points):
+        samples = np.round(np.random.default_rng(n).normal(20.0, 8.0, n), 1)
+        grid = np.linspace(samples.min() - 15.0, samples.max() + 15.0, points)
+        got = kde(samples, 5.0, grid)
+        monkeypatch.setattr(stats, "_KDE_BLOCK", 1024)
+        assert got.tobytes() == kde(samples, 5.0, grid).tobytes()
+
     def test_peak_memory_one_chunk_buffer(self):
         samples = np.random.default_rng(23).normal(20.0, 8.0, 10_000)
         grid = default_grid(samples, 5.0)
@@ -245,7 +254,7 @@ class TestKde:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * 1024 * grid.size * 8
+        assert peak < 1.25 * 256 * grid.size * 8
 
 
 # ---------------------------------------------------------------------------
