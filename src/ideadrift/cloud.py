@@ -277,6 +277,15 @@ def optional_float(text: str) -> float | None:
     return value
 
 
+def non_negative_int(text: str) -> int:
+    """A count or a time in seconds, which no stage writes negative: a
+    negative one raises ValueError."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative value {text!r}")
+    return value
+
+
 def write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write ``header`` and ``rows`` as CSV; a None field becomes an empty one."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -314,7 +323,8 @@ def iter_rows(path: str | Path, row_type,
 
 
 # the parser of each field of records.csv, in RECORD_FIELDS order
-RECORD_PARSERS = (str, str, int, int, optional_float, optional_float, int, int)
+RECORD_PARSERS = (str, str, non_negative_int, non_negative_int, optional_float, optional_float,
+                  non_negative_int, non_negative_int)
 
 
 def read_records_csv(path: str | Path) -> list[EccentricityRecord]:

@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from ._np import pairwise_sum
-from .cloud import EccentricityRecord, iter_rows, optional_float, write_rows
+from .cloud import EccentricityRecord, iter_rows, non_negative_int, optional_float, write_rows
 from .errors import DataFormatError, check_positive
 
 DEFAULT_MIN_GAP_SECONDS = 1.0
@@ -132,4 +132,4 @@ def write_dynamics_csv(rows: Iterable[UserDynamics], path: str | Path) -> None:
 
 
 def read_dynamics_csv(path: str | Path) -> list[UserDynamics]:
-    return list(iter_rows(path, UserDynamics, (str, int, *[optional_float] * 5)))
+    return list(iter_rows(path, UserDynamics, (str, non_negative_int, *[optional_float] * 5)))

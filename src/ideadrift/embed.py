@@ -16,10 +16,10 @@ import os
 import shutil
 import tempfile
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from hashlib import blake2b
 from pathlib import Path
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Iterator, NamedTuple, Sequence
 
 from . import _parts
 from ._np import np
@@ -94,7 +94,7 @@ class CsrMatrix:
 
 
 # vectors: post ids and a matrix with one row per id, either a 2-D float64
-# array or, for mostly-zero rows, a CsrMatrix; read rows with dense_rows
+# array or a CsrMatrix, which hold the same values; read rows with dense_rows
 Vectors = tuple[Sequence[str], "np.ndarray | CsrMatrix"]
 
 
@@ -234,56 +234,49 @@ class _Part(NamedTuple):
 
     ids: list[str]
     lines: list[int]  # the line number of each id
-    first: tuple[int, int] | None  # the line and dimension of the part's first vector
     error: str | None  # the DataFormatError text of its first bad line
-    nonzero: int  # values read that are not 0.0 by their int64 view
-    # the part's rows: a CsrMatrix, part 0's dense matrix, or None for a later
-    # part's dense rows, left in its spool
-    rows: np.ndarray | CsrMatrix | None
+    rows: CsrMatrix | None  # a sparse file's rows; a dense file's are in the part's spool
 
 
 def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
     """Load a vectors.jsonl file of {"id": ..., "vec": [...]} lines as vectors:
     the ids and a matrix with one row per id, in ascending id order whatever
-    the order of the lines. The matrix is a CsrMatrix when fewer than half
-    the values are nonzero by their int64 view, as ``write_vectors`` decides,
-    and a float64 array otherwise.
+    the order of the lines. The first vector line fixes the dimension of
+    every line and the kind of the matrix: a CsrMatrix if fewer than half its
+    values are nonzero by their int64 view, else a float64 array, of which
+    ``dense_rows`` reads the same bits.
 
     Each vec must be a non-empty list of JSON numbers (not strings or
-    booleans), and all lines must share one dimension; a line that is not
-    UTF-8, duplicate ids and non-finite values are fatal, each naming its
-    line. With several bad lines, the first one is named, at any ``threads``.
+    booleans); a line that is not UTF-8, a dimension unlike the first line's,
+    duplicate ids and non-finite values are fatal, each naming its line. With
+    several bad lines, the first one is named, at any ``threads``.
 
     A first pass counts the lines and cuts the file at line starts into
     ``_parts.count(threads, file size, READ_PART_BYTES)`` parts. Part 0 is
     parsed here; each later part is parsed by a forked process, which sends
-    back its ids, their line numbers and its first bad line. A part parses
-    about ``_CHECK_VALUES`` values at a time into one buffer, and its first
-    buffer decides how it keeps them: as CSR if that buffer is mostly zero,
-    else dense (in the one matrix for part 0; in an unlinked temporary file,
-    read from there, for a later part). Parts that kept the other kind are
-    converted when they are joined, so a mostly-zero file is never held as
-    a dense matrix unless a part of it starts dense.
+    back its ids, their line numbers, its first bad line and, in a sparse
+    file, its rows as CSR. In a dense file every part writes its rows to an
+    unlinked temporary file, from which the matrix is filled.
     """
     with open(path, "rb") as fh:
         spans = _line_spans(fh, threads)
-    n_lines = sum(count for _, _, count in spans)
+    np.empty(0)  # loads numpy before the parts fork
+    # the values of the first vector line, as an array: held through the read,
+    # its list of Python floats kept 1 MB more of the heap resident
+    with closing(_vector_lines(path, 0, 1, None, None)) as lines:
+        first = np.array(next(lines, (None, None, []))[2])
+    dim = len(first)
+    if not dim:
+        return [], np.empty((0, 0))
+    sparse = 2 * np.count_nonzero(first.view(np.int64)) < dim
     ids: list[str] = []
     seen: set[str] = set()
-    dim = 0
-    np.empty(0)  # loads numpy before the parts fork
     with ExitStack() as stack:
-        spools = [None, *(stack.enter_context(tempfile.TemporaryFile()) for _ in spans[1:])]
-        parts = _parts.run(functools.partial(_read_part, path), [
-            (*span, n_lines if k == 0 else span[2], spool)
-            for k, (span, spool) in enumerate(zip(spans, spools))])
+        spools = [None if sparse else stack.enter_context(tempfile.TemporaryFile())
+                  for _ in spans]
+        parts = _parts.run(functools.partial(_read_part, path, dim),
+                           [(*span, spool) for span, spool in zip(spans, spools)])
         for k, part in enumerate(parts):
-            if part.first is not None:
-                lineno, part_dim = part.first
-                if ids and part_dim != dim:
-                    raise DataFormatError(f"{path}:{lineno}: bad vector line "
-                                          f"(dimension {part_dim} != {dim} seen earlier)")
-                dim = part_dim
             if not seen.isdisjoint(part.ids):
                 post_id, lineno = next(
                     (i, line) for i, line in zip(part.ids, part.lines) if i in seen)
@@ -294,45 +287,22 @@ def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
             if k + 1 < len(parts):  # later parts are checked against it
                 seen.update(part.ids)
             ids += part.ids
-        if not ids:
-            return [], np.empty((0, 0))
-        sparse = 2 * sum(part.nonzero for part in parts) < len(ids) * dim
-        matrix = _join(path, parts, spools, n_lines, dim, sparse)
+        if sparse:
+            matrix = CsrMatrix.stack([part.rows for part in parts], dim)
+        else:
+            matrix = np.empty((len(ids), dim))
+            start = 0
+            for k, (part, spool) in enumerate(zip(parts, spools)):
+                rows = matrix[start:start + len(part.ids)]
+                spool.seek(0)
+                if spool.readinto(rows.data) != rows.nbytes:
+                    raise ChildProcessError(f"{path}: part {k} left too few rows")
+                start += len(part.ids)
     if all(map(str.__lt__, ids, ids[1:])):  # already in id order, as every writer leaves it
         return ids, matrix
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    if sparse:
-        return [ids[i] for i in order], matrix.take(np.array(order, dtype=np.intp))
-    return [ids[i] for i in order], matrix[order]
-
-
-def _join(path: str | Path, parts: list[_Part], spools: list, n_lines: int, dim: int,
-          sparse: bool) -> np.ndarray | CsrMatrix:
-    """The rows of every part, one after another, as a CsrMatrix if
-    ``sparse`` and else as one dense matrix."""
-    def spooled(k: int, rows: np.ndarray) -> np.ndarray:
-        spools[k].seek(0)
-        if spools[k].readinto(rows.data) != rows.nbytes:
-            raise ChildProcessError(f"{path}: part {k} left too few rows")
-        return rows
-
-    if sparse:
-        return CsrMatrix.stack([
-            part.rows if isinstance(part.rows, CsrMatrix)
-            else CsrMatrix.from_dense(part.rows[:len(part.ids)] if k == 0
-                                      else spooled(k, np.empty((len(part.ids), dim))))
-            for k, part in enumerate(parts) if part.ids], dim)
-    first = parts[0].rows
-    matrix = first if isinstance(first, np.ndarray) else np.empty((n_lines, dim))
-    start = 0
-    for k, part in enumerate(parts):
-        rows = matrix[start:start + len(part.ids)]
-        if isinstance(part.rows, CsrMatrix):
-            rows[:] = part.rows.toarray()
-        elif k and part.ids:
-            spooled(k, rows)
-        start += len(part.ids)
-    return matrix[:start]
+    index = np.array(order, dtype=np.intp)
+    return [ids[i] for i in order], matrix.take(index) if sparse else matrix[index]
 
 
 def _line_spans(fh: BinaryIO, threads: int) -> list[tuple[int, int, int]]:
@@ -360,30 +330,60 @@ def _line_spans(fh: BinaryIO, threads: int) -> list[tuple[int, int, int]]:
     return spans
 
 
-def _read_part(path: str | Path,
-               span: tuple[int, int, int, int, BinaryIO | None]) -> _Part:
-    """Read ``count`` lines of a vectors file from byte ``offset``, numbered
-    from ``first``; part 0 (with no ``spool``) keeps dense rows in a matrix
-    of ``n_rows`` rows, a later part writes them to its ``spool``.
+def _vector_lines(path: str | Path, offset: int, first: int, count: int | None,
+                  dim: int | None) -> Iterator[tuple[int, str, list[float]]]:
+    """``(lineno, id, values)`` for each non-blank line of a vectors file, read
+    as ``utf8_lines(path, offset, first, count)`` reads it: the id a string
+    and the values a list of ``dim`` floats (of any length if ``dim`` is
+    None). A line that is not such a vector line raises DataFormatError
+    naming it; its values are not checked to be finite."""
+    for lineno, line in utf8_lines(path, offset, first, count):
+        if not line.strip():
+            continue
+        try:
+            obj = json_line(line)
+            post_id = obj["id"]
+            raw = obj["vec"]
+            if not isinstance(post_id, str) or not isinstance(raw, list):
+                raise ValueError("id must be a string and vec a list")
+            # type() rather than isinstance(): bool is a subclass of int
+            types = set(map(type, raw))
+            if not raw or not types <= {int, float}:
+                raise ValueError("vec must be a non-empty list of numbers")
+            if dim is not None and len(raw) != dim:
+                raise ValueError(f"dimension {len(raw)} != {dim} seen earlier")
+            if int in types:
+                raw = list(map(float, raw))  # OverflowError for an int beyond float64
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
+        yield lineno, post_id, raw
+
+
+def _read_part(path: str | Path, dim: int,
+               span: tuple[int, int, int, BinaryIO | None]) -> _Part:
+    """Read ``count`` lines of a vectors file of dimension ``dim`` from byte
+    ``offset``, numbered from ``first``, keeping the rows as CSR if the file
+    is sparse (there is no ``spool``), else writing them to ``spool``.
 
     Rows are parsed into a buffer and checked to be finite about
-    ``_CHECK_VALUES`` values at a time, then kept (see
-    ``load_external_vectors``). Before a bad line is reported, the rows read
-    ahead of it are checked, so the error and the ids returned are those of
-    a line-by-line read that stops at the first bad line.
+    ``_CHECK_VALUES`` values at a time, then kept. Before a bad line is
+    reported, the rows read ahead of it are checked, so the error and the ids
+    returned are those of a line-by-line read that stops at the first bad
+    line.
     """
-    offset, first_line, count, n_rows, spool = span
+    offset, first, count, spool = span
     ids: list[str] = []
     lines: list[int] = []
     seen: set[str] = set()
-    first = buffer = dense = error = None
-    pieces: list[CsrMatrix] | None = None  # the kept rows, when kept as CSR
-    kept = nonzero = 0  # rows checked and kept; their nonzero values
+    buffer = np.empty((max(1, _CHECK_VALUES // dim), dim))
+    pieces: list[CsrMatrix] = []
+    kept = 0  # rows checked and kept
+    error = None
 
     def check() -> None:
         """Check and keep the rows in the buffer; for the first one with a
         non-finite value, drop the ids from its line on and raise."""
-        nonlocal kept, nonzero, dense, pieces
+        nonlocal kept
         rows = buffer[:len(ids) - kept]
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
@@ -392,42 +392,15 @@ def _read_part(path: str | Path,
             del ids[bad:], lines[bad:]
             raise DataFormatError(f"{path}:{lineno}: bad vector line "
                                   f"(non-finite component for {post_id!r})")
-        rows_nonzero = int(np.count_nonzero(rows.view(np.int64)))
-        if not kept:  # the first rows decide the kind
-            if 2 * rows_nonzero < rows.size:
-                pieces = []
-            elif spool is None:
-                dense = np.empty((n_rows, rows.shape[1]))
-        if pieces is not None:
+        if spool is None:
             pieces.append(CsrMatrix.from_dense(rows))
-        elif spool is None:
-            dense[kept:len(ids)] = rows
         else:
             spool.write(rows.data)
-        nonzero += rows_nonzero
         kept = len(ids)
 
     try:
-        for lineno, line in utf8_lines(path, offset, first_line, count):
-            if not line.strip():
-                continue
-            try:
-                obj = json_line(line)
-                post_id = obj["id"]
-                raw = obj["vec"]
-                if not isinstance(post_id, str) or not isinstance(raw, list):
-                    raise ValueError("id must be a string and vec a list")
-                # type() rather than isinstance(): bool is a subclass of int
-                if not raw or not set(map(type, raw)) <= {int, float}:
-                    raise ValueError("vec must be a non-empty list of numbers")
-                if first is None:
-                    first = (lineno, len(raw))
-                    buffer = np.empty((max(1, _CHECK_VALUES // len(raw)), len(raw)))
-                elif len(raw) != first[1]:
-                    raise ValueError(f"dimension {len(raw)} != {first[1]} seen earlier")
-                buffer[len(ids) - kept] = raw  # OverflowError for an int beyond float64
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad vector line ({exc})") from exc
+        for lineno, post_id, raw in _vector_lines(path, offset, first, count, dim):
+            buffer[len(ids) - kept] = raw
             ids.append(post_id)
             lines.append(lineno)
             if post_id in seen:
@@ -447,13 +420,10 @@ def _read_part(path: str | Path,
                 check()
             except DataFormatError as earlier:
                 error = str(earlier)
-    if error is not None or not ids:
-        return _Part(ids, lines, first, error, nonzero, None)
-    if pieces is not None:
-        return _Part(ids, lines, first, error, nonzero, CsrMatrix.stack(pieces, first[1]))
     if spool is not None:
         spool.flush()
-    return _Part(ids, lines, first, error, nonzero, dense)
+        return _Part(ids, lines, error, None)
+    return _Part(ids, lines, error, CsrMatrix.stack(pieces, dim))
 
 
 def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
@@ -463,9 +433,9 @@ def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
     is escaped by its string encoder, and JSON writes a finite float by its
     ``repr``, so the components are joined directly. A non-finite component
     is written as ``nan``/``inf``, which ``load_external_vectors`` rejects.
-    A float64 array of which fewer than half the values are nonzero is
-    written as a CsrMatrix: each row is a row of shared ``0.0`` strings with
-    only its stored values formatted.
+    The matrix is formatted as it is given: a row of a CsrMatrix is a row of
+    shared ``0.0`` strings with only its stored values formatted, and gives
+    the bytes of the same row of a float64 array.
 
     The id-ordered rows are cut into ``_parts.count(threads, values,
     WRITE_PART_VALUES)`` parts, where ``values`` are the values formatted:
@@ -476,11 +446,6 @@ def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:
     """
     ids, matrix = vectors
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    # the int64 view tells -0.0 from 0.0, so only the zeros repr writes as
-    # "0.0" are shared
-    if (not isinstance(matrix, CsrMatrix) and matrix.dtype == np.float64
-            and 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size):
-        matrix = CsrMatrix.from_dense(matrix)
     values = len(matrix.data) if isinstance(matrix, CsrMatrix) else matrix.size
     parts = _parts.slices(len(order), _parts.count(threads, values, WRITE_PART_VALUES))
     with open(path, "wb") as out, ExitStack() as stack:

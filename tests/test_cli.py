@@ -1028,6 +1028,24 @@ class TestStreamedRecords:
         assert f"{records}:1501: bad EccentricityRecord row" in caplog.text
         assert not out.exists()
 
+    @pytest.mark.parametrize("stage", sorted(STREAMED_STAGES))
+    @pytest.mark.parametrize("row, value", [
+        ("post000049,user009,1700004753,-7,1.5,2.5,9,3", "-7"),
+        ("post000049,user009,1700004753,12,1.5,2.5,-3,3", "-3"),
+        ("post000049,user009,-100,12,1.5,2.5,9,3", "-100"),
+    ], ids=["likes", "cloud-size", "created-at"])
+    def test_negative_count_or_time_exit_2(self, tmp_path, caplog, stage, row, value):
+        records = _many_records(tmp_path / "records.csv", 100)
+        lines = records.read_text().splitlines(keepends=True)
+        lines[50] = row + "\n"
+        records.write_text("".join(lines))
+        out = tmp_path / "out"
+        assert main([*(arg.format(out=out) for arg in STREAMED_STAGES[stage]),
+                     "--records", str(records)]) == 2
+        assert (f"{records}:51: bad EccentricityRecord row (negative value '{value}')"
+                in caplog.text)
+        assert not out.exists()
+
     @pytest.mark.parametrize(("stage", "flags", "message"), [
         ("distributions", ["--bins", "100,10"], "thresholds must be strictly ascending"),
         ("dynamics", ["--min-gap", "0"], "min_gap must be positive"),

@@ -361,7 +361,12 @@ class TestRecordsCsv:
         "p2,a,5,0,notafloat,,1,0",   # bad float
         "p2,a,5,0",                  # short row
         "p2,a,5,0,,,1,0,x,y",        # extra fields
-    ], ids=["bad-int", "bad-float", "short-row", "extra-fields"])
+        "p2,a,-100,0,,,1,0",         # negative created_at
+        "p2,a,5,-7,,,1,0",           # negative likes
+        "p2,a,5,0,,,-3,0",           # negative cloud_size
+        "p2,a,5,0,,,1,-1",           # negative self_cloud_size
+    ], ids=["bad-int", "bad-float", "short-row", "extra-fields", "negative-created-at",
+            "negative-likes", "negative-cloud-size", "negative-self-cloud-size"])
     def test_bad_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "records.csv"
         path.write_text(",".join(RECORD_FIELDS) + "\np1,a,0,0,,,0,0\n" + row + "\n")

@@ -186,7 +186,8 @@ class TestUserDynamics:
         "v,2,notafloat,,,,86400",  # bad float
         "v",                       # short row
         "v,2,,,,,86400,x,y",       # extra fields
-    ], ids=["bad-int", "bad-float", "short-row", "extra-fields"])
+        "v,-2,,,,,",               # negative count
+    ], ids=["bad-int", "bad-float", "short-row", "extra-fields", "negative-n"])
     def test_bad_csv_row_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "dynamics.csv"
         path.write_text(",".join(DYNAMICS_FIELDS) + "\nu,1,,,,,\n" + row + "\n")

@@ -415,6 +415,20 @@ class TestVectorParts:
         error = self.same_at_any_part_count(path)
         assert error.startswith(f"{path}:{expected_line}: bad vector line (")
 
+    @pytest.mark.parametrize("value, reason", [
+        ("1" + "0" * 400, "int too large to convert to float"),
+        ("1e400", "non-finite component for 'p1'"),
+        ('"2.0"', "vec must be a non-empty list of numbers"),
+    ], ids=["int-overflow", "float-overflow", "string"])
+    def test_bad_first_vector_line(self, tmp_path, value, reason):
+        # the first vector line, after blank lines, is read before the file
+        # is cut, and no line before it can be named instead
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("\n" + " " * 38 + "\n" + '{"id":"p1","vec":[1.0,%s]}\n' % value
+                        + "".join(vector_line(f"p{i}", ["1.0", "2.0"]) for i in range(2, 14)))
+        assert len(part_first_lines(path, 3)) == 3
+        assert self.same_at_any_part_count(path) == f"{path}:3: bad vector line ({reason})"
+
     def test_not_utf8_in_a_child_part(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
         path.write_bytes("".join(vector_line(f"p{i}", ["1.0"]) for i in range(3)).encode()
@@ -579,24 +593,27 @@ class TestSparseVectorFiles:
         _, matrix = load_external_vectors(path)
         assert isinstance(matrix, np.ndarray) and matrix.tobytes() == dense.tobytes()
 
-    @pytest.mark.parametrize("dense_rows", ["first", "last"])
-    def test_parts_that_start_the_other_kind(self, tmp_path, monkeypatch, dense_rows):
-        # a few checked values at a time, so each part's first rows decide
-        # its kind, and the whole file decides the matrix's
+    @pytest.mark.parametrize("full_rows", ["first", "last"])
+    def test_first_vector_line_fixes_the_kind(self, tmp_path, monkeypatch, full_rows):
+        # a few checked values at a time, so each part holds several buffers;
+        # the kind of the first line holds for every line after it, though
+        # the whole file is mostly zero when it starts dense, and the other
+        # way round
         monkeypatch.setattr(embed_module, "_CHECK_VALUES", 8)
         rng = np.random.default_rng(45)
-        dense = mostly_zero(rng, 60, 4)
-        full = rng.standard_normal((20, 4))
-        for matrix in (np.concatenate((full, dense)) if dense_rows == "first"
-                       else np.concatenate((dense, full)),
-                       np.concatenate((dense[:10], rng.standard_normal((60, 4))))):
-            ids = [f"p{i:03d}" for i in range(len(matrix))]
-            path = tmp_path / "vectors.jsonl"
-            write_vectors(path, (ids, matrix))
-            loaded_ids, loaded = load_external_vectors(path)
-            sparse = 2 * np.count_nonzero(matrix.view(np.int64)) < matrix.size
-            assert isinstance(loaded, embed_module.CsrMatrix) == sparse
-            assert loaded_ids == ids and as_dense(loaded).tobytes() == matrix.tobytes()
+        sparse = mostly_zero(rng, 60, 4)  # its first row is mostly zero
+        full = rng.standard_normal((60, 4))
+        if full_rows == "first":
+            matrix, kind = np.concatenate((full[:20], sparse)), np.ndarray
+        else:
+            matrix, kind = np.concatenate((sparse[:10], full)), embed_module.CsrMatrix
+        assert (2 * np.count_nonzero(matrix) < matrix.size) == (full_rows == "first")
+        ids = [f"p{i:03d}" for i in range(len(matrix))]
+        path = tmp_path / "vectors.jsonl"
+        write_vectors(path, (ids, matrix))
+        loaded_ids, loaded = load_external_vectors(path)
+        assert type(loaded) is kind
+        assert loaded_ids == ids and as_dense(loaded).tobytes() == matrix.tobytes()
 
     def test_csr_lines_out_of_order_come_back_in_id_order(self, tmp_path):
         dense = mostly_zero(np.random.default_rng(46), 30, 8)
@@ -652,4 +669,5 @@ class TestWritePartSizes:
         write_vectors(tmp_path / "b.jsonl", (ids, embed_module.CsrMatrix.from_dense(dense)),
                       threads=2)
         write_vectors(tmp_path / "c.jsonl", (ids, dense + 1.0), threads=2)
-        assert counted == [np.count_nonzero(dense.view(np.int64))] * 2 + [dense.size]
+        # a dense array is formatted as given, every value of it, mostly zero or not
+        assert counted == [dense.size, np.count_nonzero(dense.view(np.int64)), dense.size]
