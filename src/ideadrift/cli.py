@@ -214,14 +214,6 @@ def one_of(*names: str) -> Callable[[object], str]:
     return check
 
 
-def _load_corpus(settings: _Settings) -> corpus.Corpus:
-    posts_path = settings.require_path("posts")
-    edges_path = settings.require_path("edges")
-    posts = corpus.load_posts(posts_path)
-    graph = corpus.load_edges(edges_path)
-    return corpus.build_corpus(posts, graph)
-
-
 # ---------------------------------------------------------------------------
 # stages
 # ---------------------------------------------------------------------------
@@ -230,7 +222,8 @@ def _corpus_stage(settings: _Settings, stage: str,
                   select: Callable[[corpus.SocialGraph], corpus.SocialGraph],
                   config: dict) -> None:
     """Keep the users ``select`` picks from the corpus graph, with their posts."""
-    c = _load_corpus(settings)
+    posts_path, edges_path = settings.require_path("posts"), settings.require_path("edges")
+    c = corpus.build_corpus(corpus.load_posts(posts_path), corpus.load_edges(edges_path))
     graph = select(c.graph)
     keep = graph.users
     posts = [p for p in c.posts if p.author in keep]
@@ -292,18 +285,21 @@ def stage_pca(settings: _Settings, config: dict) -> None:
 
 
 def stage_eccentricity(settings: _Settings, config: dict) -> None:
-    c = _load_corpus(settings)
+    # posts are read a line at a time into the columns replay reads: no text is kept
+    posts_path, edges_path = settings.require_path("posts"), settings.require_path("edges")
+    posts = corpus.post_columns(corpus.iter_posts(posts_path))
+    graph = corpus.with_authors(corpus.load_edges(edges_path), posts.authors)
     vectors_path = settings.require_path("vectors")
     vectors = embed.load_external_vectors(vectors_path, settings.threads)
     try:
-        records = cloud.replay(c, vectors, int(round(config["window_days"] * 86400)))
+        records = cloud.replay((posts, graph), vectors,
+                               int(round(config["window_days"] * 86400)))
     except cloud.MissingVectorError as exc:
         raise DataFormatError(f"{vectors_path}: {exc}") from None
     out = settings.out_path("out")
     cloud.write_records_csv(records, out)
-    defined = sum(1 for r in records if r.eccentricity is not None)
     logger.info("eccentricity: %d records, %d with defined eccentricity",
-                len(records), defined)
+                len(records), records.defined())
     _write_manifest(out, "eccentricity", settings, config)
 
 

@@ -13,11 +13,13 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple
 
 from ._np import np
-from .corpus import Corpus, Post, ego_neighborhood, utf8_lines
+from .corpus import (Corpus, PostColumns, SocialGraph, ego_neighborhood, post_columns,
+                     utf8_lines)
 from .embed import Vectors, dense_rows
 from .errors import DataFormatError, check_positive
 
@@ -49,20 +51,19 @@ class MissingVectorError(DataFormatError):
 _CHUNK_VALUES = 1 << 15
 
 
-def _window_bounds(posts: tuple[Post, ...], window_seconds: int):
+def _window_bounds(times: tuple[int, ...], window_seconds: int):
     """Per post: the index range [lo, hi) of the time-sorted log that falls in
     its window [t - window, t), and its block number ``(t - t0) // window``.
     No window spans more than two blocks."""
     # offsets from the first post, exact Python ints, fit int64 unless the log
     # spans 2**63 s; a window longer than the span selects the same posts, so
     # clamping it keeps t - window inside int64 too
-    t0 = posts[0].created_at
-    offsets = [p.created_at - t0 for p in posts]
-    window = min(window_seconds, max(offsets[-1], 1))
+    t0, span = times[0], times[-1] - times[0]
+    window = min(window_seconds, max(span, 1))
     try:
-        t = np.array(offsets, dtype=np.int64)
+        t = np.fromiter((time - t0 for time in times), np.int64, len(times))
     except OverflowError:
-        raise DataFormatError(f"post times span {offsets[-1]} s, more than int64 holds") from None
+        raise DataFormatError(f"post times span {span} s, more than int64 holds") from None
     lo = np.searchsorted(t, t - window, side="left")
     hi = np.searchsorted(t, t, side="left")
     return lo, hi, t // window
@@ -95,12 +96,13 @@ def _segment_prefix_sums(matrix, rows: np.ndarray, seg_first: np.ndarray,
     return out
 
 
-def _distances(total: np.ndarray, count: np.ndarray) -> list[float | None]:
-    """``|total / count|`` per row, None where the count is zero."""
+def _distances(total: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """``|total / count|`` per row, NaN (undefined) where the count is zero."""
     norms = np.linalg.norm(total / np.maximum(count, 1)[:, None], axis=1)
     if not np.isfinite(norms).all():
         raise OverflowError("an eccentricity overflows float64")
-    return [d if c else None for d, c in zip(norms.tolist(), count.tolist())]
+    norms[count == 0] = np.nan
+    return norms
 
 
 def _part_sums(matrix, prefix, ref, v, seg, a, b):
@@ -123,34 +125,38 @@ def _row_index(vectors: Vectors) -> dict[str, int]:
     return dict(zip(ids, range(len(ids))))
 
 
-def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
-    """Per post, in log order: eccentricity, self-eccentricity, cloud size and
-    self-cloud size, as four lists (see ``replay``).
+def _clouds(posts: PostColumns, graph: SocialGraph, vectors: Vectors, window_seconds: int):
+    """Per post, in log order: eccentricity and self-eccentricity (float64,
+    NaN where undefined), cloud size and self-cloud size (int64), as four
+    arrays (see ``replay``). ``graph`` holds every author.
 
     Rows are gathered from the id-ordered matrix through ``src``, each post's
     row, a chunk at a time: no log-ordered copy of the matrix is made, so the
-    only n x D array beside the matrix is the prefix sums."""
-    posts = corpus.posts
+    only n x D array beside the matrix is the prefix sums. Set-up arrays are
+    dropped once used."""
     row = _row_index(vectors)
     matrix = vectors[1]
-    n = len(posts)
+    n = len(posts.ids)
     try:
-        src = np.fromiter((row[p.id] for p in posts), np.int64, n)
+        src = np.fromiter(map(row.__getitem__, posts.ids), np.int64, n)
     except KeyError as exc:
         raise MissingVectorError(f"no vector for post {exc.args[0]!r}") from None
+    del row
+    ecc, self_ecc = np.empty(n), np.empty(n)
+    sizes, self_sizes = np.empty(n, np.int64), np.empty(n, np.int64)
     if n == 0:
-        return [], [], [], []
-    lo, hi, block = _window_bounds(posts, window_seconds)
+        return ecc, self_ecc, sizes, self_sizes
+    lo, hi, block = _window_bounds(posts.times, window_seconds)
 
     # ego neighborhoods by user code (codes follow sorted ids), flattened
-    graph = corpus.graph
     users = sorted(graph.users)
     code = {u: i for i, u in enumerate(users)}
     ego = [[code[u], *sorted(code[v] for v in graph.out_neighbors(u))] for u in users]
     ego_len = np.array([len(e) for e in ego])
     ego_start = np.cumsum(ego_len) - ego_len
     ego_flat = np.fromiter(itertools.chain.from_iterable(ego), np.int64, int(ego_len.sum()))
-    author = np.fromiter((code[p.author] for p in posts), np.int64, n)
+    author = np.fromiter(map(code.__getitem__, posts.authors), np.int64, n)
+    del users, code, ego
 
     # sorted positions: by author, then log index; key = author * n + log index
     order = np.argsort(author, kind="stable")
@@ -161,16 +167,14 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
                    | (sorted_block[1:] != sorted_block[:-1]))
     seg_first = np.flatnonzero(new_seg)
     seg_of = np.cumsum(new_seg) - 1
+    del block, sorted_author, sorted_block, new_seg
     prefix = _segment_prefix_sums(matrix, src[order], seg_first, np.diff(seg_first, append=n))
     ref = src[order[seg_first]]
+    del order
 
     # (post, ego member) pairs, a chunk of posts at a time
     pairs_before = np.cumsum(ego_len[author]) - ego_len[author]
     budget = max(1, _CHUNK_VALUES // max(matrix.shape[1], 1))
-    ecc: list[float | None] = []
-    self_ecc: list[float | None] = []
-    sizes: list[int] = []
-    self_sizes: list[int] = []
     start = 0
     while start < n:
         stop = max(start + 1, int(np.searchsorted(pairs_before, pairs_before[start] + budget)))
@@ -189,21 +193,67 @@ def _clouds(corpus: Corpus, vectors: Vectors, window_seconds: int):
         total = (_part_sums(matrix, prefix, ref, v, early, lo_pos, mid)
                  + _part_sums(matrix, prefix, ref, v, late, mid, hi_pos))
         size = hi_pos - lo_pos
-        cloud_size = np.add.reduceat(size, first)
-        ecc += _distances(np.add.reduceat(total, first), cloud_size)
-        self_ecc += _distances(total[first], size[first])
-        sizes += cloud_size.tolist()
-        self_sizes += size[first].tolist()
+        sizes[start:stop] = np.add.reduceat(size, first)
+        self_sizes[start:stop] = size[first]
+        ecc[start:stop] = _distances(np.add.reduceat(total, first), sizes[start:stop])
+        self_ecc[start:stop] = _distances(total[first], size[first])
         start = stop
     return ecc, self_ecc, sizes, self_sizes
 
 
+def _optional(values: np.ndarray) -> list[float | None]:
+    """The values as Python floats, None for NaN (an undefined value)."""
+    return [None if v != v else v for v in values.tolist()]
+
+
+# records a replay's Records builds at a time
+_RECORD_BLOCK = 4096
+
+
+class Records(Sequence):
+    """A replay's records in log order, built from its columns a block at a
+    time as they are read, so no list of records is held. Records equal a
+    list, or other Records, that holds the same records."""
+
+    def __init__(self, posts: PostColumns, *results: np.ndarray):
+        self._columns = (*posts, *results)
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int) -> EccentricityRecord:
+        return next(self._block(range(len(self))[index], 1))
+
+    def __iter__(self) -> Iterator[EccentricityRecord]:
+        for start in range(0, len(self), _RECORD_BLOCK):
+            yield from self._block(start, _RECORD_BLOCK)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, Records)) else NotImplemented
+
+    def defined(self) -> int:
+        """How many records have a defined eccentricity."""
+        return int(np.count_nonzero(~np.isnan(self._columns[4])))
+
+    def _block(self, start: int, count: int) -> Iterator[EccentricityRecord]:
+        *posts, ecc, self_ecc, sizes, self_sizes = (c[start:start + count] for c in self._columns)
+        return map(EccentricityRecord, *posts, _optional(ecc), _optional(self_ecc),
+                   sizes.tolist(), self_sizes.tolist())
+
+
+def _columns(corpus: Corpus | tuple[PostColumns, SocialGraph]):
+    """The posts of a Corpus as columns, with its graph; a (PostColumns,
+    graph) pair is taken as it is."""
+    posts, graph = corpus
+    return (posts if isinstance(posts, PostColumns) else post_columns(posts)), graph
+
+
 def replay(
-    corpus: Corpus,
+    corpus: Corpus | tuple[PostColumns, SocialGraph],
     vectors: Vectors,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
-) -> list[EccentricityRecord]:
-    """Emit one EccentricityRecord per post, in (created_at, id) order.
+) -> Records:
+    """One EccentricityRecord per post, in (created_at, id) order.
 
     Fan-in: each post reads the windowed sums of its ego members (itself first,
     then followees by id) from per-author prefix sums, instead of every post
@@ -215,42 +265,45 @@ def replay(
     read from the id-ordered matrix as given, a chunk at a time, so the
     prefix sums are the only n x D array made. A ``window_seconds`` that is
     not finite and positive is a DataFormatError.
+
+    The posts are a Corpus's, or a (PostColumns, graph) pair whose graph holds
+    every author. The kernel runs in this call; ``Records`` are built as read.
     """
     check_positive("window_seconds", window_seconds)
-    # the kernel's arrays are freed before the records are built; a sum that
-    # overflows leaves a non-finite distance, which _distances refuses
+    posts, graph = _columns(corpus)
+    # a sum that overflows leaves a non-finite distance, which _distances refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        columns = _clouds(corpus, vectors, window_seconds)
-    return [EccentricityRecord(p.id, p.author, p.created_at, p.likes, e, se, c, sc)
-            for p, e, se, c, sc in zip(corpus.posts, *columns)]
+        return Records(posts, *_clouds(posts, graph, vectors, window_seconds))
 
 
 def eccentricity_oracle(
-    corpus: Corpus,
+    corpus: Corpus | tuple[PostColumns, SocialGraph],
     vectors: Vectors,
     window_seconds: int,
     post_id: str,
 ) -> tuple[float | None, float | None]:
-    """Recompute (eccentricity, self_eccentricity) for one post by direct scan.
+    """Recompute (eccentricity, self_eccentricity) for one post by direct scan
+    of the columns ``replay`` reads.
 
     Holds no incremental state: filters the whole post log by neighborhood
     membership and the half-open window [t - window, t). Each offset component
     is a ``math.fsum`` of the deviations v - x over the cloud size, so a large
     common vector offset costs no accuracy.
     """
-    target = next((p for p in corpus.posts if p.id == post_id), None)
-    if target is None:
+    posts, graph = _columns(corpus)
+    if post_id not in posts.ids:
         raise DataFormatError(f"unknown post id {post_id!r}")
+    target = posts.ids.index(post_id)
     row = _row_index(vectors)
     matrix = vectors[1]
-    neighborhood = ego_neighborhood(corpus.graph, target.author)
-    t = target.created_at
+    author, t = posts.authors[target], posts.times[target]
+    neighborhood = ego_neighborhood(graph, author)
     lo = t - window_seconds
-    cloud = dense_rows(matrix, [row[p.id] for p in corpus.posts
-                                if lo <= p.created_at < t and p.author in neighborhood])
-    own = dense_rows(matrix, [row[p.id] for p in corpus.posts
-                              if lo <= p.created_at < t and p.author == target.author])
-    vec = dense_rows(matrix, row[target.id])
+    window = [(i, a) for i, a, time in zip(posts.ids, posts.authors, posts.times)
+              if lo <= time < t]
+    cloud = dense_rows(matrix, [row[i] for i, a in window if a in neighborhood])
+    own = dense_rows(matrix, [row[i] for i, a in window if a == author])
+    vec = dense_rows(matrix, row[post_id])
 
     def distance(members: np.ndarray) -> float | None:
         if not len(members):

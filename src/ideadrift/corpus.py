@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import sys
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from operator import itemgetter
@@ -95,12 +96,35 @@ class Corpus(NamedTuple):
     graph: SocialGraph
 
 
+class PostColumns(NamedTuple):
+    """What replay reads of a post log: one tuple per field, in (created_at,
+    id) order. Times are exact Python ints, as in ``Post``; texts are not kept."""
+
+    ids: tuple[str, ...]
+    authors: tuple[str, ...]
+    times: tuple[int, ...]
+    likes: tuple[int, ...]
+
+
+def post_columns(posts: Iterable[Post]) -> PostColumns:
+    """The columns of posts with unique ids, taken one post at a time, so
+    that posts streamed from ``iter_posts`` are never held. Each author is
+    one string object, however many posts name it."""
+    rows = sorted((p.created_at, p.id, sys.intern(p.author), p.likes) for p in posts)
+    times, ids, authors, likes = zip(*rows) if rows else ((),) * 4
+    return PostColumns(ids, authors, times, likes)
+
+
+def with_authors(graph: SocialGraph, authors: Iterable[str]) -> SocialGraph:
+    """``graph`` with each author it lacks as an isolated node."""
+    missing = set(authors) - graph.users
+    return SocialGraph(graph.users | missing, graph.edges) if missing else graph
+
+
 def build_corpus(posts: Sequence[Post], graph: SocialGraph) -> Corpus:
     """Assemble a Corpus; authors absent from the graph become isolated nodes."""
-    missing = {p.author for p in posts} - graph.users
-    if missing:
-        graph = SocialGraph(graph.users | missing, graph.edges)
-    return Corpus(tuple(sorted(posts, key=_POST_ORDER)), graph)
+    return Corpus(tuple(sorted(posts, key=_POST_ORDER)),
+                  with_authors(graph, (p.author for p in posts)))
 
 
 def json_line(line: str) -> object:
@@ -204,21 +228,23 @@ def _parsed_lines(path: str | Path, kind: str,
             raise DataFormatError(f"{path}: no {kind} line parses; first malformed: {first_bad}")
 
 
-def load_posts(path: str | Path) -> list[Post]:
-    """Load a posts.jsonl file, sorted by (created_at, id).
+def iter_posts(path: str | Path) -> Iterator[Post]:
+    """The posts of a posts.jsonl file in file order, one at a time.
 
     Malformed lines are skipped with a warning and counted; a duplicate post
     id is fatal.
     """
-    posts: list[Post] = []
     seen: set[str] = set()
     for lineno, post in _parsed_lines(path, "post", _parse_post):
         if post.id in seen:
             raise DataFormatError(f"{path}:{lineno}: duplicate post id {post.id!r}")
         seen.add(post.id)
-        posts.append(post)
-    posts.sort(key=_POST_ORDER)
-    return posts
+        yield post
+
+
+def load_posts(path: str | Path) -> list[Post]:
+    """Load a posts.jsonl file, sorted by (created_at, id); see ``iter_posts``."""
+    return sorted(iter_posts(path), key=_POST_ORDER)
 
 
 def load_edges(path: str | Path) -> SocialGraph:

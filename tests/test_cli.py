@@ -1076,6 +1076,52 @@ class TestStreamedRecords:
         assert not out.exists()
 
 
+def _eccentricity_inputs(root, text_len):
+    """3,000 posts of 40 authors with ``text_len``-character texts, a follow
+    graph of about 6 followees each and dim-8 vectors; the same posts, times,
+    likes, edges and vectors whatever the text length."""
+    root.mkdir()
+    rng = np.random.default_rng(9)
+    users = [f"user{i:03d}" for i in range(40)]
+    write_jsonl(root / "edges.jsonl", [
+        {"follower": u, "followee": users[j]} for i, u in enumerate(users)
+        for j in rng.choice(40, 6, replace=False).tolist() if j != i])
+    write_jsonl(root / "posts.jsonl", [
+        {"id": f"post{i:06d}", "author": users[i % 40], "created_at": t,
+         "text": "w" * text_len, "likes": i % 300}
+        for i, t in enumerate(rng.integers(0, 10 * DAY, 3000).tolist())])
+    write_jsonl(root / "vectors.jsonl", [
+        {"id": f"post{i:06d}", "vec": vec}
+        for i, vec in enumerate(rng.normal(size=(3000, 8)).tolist())])
+    return ["--log-level", "ERROR", "--threads", "1", "eccentricity",
+            *(arg for key in ("posts", "edges", "vectors")
+              for arg in (f"--{key}", str(root / f"{key}.jsonl"))),
+            "--out", str(root / "records.csv")]
+
+
+class TestEccentricityMemory:
+    """``eccentricity`` keeps no text, no ``Post`` and no record per post."""
+
+    # 3,000 posts: empty texts peaked at 3.38 MiB and 2 KB texts (a 6 MB
+    # posts file) at 3.36 MiB. Holding the Post list and the records, as
+    # before, peaked at 3.95 and 10.0 MiB.
+    def test_peak_does_not_grow_with_text_length(self, tmp_path):
+        peaks = []
+        for text_len in (0, 2000):
+            args = _eccentricity_inputs(tmp_path / str(text_len), text_len)
+            assert main(args) == 0  # first-call caches are not counted below
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert ((tmp_path / "0" / "records.csv").read_bytes()
+                == (tmp_path / "2000" / "records.csv").read_bytes())
+        assert peaks[1] < peaks[0] + 256 * 1024
+        assert max(peaks) < 4 * 1024 * 1024
+
+
 class TestPermutationCount:
     @pytest.mark.parametrize("n_perm", ["0", "-1"])
     def test_no_draw_exit_2(self, tmp_path, caplog, n_perm):

@@ -9,7 +9,10 @@ from ideadrift import cloud
 from ideadrift.cloud import (
     RECORD_FIELDS, eccentricity_oracle, read_records_csv, replay, write_records_csv,
 )
-from ideadrift.corpus import Post, SocialGraph, build_corpus, ego_neighborhood
+from ideadrift.corpus import (
+    Post, SocialGraph, build_corpus, ego_neighborhood, iter_posts, load_edges, load_posts,
+    post_columns, with_authors, write_edges_jsonl, write_posts_jsonl,
+)
 from ideadrift.embed import CsrMatrix
 from ideadrift.errors import DataFormatError
 from ideadrift.synth import SynthConfig, gen_corpus
@@ -45,6 +48,16 @@ class TestReplayWorkedExamples:
         assert third.cloud_size == 2
         assert by_id["p2"].eccentricity == 2.0
         assert by_id["p1"].eccentricity is None
+
+    def test_records_read_alike_in_blocks_and_by_index(self, monkeypatch):
+        corpus, vectors = three_user_example()
+        records = replay(corpus, vectors, WINDOW)
+        want = list(records)
+        monkeypatch.setattr(cloud, "_RECORD_BLOCK", 2)
+        assert len(records) == 3 and records.defined() == 2
+        assert list(records) == [records[i] for i in range(-3, 0)] == want
+        with pytest.raises(IndexError):
+            records[3]
 
     def test_window_boundary_half_open(self):
         corpus = corpus_of([Post("q1", "b", 0, "", 0),
@@ -151,6 +164,35 @@ class TestOracle:
                     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+class TestColumnLoad:
+    """The stage's load, posts streamed into columns, replays as a Corpus does."""
+
+    def test_replay_and_oracle_equal_on_both_loads(self, tmp_path):
+        corpus, vectors = TestReplayInvariants._random_case(13)
+        posts = list(corpus.posts)
+        # file order is not log order; the non-ASCII text's post ties with
+        # the last post and sorts after it by id; the other new post's author
+        # is not in the edges file
+        posts.append(Post("\u00fcber", posts[-1].author, posts[-1].created_at,
+                          "caf\u00e9 \u2615 \U0001f600", 3))
+        posts.append(Post("new", "\u00e9l\u00e8ve", posts[0].created_at, "", 0))
+        vectors = ([*vectors[0], "\u00fcber", "new"], np.vstack([vectors[1], vectors[1][:2]]))
+        write_posts_jsonl(posts[::-1], tmp_path / "posts.jsonl")
+        write_edges_jsonl(corpus.graph, tmp_path / "edges.jsonl")
+        full = build_corpus(load_posts(tmp_path / "posts.jsonl"),
+                            load_edges(tmp_path / "edges.jsonl"))
+        columns = post_columns(iter_posts(tmp_path / "posts.jsonl"))
+        log = (columns, with_authors(load_edges(tmp_path / "edges.jsonl"), columns.authors))
+        assert columns.ids == tuple(p.id for p in full.posts)
+        want = list(replay(full, vectors, WINDOW))
+        assert list(replay(log, vectors, WINDOW)) == want
+        assert want[-1].post_id == "\u00fcber" and want[-1].eccentricity is not None
+        assert [r.cloud_size for r in want if r.author == "\u00e9l\u00e8ve"] == [0]
+        for post in full.posts[::7] + full.posts[-1:]:
+            assert (eccentricity_oracle(log, vectors, WINDOW, post.id)
+                    == eccentricity_oracle(full, vectors, WINDOW, post.id))
+
+
 class TestReplayInvariants:
     @staticmethod
     def _random_case(seed):
@@ -229,7 +271,7 @@ class TestChunks:
         corpus, vectors = self._case(50, 100, 256, 2)
         tracemalloc.start()
         try:
-            cloud._clouds(corpus, vectors, WINDOW)
+            cloud._clouds(post_columns(corpus.posts), corpus.graph, vectors, WINDOW)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
