@@ -12,6 +12,7 @@ directory for a file, a file for a directory), or invalid configuration or data.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import logging
@@ -81,7 +82,7 @@ class _Settings(ChainMap):
 
     def __init__(self, args: argparse.Namespace):
         cli = {k: v for k, v in vars(args).items() if v is not None}
-        file = _read_json_object(cli["config"]) if cli.get("config") else {}
+        file = _read_json_object(_input_file(cli["config"])) if cli.get("config") else {}
         known = {"preset", "threads"}.union(
             *((*files, *kinds) for _, _, files, kinds in STAGES.values()))
         unknown = sorted(set(file) - known)
@@ -112,23 +113,39 @@ class _Settings(ChainMap):
         value = self.get(key)
         if value is None:
             raise DataFormatError(f"missing required input --{key.replace('_', '-')}")
-        path = Path(value)
-        if not path.exists():
-            raise FileNotFoundError(f"input file not found: {path}")
-        if not path.is_file():
-            raise DataFormatError(f"input is not a regular file: {path}")
+        path = _input_file(value)
         self.inputs[key] = {"path": str(path), "sha256": _sha256(path)}
         return path
 
-    def out_path(self, key: str) -> Path:
+    def out_path(self, key: str, primary: bool = False) -> Path:
+        """The output path of ``key``, its directory made. A directory at the
+        path, or at the manifest path of the stage's ``primary`` output, is
+        refused before the stage writes anything."""
         value = self.get(key)
         if value is None:
             raise DataFormatError(f"missing required output --{key.replace('_', '-')}")
-        path = Path(value)
-        if path.is_dir():
-            raise DataFormatError(f"output is a directory: {path}")
+        path = _output_file(Path(value))
+        if primary:
+            _output_file(_manifest_path(path))
         _make_dir(path.parent, f"output is under a file, not a directory: {path}")
         return path
+
+
+def _input_file(value) -> Path:
+    """The path ``value``, which must name a regular file."""
+    path = Path(value)
+    if not path.exists():
+        raise FileNotFoundError(f"input file not found: {path}")
+    if not path.is_file():
+        raise DataFormatError(f"input is not a regular file: {path}")
+    return path
+
+
+def _output_file(path: Path) -> Path:
+    """``path``, which must not be a directory."""
+    if path.is_dir():
+        raise DataFormatError(f"output is a directory: {path}")
+    return path
 
 
 def _make_dir(path: Path, error: str) -> None:
@@ -166,10 +183,14 @@ def _read_json_object(path) -> dict:
     return payload
 
 
+def _manifest_path(primary_output: Path) -> Path:
+    return Path(str(primary_output) + ".manifest.json")
+
+
 def _write_manifest(primary_output: Path, stage: str, settings: _Settings,
                     config: dict) -> None:
     """Write ``<primary_output>.manifest.json`` over the inputs the stage read."""
-    _write_json(Path(str(primary_output) + ".manifest.json"), {
+    _write_json(_manifest_path(primary_output), {
         "stage": stage,
         "version": __version__,
         "inputs": settings.inputs,
@@ -227,7 +248,7 @@ def _corpus_stage(settings: _Settings, stage: str,
     graph = select(c.graph)
     keep = graph.users
     posts = [p for p in c.posts if p.author in keep]
-    out_posts = settings.out_path("out_posts")
+    out_posts = settings.out_path("out_posts", primary=True)
     out_edges = settings.out_path("out_edges")
     corpus.write_posts_jsonl(posts, out_posts)
     corpus.write_edges_jsonl(graph, out_edges)
@@ -259,7 +280,7 @@ def stage_embed(settings: _Settings, config: dict) -> None:
     tokens = textprep.clean_all([p.text for p in posts], stopwords, settings.threads)
     model = embed.fit_vectorizer(tokens, **config)
     vectors = embed.embed_all(model, list(zip([p.id for p in posts], tokens)))
-    out = settings.out_path("out")
+    out = settings.out_path("out", primary=True)
     embed.write_vectors(out, vectors, settings.threads)
     logger.info("embed: %d posts, vocabulary %d, dim %d",
                 len(posts), len(model.vocabulary), config["dim"])
@@ -274,7 +295,7 @@ def stage_pca(settings: _Settings, config: dict) -> None:
     model = pca.fit_pca(matrix, config["variance"])
     reduced = pca.transform(model, matrix)
     del matrix  # not held while the outputs are written
-    out, model_out = settings.out_path("out"), settings.out_path("model_out")
+    out, model_out = settings.out_path("out", primary=True), settings.out_path("model_out")
     embed.write_vectors(out, (ids, reduced), settings.threads)
     pca.save_model(model, model_out)
     logger.info("pca: %d -> %d dimensions (%.1f%% variance retained)",
@@ -296,10 +317,10 @@ def stage_eccentricity(settings: _Settings, config: dict) -> None:
                                int(round(config["window_days"] * 86400)))
     except cloud.MissingVectorError as exc:
         raise DataFormatError(f"{vectors_path}: {exc}") from None
-    out = settings.out_path("out")
+    out = settings.out_path("out", primary=True)
     cloud.write_records_csv(records, out)
     logger.info("eccentricity: %d records, %d with defined eccentricity",
-                len(records), records.defined())
+                len(records), sum(r.eccentricity is not None for r in records))
     _write_manifest(out, "eccentricity", settings, config)
 
 
@@ -313,7 +334,7 @@ def _records(settings: _Settings):
 def stage_dynamics(settings: _Settings, config: dict) -> None:
     rows = dynamics.user_dynamics(_records(settings), min_gap=config["min_gap"],
                                   weighting=config["fg_weighting"])
-    out = settings.out_path("out")
+    out = settings.out_path("out", primary=True)
     dynamics.write_dynamics_csv(rows, out)
     logger.info("dynamics: %d users, %d with defined neighborhood scores",
                 len(rows), sum(1 for r in rows if r.f_ecc is not None))
@@ -330,7 +351,8 @@ def stage_distributions(settings: _Settings, config: dict) -> None:
     bins = stats.bin_by_popularity(_records(settings), config["bins"])
     summary = stats.bin_summary(bins, **{k: v for k, v in config.items() if k != "bins"},
                                 threads=settings.threads)
-    out_csv, out_summary = settings.out_path("out_csv"), settings.out_path("out_summary")
+    out_csv = settings.out_path("out_csv", primary=True)
+    out_summary = settings.out_path("out_summary")
     cloud.write_rows(out_csv, _DensityRow._fields,
                      ((row.label, x, d) for row in summary.bins if row.density is not None
                       for x, d in zip(summary.grid.tolist(), row.density.tolist())))
@@ -358,7 +380,7 @@ def stage_synth(settings: _Settings, config: dict) -> None:
               "strength": "effect_strength"}
     cfg = synth.SynthConfig(**{fields.get(key, key): value for key, value in config.items()})
     c, vectors, _ = synth.gen_corpus(cfg)
-    out_posts = settings.out_path("out_posts")
+    out_posts = settings.out_path("out_posts", primary=True)
     out_edges = settings.out_path("out_edges")
     out_vectors = settings.out_path("out_vectors")
     synth.write_corpus_files(c, vectors, out_posts, out_edges, out_vectors)
@@ -411,19 +433,21 @@ def stage_report(settings: _Settings, config: dict) -> None:
         }
     out_dir = Path(settings.get("out_dir") or ".")
     _make_dir(out_dir, f"output directory is not a directory: {out_dir}")
+    scatter_path, densities_path, means_path, report_path = (
+        _output_file(out_dir / name)
+        for name in ("fg_scatter.csv", "densities.csv", "bin_means.csv", "report.json"))
+    _output_file(_manifest_path(report_path))
 
-    scatter_path = out_dir / "fg_scatter.csv"
     cloud.write_rows(scatter_path, ("user", "f_ecc", "g_ecc", "f_self", "g_self"),
                      ((d.user, d.f_ecc, d.g_ecc, d.f_self, d.g_self) for d in rows))
 
-    densities_path = out_dir / "densities.csv"
-    shutil.copyfile(distributions_path, densities_path)
+    # --distributions given as this densities.csv already holds these bytes
+    with contextlib.suppress(shutil.SameFileError):
+        shutil.copyfile(distributions_path, densities_path)
 
-    means_path = out_dir / "bin_means.csv"
     cloud.write_rows(means_path, ("bin", "n", "mean_eccentricity"), bin_means)
 
     report = {"popularity": popularity, "gscore_comparison": comparison}
-    report_path = out_dir / "report.json"
     _write_json(report_path, report)
     logger.info("report: wrote %s, %s, %s, %s", report_path, scatter_path,
                 densities_path, means_path)

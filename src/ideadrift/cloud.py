@@ -206,41 +206,6 @@ def _optional(values: np.ndarray) -> list[float | None]:
     return [None if v != v else v for v in values.tolist()]
 
 
-# records a replay's Records builds at a time
-_RECORD_BLOCK = 4096
-
-
-class Records(Sequence):
-    """A replay's records in log order, built from its columns a block at a
-    time as they are read, so no list of records is held. Records equal a
-    list, or other Records, that holds the same records."""
-
-    def __init__(self, posts: PostColumns, *results: np.ndarray):
-        self._columns = (*posts, *results)
-
-    def __len__(self) -> int:
-        return len(self._columns[0])
-
-    def __getitem__(self, index: int) -> EccentricityRecord:
-        return next(self._block(range(len(self))[index], 1))
-
-    def __iter__(self) -> Iterator[EccentricityRecord]:
-        for start in range(0, len(self), _RECORD_BLOCK):
-            yield from self._block(start, _RECORD_BLOCK)
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, (list, Records)) else NotImplemented
-
-    def defined(self) -> int:
-        """How many records have a defined eccentricity."""
-        return int(np.count_nonzero(~np.isnan(self._columns[4])))
-
-    def _block(self, start: int, count: int) -> Iterator[EccentricityRecord]:
-        *posts, ecc, self_ecc, sizes, self_sizes = (c[start:start + count] for c in self._columns)
-        return map(EccentricityRecord, *posts, _optional(ecc), _optional(self_ecc),
-                   sizes.tolist(), self_sizes.tolist())
-
-
 def _columns(corpus: Corpus | tuple[PostColumns, SocialGraph]):
     """The posts of a Corpus as columns, with its graph; a (PostColumns,
     graph) pair is taken as it is."""
@@ -252,8 +217,8 @@ def replay(
     corpus: Corpus | tuple[PostColumns, SocialGraph],
     vectors: Vectors,
     window_seconds: int = DEFAULT_WINDOW_SECONDS,
-) -> Records:
-    """One EccentricityRecord per post, in (created_at, id) order.
+) -> list[EccentricityRecord]:
+    """A list of one EccentricityRecord per post, in (created_at, id) order.
 
     Fan-in: each post reads the windowed sums of its ego members (itself first,
     then followees by id) from per-author prefix sums, instead of every post
@@ -267,13 +232,17 @@ def replay(
     not finite and positive is a DataFormatError.
 
     The posts are a Corpus's, or a (PostColumns, graph) pair whose graph holds
-    every author. The kernel runs in this call; ``Records`` are built as read.
+    every author.
     """
     check_positive("window_seconds", window_seconds)
     posts, graph = _columns(corpus)
     # a sum that overflows leaves a non-finite distance, which _distances refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        return Records(posts, *_clouds(posts, graph, vectors, window_seconds))
+        ecc, self_ecc, sizes, self_sizes = _clouds(posts, graph, vectors, window_seconds)
+    # built once _clouds has returned: its n x D prefix sums are freed by then,
+    # and from dimension 24 up they, not the records, set the stage's peak
+    return list(map(EccentricityRecord, *posts, _optional(ecc), _optional(self_ecc),
+                    sizes.tolist(), self_sizes.tolist()))
 
 
 def eccentricity_oracle(

@@ -572,6 +572,17 @@ class TestConfigFile:
                      "--out-vectors", str(tmp_path / "v.jsonl")]) == 2
         assert f"{config}: invalid JSON (maximum recursion depth exceeded" in caplog.text
 
+    def test_config_not_a_regular_file_exit_2(self, tmp_path, caplog, capsys):
+        config = tmp_path / "config.json"
+        config.mkdir()
+        assert main(["--config", str(config), "synth",
+                     "--out-posts", str(tmp_path / "p.jsonl"),
+                     "--out-edges", str(tmp_path / "e.jsonl"),
+                     "--out-vectors", str(tmp_path / "v.jsonl")]) == 2
+        assert f"input is not a regular file: {config}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize(("config", "args"), [
         ({"seed": "abc"}, ["synth", "--out-posts", "p.jsonl", "--out-edges", "e.jsonl",
                            "--out-vectors", "v.jsonl"]),
@@ -745,46 +756,70 @@ class TestManifestInputs:
 class TestOutputPathKind:
     CORPUS = ["--posts", "{run}/posts.jsonl", "--edges", "{run}/edges.jsonl",
               "--out-posts", "{out}/p.jsonl", "--out-edges", "{out}/e.jsonl"]
-    # case -> (arguments, the output flag that names an existing directory)
+    EMBED = ["embed", "--posts", "{run}/posts.jsonl", "--dim", "8", "--out", "{out}/v.jsonl"]
+    PCA = ["pca", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/pca.jsonl",
+           "--model-out", "{out}/model.json"]
+    ECCENTRICITY = ["eccentricity", "--posts", "{run}/posts.jsonl", "--edges",
+                    "{run}/edges.jsonl", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/r.csv"]
+    DYNAMICS = ["dynamics", "--records", "{run}/records.csv", "--out", "{out}/dyn.csv"]
+    DISTRIBUTIONS = ["distributions", "--records", "{run}/records.csv",
+                     "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"]
+    SYNTH = ["synth", "--n-users", "3", "--out-posts", "{out}/p.jsonl",
+             "--out-edges", "{out}/e.jsonl", "--out-vectors", "{out}/v.jsonl"]
+    MANIFEST = ".manifest.json"
+    # case -> (arguments, the output flag that names an existing directory), or
+    # (arguments, a stage's primary output flag, MANIFEST): the directory is
+    # then at the flag's path + MANIFEST, where the stage writes its manifest
     CASES = {
         "ingest-out-posts": (["ingest", *CORPUS], "--out-posts"),
         "ingest-out-edges": (["ingest", *CORPUS], "--out-edges"),
         "lcc-out-edges": (["lcc", *CORPUS], "--out-edges"),
         "sample-out-posts": (["sample", *CORPUS, "--fraction", "0.5"], "--out-posts"),
-        "embed-out": (["embed", "--posts", "{run}/posts.jsonl", "--dim", "8",
-                       "--out", "{out}/v.jsonl"], "--out"),
-        "pca-out": (["pca", "--vectors", "{run}/vectors.jsonl", "--out", "{out}/pca.jsonl",
-                     "--model-out", "{out}/model.json"], "--out"),
-        "pca-model-out": (["pca", "--vectors", "{run}/vectors.jsonl",
-                           "--out", "{out}/pca.jsonl", "--model-out", "{out}/model.json"],
-                          "--model-out"),
-        "eccentricity-out": (["eccentricity", "--posts", "{run}/posts.jsonl",
-                              "--edges", "{run}/edges.jsonl", "--vectors", "{run}/vectors.jsonl",
-                              "--out", "{out}/r.csv"], "--out"),
-        "dynamics-out": (["dynamics", "--records", "{run}/records.csv",
-                          "--out", "{out}/dyn.csv"], "--out"),
-        "distributions-out-csv": (["distributions", "--records", "{run}/records.csv",
-                                   "--out-csv", "{out}/d.csv", "--out-summary", "{out}/s.json"],
-                                  "--out-csv"),
-        "distributions-out-summary": (["distributions", "--records", "{run}/records.csv",
-                                       "--out-csv", "{out}/d.csv",
-                                       "--out-summary", "{out}/s.json"], "--out-summary"),
-        "synth-out-vectors": (["synth", "--n-users", "3", "--out-posts", "{out}/p.jsonl",
-                               "--out-edges", "{out}/e.jsonl",
-                               "--out-vectors", "{out}/v.jsonl"], "--out-vectors"),
+        "embed-out": (EMBED, "--out"),
+        "pca-out": (PCA, "--out"),
+        "pca-model-out": (PCA, "--model-out"),
+        "eccentricity-out": (ECCENTRICITY, "--out"),
+        "dynamics-out": (DYNAMICS, "--out"),
+        "distributions-out-csv": (DISTRIBUTIONS, "--out-csv"),
+        "distributions-out-summary": (DISTRIBUTIONS, "--out-summary"),
+        "synth-out-vectors": (SYNTH, "--out-vectors"),
+        "ingest-manifest": (["ingest", *CORPUS], "--out-posts", MANIFEST),
+        "lcc-manifest": (["lcc", *CORPUS], "--out-posts", MANIFEST),
+        "sample-manifest": (["sample", *CORPUS, "--fraction", "0.5"], "--out-posts", MANIFEST),
+        "embed-manifest": (EMBED, "--out", MANIFEST),
+        "pca-manifest": (PCA, "--out", MANIFEST),
+        "eccentricity-manifest": (ECCENTRICITY, "--out", MANIFEST),
+        "dynamics-manifest": (DYNAMICS, "--out", MANIFEST),
+        "distributions-manifest": (DISTRIBUTIONS, "--out-csv", MANIFEST),
+        "synth-manifest": (SYNTH, "--out-posts", MANIFEST),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_output_is_a_directory_exit_2(self, small_run, tmp_path, caplog, capsys, case):
-        template, flag = self.CASES[case]
-        taken = tmp_path / "taken"
+        template, flag, *suffix = self.CASES[case]
+        taken = tmp_path / ("taken" + "".join(suffix))
         taken.mkdir()
         args = [a.format(run=small_run, out=tmp_path) for a in template]
-        args[args.index(flag) + 1] = str(taken)
+        args[args.index(flag) + 1] = str(tmp_path / "taken")
         assert main(args) == 2
         assert f"output is a directory: {taken}" in caplog.text
         assert "Traceback" not in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert [p.name for p in tmp_path.iterdir()] == [taken.name]
+        assert not any(taken.iterdir())
+
+    @pytest.mark.parametrize("name", ["fg_scatter.csv", "densities.csv", "bin_means.csv",
+                                      "report.json", "report.json.manifest.json"])
+    def test_report_output_is_a_directory_exit_2(self, small_run, tmp_path, caplog, capsys,
+                                                 name):
+        taken = tmp_path / name
+        taken.mkdir()
+        assert main(["report", "--summary", str(small_run / "summary.json"),
+                     "--distributions", str(small_run / "distributions.csv"),
+                     "--dynamics", str(small_run / "dynamics.csv"),
+                     "--out-dir", str(tmp_path)]) == 2
+        assert f"output is a directory: {taken}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [name]
         assert not any(taken.iterdir())
 
     def test_report_out_dir_is_a_file_exit_2(self, small_run, tmp_path, caplog, capsys):
@@ -801,7 +836,8 @@ class TestOutputPathKind:
 
 
 class TestOutputUnderAFile:
-    @pytest.mark.parametrize("case", sorted(TestOutputPathKind.CASES))
+    @pytest.mark.parametrize("case", sorted(case for case, row in TestOutputPathKind.CASES.items()
+                                            if len(row) == 2))
     @pytest.mark.parametrize("below", ["out.x", "sub/out.x"])
     def test_output_under_a_file_exit_2(self, small_run, tmp_path, caplog, capsys, case, below):
         template, flag = TestOutputPathKind.CASES[case]
@@ -1100,11 +1136,12 @@ def _eccentricity_inputs(root, text_len):
 
 
 class TestEccentricityMemory:
-    """``eccentricity`` keeps no text, no ``Post`` and no record per post."""
+    """``eccentricity`` keeps no text and no ``Post``; it holds one record
+    per post, built once the replay kernel has returned."""
 
-    # 3,000 posts: empty texts peaked at 3.38 MiB and 2 KB texts (a 6 MB
-    # posts file) at 3.36 MiB. Holding the Post list and the records, as
-    # before, peaked at 3.95 and 10.0 MiB.
+    # 3,000 posts: empty texts peaked at 3.48 MiB and 2 KB texts (a 6 MB
+    # posts file) at 3.21 MiB. Holding the Post list as well, as before
+    # posts were read into columns, peaked at 3.95 and 10.0 MiB.
     def test_peak_does_not_grow_with_text_length(self, tmp_path):
         peaks = []
         for text_len in (0, 2000):
@@ -1271,6 +1308,27 @@ class TestCsvBytes:
 
 
 class TestReportSummary:
+    def test_densities_of_the_out_dir_as_distributions(self, small_run, tmp_path):
+        # densities.csv already holds the bytes its copy would write
+        args = ["report", "--summary", str(small_run / "summary.json"),
+                "--dynamics", str(small_run / "dynamics.csv")]
+        apart, same = tmp_path / "apart", tmp_path / "same"
+        assert main([*args, "--distributions", str(small_run / "distributions.csv"),
+                     "--out-dir", str(apart)]) == 0
+        same.mkdir()
+        (same / "densities.csv").write_bytes((small_run / "distributions.csv").read_bytes())
+        assert main([*args, "--distributions", str(same / "densities.csv"),
+                     "--out-dir", str(same)]) == 0
+        names = ["bin_means.csv", "densities.csv", "fg_scatter.csv", "report.json",
+                 "report.json.manifest.json"]
+        assert sorted(p.name for p in same.iterdir()) == names
+        for name in names[:-1]:
+            assert (same / name).read_bytes() == (apart / name).read_bytes()
+        hashes = [{key: entry["sha256"]
+                   for key, entry in manifest_of(out / "report.json")["inputs"].items()}
+                  for out in (same, apart)]
+        assert hashes[0] == hashes[1]
+
     @pytest.mark.parametrize("text", ['{"bins": [', '{"bins": [{"n": 1}]}',
                                       '{"bins": ' + "[" * 100_000],
                              ids=["truncated", "bin-without-label", "nested-too-deeply"])

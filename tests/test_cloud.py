@@ -49,13 +49,14 @@ class TestReplayWorkedExamples:
         assert by_id["p2"].eccentricity == 2.0
         assert by_id["p1"].eccentricity is None
 
-    def test_records_read_alike_in_blocks_and_by_index(self, monkeypatch):
+    def test_records_are_a_list_that_slices(self):
         corpus, vectors = three_user_example()
         records = replay(corpus, vectors, WINDOW)
-        want = list(records)
-        monkeypatch.setattr(cloud, "_RECORD_BLOCK", 2)
-        assert len(records) == 3 and records.defined() == 2
-        assert list(records) == [records[i] for i in range(-3, 0)] == want
+        assert type(records) is list and len(records) == 3
+        assert sum(r.eccentricity is not None for r in records) == 2
+        assert [records[i] for i in range(-3, 0)] == records
+        assert records[1:3] == [records[1], records[2]]
+        assert [r.post_id for r in records[1:3]] == ["p2", "p3"]
         with pytest.raises(IndexError):
             records[3]
 
