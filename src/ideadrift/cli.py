@@ -6,7 +6,8 @@ manifest (input hashes, effective config, package version) next to its primary
 output. Logs go to stderr; data only to the declared output files.
 
 Exit codes: 0 success, 2 missing input, an output path of the wrong kind (a
-directory for a file, a file for a directory), or invalid configuration or data.
+directory for a file, a file for a directory) or named by two outputs of the
+stage, or invalid configuration or data.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ class _Settings(ChainMap):
         if self.threads < 1:
             raise DataFormatError(f"threads must be at least 1, got {self.threads}")
         self.inputs: dict[str, dict[str, str]] = {}
+        self.outputs: dict[Path, str] = {}  # each resolved output path, by its flag
 
     def values(self, **kinds: Callable) -> dict:
         """``{key: kind(setting)}``: the config a stage runs with and records."""
@@ -119,14 +121,21 @@ class _Settings(ChainMap):
 
     def out_path(self, key: str, primary: bool = False) -> Path:
         """The output path of ``key``, its directory made. A directory at the
-        path, or at the manifest path of the stage's ``primary`` output, is
-        refused before the stage writes anything."""
+        path, or at the manifest path of the stage's ``primary`` output, and
+        a file that an earlier output of the stage or that manifest already
+        names are refused before the stage writes anything."""
+        flag = "--" + key.replace("_", "-")
         value = self.get(key)
         if value is None:
-            raise DataFormatError(f"missing required output --{key.replace('_', '-')}")
+            raise DataFormatError(f"missing required output {flag}")
         path = _output_file(Path(value))
+        claims = {path: flag}
         if primary:
-            _output_file(_manifest_path(path))
+            claims[_output_file(_manifest_path(path))] = f"the manifest of {flag}"
+        for claim, name in claims.items():
+            earlier = self.outputs.setdefault(claim.resolve(), name)
+            if earlier != name:
+                raise DataFormatError(f"{name} and {earlier} name the same file: {claim}")
         _make_dir(path.parent, f"output is under a file, not a directory: {path}")
         return path
 

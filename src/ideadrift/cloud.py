@@ -206,13 +206,6 @@ def _optional(values: np.ndarray) -> list[float | None]:
     return [None if v != v else v for v in values.tolist()]
 
 
-def _columns(corpus: Corpus | tuple[PostColumns, SocialGraph]):
-    """The posts of a Corpus as columns, with its graph; a (PostColumns,
-    graph) pair is taken as it is."""
-    posts, graph = corpus
-    return (posts if isinstance(posts, PostColumns) else post_columns(posts)), graph
-
-
 def replay(
     corpus: Corpus | tuple[PostColumns, SocialGraph],
     vectors: Vectors,
@@ -235,7 +228,9 @@ def replay(
     every author.
     """
     check_positive("window_seconds", window_seconds)
-    posts, graph = _columns(corpus)
+    posts, graph = corpus
+    if not isinstance(posts, PostColumns):
+        posts = post_columns(posts)
     # a sum that overflows leaves a non-finite distance, which _distances refuses
     with np.errstate(over="ignore", invalid="ignore"):
         ecc, self_ecc, sizes, self_sizes = _clouds(posts, graph, vectors, window_seconds)
@@ -252,24 +247,30 @@ def eccentricity_oracle(
     post_id: str,
 ) -> tuple[float | None, float | None]:
     """Recompute (eccentricity, self_eccentricity) for one post by direct scan
-    of the columns ``replay`` reads.
+    of the posts as given: a Corpus's posts, or the columns of a
+    (PostColumns, graph) pair, in their order; nothing is sorted.
 
     Holds no incremental state: filters the whole post log by neighborhood
     membership and the half-open window [t - window, t). Each offset component
     is a ``math.fsum`` of the deviations v - x over the cloud size, so a large
-    common vector offset costs no accuracy.
+    common vector offset costs no accuracy, and the scan order no bit.
     """
-    posts, graph = _columns(corpus)
-    if post_id not in posts.ids:
+    posts, graph = corpus
+
+    def log():
+        """Each post as a row that starts with its id, author and time: a
+        Corpus's Post rows as they are, or a PostColumns zipped."""
+        return zip(*posts) if isinstance(posts, PostColumns) else posts
+
+    target = next((post for post in log() if post[0] == post_id), None)
+    if target is None:
         raise DataFormatError(f"unknown post id {post_id!r}")
-    target = posts.ids.index(post_id)
+    _, author, t = target[:3]
     row = _row_index(vectors)
     matrix = vectors[1]
-    author, t = posts.authors[target], posts.times[target]
     neighborhood = ego_neighborhood(graph, author)
     lo = t - window_seconds
-    window = [(i, a) for i, a, time in zip(posts.ids, posts.authors, posts.times)
-              if lo <= time < t]
+    window = [post[:2] for post in log() if lo <= post[2] < t]
     cloud = dense_rows(matrix, [row[i] for i, a in window if a in neighborhood])
     own = dense_rows(matrix, [row[i] for i, a in window if a == author])
     vec = dense_rows(matrix, row[post_id])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import io
+import itertools
 import math
 import os
 import shutil
@@ -233,7 +234,6 @@ class _Part(NamedTuple):
     """One part of a vectors file as read, up to its first bad line."""
 
     ids: list[str]
-    lines: list[int]  # the line number of each id
     error: str | None  # the DataFormatError text of its first bad line
     rows: CsrMatrix | None  # a sparse file's rows; a dense file's are in the part's spool
 
@@ -254,9 +254,14 @@ def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
     A first pass counts the lines and cuts the file at line starts into
     ``_parts.count(threads, file size, READ_PART_BYTES)`` parts. Part 0 is
     parsed here; each later part is parsed by a forked process, which sends
-    back its ids, their line numbers, its first bad line and, in a sparse
-    file, its rows as CSR. In a dense file every part writes its rows to an
-    unlinked temporary file, from which the matrix is filled.
+    back its ids, its first bad line and, in a sparse file, its rows as CSR.
+    In a dense file every part writes its rows to an unlinked temporary file,
+    from which the matrix is filled.
+
+    Ids are checked once, over the ids of the parts up to the first bad line:
+    ids in ascending order are unique, as every writer leaves them; others
+    are sorted, and of the ids equal to an earlier one the first in the file
+    is a duplicate, whose line is found by reading the file again.
     """
     with open(path, "rb") as fh:
         spans = _line_spans(fh, threads)
@@ -269,24 +274,29 @@ def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
     if not dim:
         return [], np.empty((0, 0))
     sparse = 2 * np.count_nonzero(first.view(np.int64)) < dim
-    ids: list[str] = []
-    seen: set[str] = set()
     with ExitStack() as stack:
         spools = [None if sparse else stack.enter_context(tempfile.TemporaryFile())
                   for _ in spans]
         parts = _parts.run(functools.partial(_read_part, path, dim),
                            [(*span, spool) for span, spool in zip(spans, spools)])
-        for k, part in enumerate(parts):
-            if not seen.isdisjoint(part.ids):
-                post_id, lineno = next(
-                    (i, line) for i, line in zip(part.ids, part.lines) if i in seen)
+        ids: list[str] = []
+        for part in parts:  # up to the first part with a bad line, which every id precedes
+            ids += part.ids
+            if part.error is not None:
+                break
+        order = None
+        if not all(map(str.__lt__, ids, ids[1:])):  # every writer leaves ids ascending
+            order = sorted(range(len(ids)), key=ids.__getitem__)
+            # the first id in the file that equals an earlier one: sorted stably,
+            # the later of two equal ids is the later in the file
+            repeat = min((b for a, b in zip(order, order[1:]) if ids[a] == ids[b]), default=None)
+            if repeat is not None:
+                with closing(_vector_lines(path, 0, 1, None, None)) as lines:
+                    lineno, post_id, _ = next(itertools.islice(lines, repeat, None))
                 raise DataFormatError(f"{path}:{lineno}: bad vector line "
                                       f"(duplicate id {post_id!r})")
-            if part.error is not None:
-                raise DataFormatError(part.error)
-            if k + 1 < len(parts):  # later parts are checked against it
-                seen.update(part.ids)
-            ids += part.ids
+        if part.error is not None:
+            raise DataFormatError(part.error)
         if sparse:
             matrix = CsrMatrix.stack([part.rows for part in parts], dim)
         else:
@@ -298,9 +308,8 @@ def load_external_vectors(path: str | Path, threads: int = 1) -> Vectors:
                 if spool.readinto(rows.data) != rows.nbytes:
                     raise ChildProcessError(f"{path}: part {k} left too few rows")
                 start += len(part.ids)
-    if all(map(str.__lt__, ids, ids[1:])):  # already in id order, as every writer leaves it
+    if order is None:
         return ids, matrix
-    order = sorted(range(len(ids)), key=ids.__getitem__)
     index = np.array(order, dtype=np.intp)
     return [ids[i] for i in order], matrix.take(index) if sparse else matrix[index]
 
@@ -369,61 +378,52 @@ def _read_part(path: str | Path, dim: int,
     ``_CHECK_VALUES`` values at a time, then kept. Before a bad line is
     reported, the rows read ahead of it are checked, so the error and the ids
     returned are those of a line-by-line read that stops at the first bad
-    line.
+    line. Ids are not checked here: ``load_external_vectors`` checks those of
+    every part at once.
     """
     offset, first, count, spool = span
     ids: list[str] = []
-    lines: list[int] = []
-    seen: set[str] = set()
     buffer = np.empty((max(1, _CHECK_VALUES // dim), dim))
+    lines: list[int] = []  # the line number of each row in the buffer
     pieces: list[CsrMatrix] = []
-    kept = 0  # rows checked and kept
     error = None
 
     def check() -> None:
         """Check and keep the rows in the buffer; for the first one with a
         non-finite value, drop the ids from its line on and raise."""
-        nonlocal kept
-        rows = buffer[:len(ids) - kept]
+        rows = buffer[:len(lines)]
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():
-            bad = kept + int(finite.argmin())
-            lineno, post_id = lines[bad], ids[bad]
-            del ids[bad:], lines[bad:]
+            at = int(finite.argmin())
+            bad = len(ids) - len(lines) + at  # its index in ids
+            lineno, post_id = lines[at], ids[bad]
+            del ids[bad:], lines[:]
             raise DataFormatError(f"{path}:{lineno}: bad vector line "
                                   f"(non-finite component for {post_id!r})")
         if spool is None:
             pieces.append(CsrMatrix.from_dense(rows))
         else:
             spool.write(rows.data)
-        kept = len(ids)
+        lines.clear()
 
     try:
         for lineno, post_id, raw in _vector_lines(path, offset, first, count, dim):
-            buffer[len(ids) - kept] = raw
+            buffer[len(lines)] = raw
             ids.append(post_id)
             lines.append(lineno)
-            if post_id in seen:
-                check()  # this line's own values come first
-                del ids[-1], lines[-1]
-                raise DataFormatError(f"{path}:{lineno}: bad vector line "
-                                      f"(duplicate id {post_id!r})")
-            seen.add(post_id)
-            if len(ids) - kept == len(buffer):
+            if len(lines) == len(buffer):
                 check()
-        if kept < len(ids):
-            check()
     except DataFormatError as exc:
         error = str(exc)
-        if kept < len(ids):  # rows read before the bad line come first
-            try:
-                check()
-            except DataFormatError as earlier:
-                error = str(earlier)
+    if lines:  # the rows left in the buffer; before a bad line, they come first
+        try:
+            check()
+        except DataFormatError as exc:
+            error = str(exc)
     if spool is not None:
         spool.flush()
-        return _Part(ids, lines, error, None)
-    return _Part(ids, lines, error, CsrMatrix.stack(pieces, dim))
+        return _Part(ids, error, None)
+    return _Part(ids, error, CsrMatrix.stack(pieces, dim))
 
 
 def write_vectors(path: str | Path, vectors: Vectors, threads: int = 1) -> None:

@@ -835,6 +835,54 @@ class TestOutputPathKind:
         assert taken.read_text() == "kept\n"
 
 
+class TestOutputPathsDiffer:
+    K = TestOutputPathKind
+    MANIFEST = K.MANIFEST
+    # case -> (arguments, the flag set to another flag's path, that flag, and
+    # the suffix to its path, if any; the message names the two outputs)
+    CASES = {
+        "ingest": (["ingest", *K.CORPUS], "--out-edges", "--out-posts", "",
+                   "--out-edges and --out-posts"),
+        "lcc": (["lcc", *K.CORPUS], "--out-edges", "--out-posts", "",
+                "--out-edges and --out-posts"),
+        "sample": (["sample", *K.CORPUS, "--fraction", "0.5"], "--out-edges", "--out-posts", "",
+                   "--out-edges and --out-posts"),
+        "pca": (K.PCA, "--model-out", "--out", "", "--model-out and --out"),
+        "distributions": (K.DISTRIBUTIONS, "--out-summary", "--out-csv", "",
+                          "--out-summary and --out-csv"),
+        "synth-edges-posts": (K.SYNTH, "--out-edges", "--out-posts", "",
+                              "--out-edges and --out-posts"),
+        "synth-vectors-posts": (K.SYNTH, "--out-vectors", "--out-posts", "",
+                                "--out-vectors and --out-posts"),
+        "synth-vectors-edges": (K.SYNTH, "--out-vectors", "--out-edges", "",
+                                "--out-vectors and --out-edges"),
+        "ingest-manifest": (["ingest", *K.CORPUS], "--out-edges", "--out-posts", MANIFEST,
+                            "--out-edges and the manifest of --out-posts"),
+        "pca-manifest": (K.PCA, "--model-out", "--out", MANIFEST,
+                         "--model-out and the manifest of --out"),
+        "distributions-manifest": (K.DISTRIBUTIONS, "--out-summary", "--out-csv", MANIFEST,
+                                   "--out-summary and the manifest of --out-csv"),
+        "synth-manifest": (K.SYNTH, "--out-vectors", "--out-posts", MANIFEST,
+                           "--out-vectors and the manifest of --out-posts"),
+    }
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_outputs_name_one_file_exit_2(self, small_run, tmp_path, caplog, capsys,
+                                              case, spelling):
+        # before, the stage exited 0 and the later output had replaced the earlier
+        template, flag, other, suffix, names = self.CASES[case]
+        args = [a.format(run=small_run, out=tmp_path) for a in template]
+        taken = Path(args[args.index(other) + 1] + suffix)
+        if spelling == "dotdot":  # another spelling of the same path
+            taken = taken.parent / "sub" / ".." / taken.name
+        args[args.index(flag) + 1] = str(taken)
+        assert main(args) == 2
+        assert f"{names} name the same file: {taken}" in caplog.text
+        assert "Traceback" not in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestOutputUnderAFile:
     @pytest.mark.parametrize("case", sorted(case for case, row in TestOutputPathKind.CASES.items()
                                             if len(row) == 2))

@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import os
+import sys
 from collections import Counter
 
 import numpy as np
@@ -292,6 +293,25 @@ class TestVectorMatrix:
         assert loaded.tobytes() == matrix.tobytes()
         assert peak < 1.6 * matrix.nbytes
 
+    def test_read_holds_no_id_set_or_line_numbers(self, tmp_path):
+        # the ids are checked once, in their list: short rows leave the ids,
+        # their list and the matrix as what the read holds, with no set of
+        # ids and no line number per row beside them
+        import tracemalloc
+
+        path = tmp_path / "vectors.jsonl"
+        matrix = np.random.default_rng(5).standard_normal((30000, 2))
+        write_vectors(path, ([f"p{i:05d}" for i in range(len(matrix))], matrix))
+        tracemalloc.start()
+        try:
+            ids, loaded = load_external_vectors(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == matrix.tobytes()
+        held = sys.getsizeof(ids) + sum(map(sys.getsizeof, ids)) + loaded.nbytes
+        assert peak < held + (1 << 20)
+
     def test_blank_lines_leave_no_rows(self, tmp_path):
         ids = ["p1", "p2", "p3", "p4"]
         matrix = np.random.default_rng(4).standard_normal((4, 3))
@@ -358,6 +378,26 @@ class TestVectorParts:
         assert part_first_lines(path, 2) == [1, 3]
         assert self.same_at_any_part_count(path) == (
             f"{path}:3: bad vector line (duplicate id 'p1')")
+
+    @pytest.mark.parametrize("lines, named", [
+        ([("p5", "1.0"), ("p1", "1.0"), ("p2", "1.0"), ("p5", "2.0"), ("p3", "1.0"),
+          ("p5", "3.0")], "4: bad vector line (duplicate id 'p5')"),
+        ([("p9", "1.0"), ("p1", "1.0"), ("p5", "1.0"), ("p9", "2.0"), ("p1", "2.0"),
+          ("p6", "1.0")], "4: bad vector line (duplicate id 'p9')"),
+        ([("p3", "1.0"), ("p1", "1.0"), ("p3", "2.0"), ("p4", "1.0"), ("p5", "1.0"),
+          ("p6", "1e400")], "3: bad vector line (duplicate id 'p3')"),
+        ([("p3", "1.0"), ("p1", '"x"'), ("p5", "1.0"), ("p3", "2.0"), ("p6", "1.0"),
+          ("p7", "1.0")], "2: bad vector line (vec must be a non-empty list of numbers)"),
+    ], ids=["an-id-three-times", "the-earlier-of-two-repeats",
+            "a-repeat-before-a-later-parts-bad-line", "a-bad-line-before-a-repeat"])
+    def test_first_repeat_in_the_file_is_named(self, tmp_path, lines, named):
+        # the ids are out of order, so a repeat is looked for and named by
+        # its line, unless a bad line comes first
+        path = tmp_path / "vectors.jsonl"
+        path.write_text("".join(vector_line(i, [v]) for i, v in lines))
+        assert part_first_lines(path, 2) == [1, 4]
+        assert part_first_lines(path, 3) == [1, 3, 5]
+        assert self.same_at_any_part_count(path) == f"{path}:{named}"
 
     def test_dimension_change_at_a_parts_first_line(self, tmp_path):
         path = tmp_path / "vectors.jsonl"
